@@ -32,7 +32,7 @@ from .errors import (
     RankDeficient,
 )
 from .layer import ReluLayer, evaluate
-from .partition import _indices_of
+from .partition import _graded_submasks, _indices_of
 from .tolerances import DEGENERATE_DIRECTION_REL, MAX_ENUM_DIM, RCOND_MIN, scaled
 
 
@@ -204,9 +204,14 @@ class CanonicalReduction:
 
 @dataclass(frozen=True, eq=False)
 class DecisionBoundary:
-    """Complete piecewise-linear boundary of a shallow network."""
+    """Complete piecewise-linear boundary of a shallow network.
+
+    ``readout`` is the readout normalized to a negative bias; the
+    intersection values and the piece structure refer to it.
+    """
 
     d: int
+    readout: OutputLayer
     pieces: tuple[BoundaryPiece, ...]
     values: IntersectionValues
     m: int
@@ -215,27 +220,17 @@ class DecisionBoundary:
     canonical: CanonicalReduction
 
 
-def _subsets_graded(d: int):
-    masks = sorted(range(1 << d), key=lambda m: (m.bit_count(), m))
-    return masks
+def _readout(layer: ReluLayer, output: OutputLayer) -> tuple[OutputLayer, IntersectionValues]:
+    """Normalized readout and its intersection values on ``layer``.
 
-
-def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
-    """Enumerate every linear piece of the boundary of output o layer.
-
-    One piece per index subset J whose intersection values are not all
-    negative; the count always comes out to 2^d - 2^m.  Degenerate
-    directions (readout weight ~ 0) are rejected, since then the
-    hyperplane is parallel to a dual line and the piece structure is not
-    well posed.
+    Degenerate directions (readout weight ~ 0) are rejected, since then
+    the hyperplane is parallel to a dual line and the piece structure is
+    not well posed.
     """
-    d = layer.d_out
-    if output.d != d:
+    if output.d != layer.d_out:
         raise DimensionMismatch(
-            f"readout expects dimension {output.d}, layer outputs {d}"
+            f"readout expects dimension {output.d}, layer outputs {layer.d_out}"
         )
-    if d > MAX_ENUM_DIM:
-        raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
     norm = normalize_output_layer(output)
     values = intersection_values(norm)
     if values.degenerate:
@@ -243,11 +238,30 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
             f"readout weight vanishes at indices {values.degenerate}; "
             "the hyperplane is parallel to the corresponding dual lines"
         )
+    return norm, values
+
+
+def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
+    """Enumerate every linear piece of the boundary of output o layer.
+
+    One piece per index subset J whose intersection values are not all
+    negative; the count always comes out to 2^d - 2^m.
+
+    The canonical reduction sends the i:th basis vector to
+    |t_sigma(i)| a*_sigma(i), where sigma sorts the intersection values
+    ascending (ties broken by original index), and the origin to the cone
+    apex.  For a contracting layer it lands in the row-span slice through
+    the apex; the complement directions add freely.
+    """
+    d = layer.d_out
+    if d > MAX_ENUM_DIM:
+        raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
+    norm, values = _readout(layer, output)
     t = values.t
     frame = layer.frame
     full = (1 << d) - 1
     pieces = []
-    for mask in _subsets_graded(d):
+    for mask in _graded_submasks(full):
         indices = _indices_of(mask)
         if not indices:
             continue
@@ -269,16 +283,26 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
         raise AssertionError(
             f"piece enumeration produced {len(pieces)} pieces, expected {expected}"
         )
-    curvature = "convex" if values.m == 0 else "saddle"
-    reduction = canonical_reduction(layer, norm)
+    order = np.argsort(t, kind="stable")
+    scale = np.abs(t)
+    matrix = frame.duals[order].T * scale[order]
+    singulars = np.linalg.svd(matrix, compute_uv=False)
+    if singulars[-1] / singulars[0] < RCOND_MIN:
+        raise RankDeficient("canonical change of variables is numerically singular")
     return DecisionBoundary(
         d=d,
+        readout=norm,
         pieces=tuple(pieces),
         values=values,
         m=values.m,
         piece_count=len(pieces),
-        curvature=curvature,
-        canonical=reduction,
+        curvature="convex" if values.m == 0 else "saddle",
+        canonical=CanonicalReduction(
+            m=values.m,
+            sigma=tuple(int(i) + 1 for i in order),
+            scale=scale,
+            to_actual=AffineMap(matrix, frame.apex),
+        ),
     )
 
 
@@ -326,12 +350,7 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer, tol_rel: float = 1
     d = layer.d_out
     if d > 8:
         raise ValueError("witness enumeration is intended for d <= 8")
-    norm = normalize_output_layer(output)
-    values = intersection_values(norm)
-    if values.degenerate:
-        raise DegenerateDirection(
-            f"readout weight vanishes at indices {values.degenerate}"
-        )
+    norm, values = _readout(layer, output)
     t = values.t
     frame = layer.frame
     tol = scaled(tol_rel, abs(norm.bias))
@@ -373,26 +392,28 @@ def sample_boundary_patterns(
 ) -> set[tuple[int, ...]]:
     """Activation patterns of boundary points found by segment bisection.
 
-    Draws random segments around the apex, keeps those whose endpoints
-    evaluate with opposite signs, and bisects to the zero level.  Each
-    located point is labeled by its set of positive row functionals; on a
-    piece's relative interior that label is the piece's index set, so the
-    returned pattern set is a sampled census of the pieces.  Points too
-    close to a pattern change are discarded as ambiguous.
+    Draws random segments around the apex in dual coordinates: each
+    endpoint is apex + lambda @ duals with lambda uniform in [-r, r]^d and
+    r = radius_mult * max(max |t_i|, 1), so the draw follows the frame and
+    reaches past every intersection value however the layer is
+    conditioned.  Keeps the segments whose endpoints evaluate with
+    opposite signs, and bisects to the zero level.  Each located point is
+    labeled by its set of positive row functionals; on a piece's relative
+    interior that label is the piece's index set, so the returned pattern
+    set is a sampled census of the pieces.  Points too close to a pattern
+    change are discarded as ambiguous.
     """
     norm = normalize_output_layer(output)
-    values = intersection_values(norm)
-    t = values.t
+    t = intersection_values(norm).t
     frame = layer.frame
-    d = layer.d_in
-    reach = float(np.nanmax(np.abs(t))) * float(np.max(np.linalg.norm(frame.duals, axis=1)))
-    radius = radius_mult * max(reach, 1.0)
+    d = layer.d_out
+    radius = radius_mult * max(float(np.nanmax(np.abs(t))), 1.0)
 
     def level(points):
         return np.maximum(layer.affine(points), 0.0) @ norm.weights + norm.bias
 
-    lo = rng.uniform(-radius, radius, size=(n_segments, d)) + frame.apex
-    hi = rng.uniform(-radius, radius, size=(n_segments, d)) + frame.apex
+    lo = frame.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ frame.duals
+    hi = frame.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ frame.duals
     f_lo, f_hi = level(lo), level(hi)
     crossing = (f_lo * f_hi) < 0.0
     lo, hi, f_lo = lo[crossing], hi[crossing], f_lo[crossing]
@@ -403,17 +424,10 @@ def sample_boundary_patterns(
         lo = np.where(toward_hi[:, None], mid, lo)
         f_lo = np.where(toward_hi, f_mid, f_lo)
         hi = np.where(toward_hi[:, None], hi, mid)
-    points = 0.5 * (lo + hi)
-    patterns: set[tuple[int, ...]] = set()
-    if points.size == 0:
-        return patterns
-    rho = layer.affine(points)
+    rho = layer.affine(0.5 * (lo + hi))
     band = scaled(1e-6, float(np.max(np.abs(rho), initial=0.0)))
-    for row in rho:
-        if np.any(np.abs(row) <= band):
-            continue
-        patterns.add(tuple(i + 1 for i in range(d) if row[i] > 0.0))
-    return patterns
+    clear = rho[np.all(np.abs(rho) > band, axis=1)]
+    return {tuple(int(i) + 1 for i in np.flatnonzero(row)) for row in np.unique(clear > 0.0, axis=0)}
 
 
 def canonical_boundary(d: int, m: int) -> DecisionBoundary:
@@ -428,39 +442,6 @@ def canonical_boundary(d: int, m: int) -> DecisionBoundary:
     weights = np.ones(d)
     weights[:m] = -1.0
     return enumerate_pieces(ReluLayer.canonical(d), OutputLayer(weights, -1.0))
-
-
-def canonical_reduction(layer: ReluLayer, output: OutputLayer) -> CanonicalReduction:
-    """Build the affine map carrying the canonical boundary onto this one.
-
-    The matrix sends the i:th basis vector to |t_sigma(i)| a*_sigma(i)
-    where sigma sorts the intersection values ascending; the offset is the
-    cone apex.  Ties in t are broken by original index (stable sort).
-    """
-    norm = normalize_output_layer(output)
-    values = intersection_values(norm)
-    if values.degenerate:
-        raise DegenerateDirection(
-            f"readout weight vanishes at indices {values.degenerate}"
-        )
-    t = values.t
-    d = values.d
-    order = np.argsort(t, kind="stable")
-    sigma = tuple(int(i) + 1 for i in order)
-    q = np.zeros((d, d))
-    for col, row in enumerate(order):
-        q[row, col] = 1.0
-    diag = np.abs(t)
-    matrix = np.linalg.solve(layer.affine.matrix, diag[:, None] * q)
-    singulars = np.linalg.svd(matrix, compute_uv=False)
-    if singulars[-1] / singulars[0] < RCOND_MIN:
-        raise RankDeficient("canonical change of variables is numerically singular")
-    return CanonicalReduction(
-        m=values.m,
-        sigma=sigma,
-        scale=diag,
-        to_actual=AffineMap(matrix, layer.frame.apex),
-    )
 
 
 def equivalence_check(b1: DecisionBoundary, b2: DecisionBoundary) -> bool:

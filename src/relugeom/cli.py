@@ -24,13 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .boundary import (
-    OutputLayer,
-    enumerate_pieces,
-    normalize_output_layer,
-    piece_count_oracle,
-    sample_piece,
-)
+from .boundary import OutputLayer, enumerate_pieces, piece_count_oracle, sample_piece
 from .core import build_dual_frame
 from .errors import (
     AllNegative,
@@ -58,7 +52,8 @@ from .io import (
 from .layer import ReluLayer, evaluate, preimage_of_point
 from .mesh import piece_polygons, write_obj
 from .network import ReluNetwork, trace_boundary
-from .partition import classify, expand, near_zero_coefficients, sector_counts
+from .partition import sector_counts, split_by_zero_band
+from .tolerances import RCOND_MIN
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -137,7 +132,7 @@ def cmd_analyze(args) -> int:
             "total": sum(counts.values()),
             "by_dimension": [{"k": k, "count": c} for k, c in sorted(counts.items())],
         },
-        "tolerances": {"rcond_gate": 1e-12},
+        "tolerances": {"rcond_gate": RCOND_MIN},
     }
     if frame.is_contracting:
         results["row_span_basis"] = frame.row_span_basis
@@ -153,14 +148,14 @@ def cmd_classify(args) -> int:
     points = _parse_points(args.point, affine.d_in)
     rows = []
     for x in points:
-        sector = classify(frame, x, zero_tol=args.tol)
-        boundary_flags = near_zero_coefficients(frame, x, zero_tol=args.tol)
+        lam = frame.source(x)
+        sector, boundary_flags = split_by_zero_band(lam, args.tol)
         rows.append(
             {
                 "point": x,
                 "sector": sector.to_json(),
                 "dimension": sector.dimension(),
-                "coefficients": expand(frame, x).lambdas,
+                "coefficients": lam,
                 "on_boundary_of": list(boundary_flags),
             }
         )
@@ -185,7 +180,7 @@ def cmd_classify(args) -> int:
 def cmd_preimage(args) -> int:
     started = time.monotonic()
     affine, _ = parse_layer_spec(load_json(args.input))
-    layer = ReluLayer(affine, build_dual_frame(affine))
+    layer = ReluLayer(build_dual_frame(affine))
     (y,) = _parse_points([args.point], layer.d_out)
     if args.tol is not None:
         pre = preimage_of_point(layer, y, zero_tol=args.tol)
@@ -224,16 +219,14 @@ def _shallow_network(args) -> tuple[ReluLayer, OutputLayer, int]:
     affines, output, spec_seed = parse_network_spec(load_json(args.input))
     if len(affines) != 1:
         raise SchemaError("this command needs a network spec with exactly one layer")
-    affine = affines[0]
-    layer = ReluLayer(affine, build_dual_frame(affine))
-    return layer, output, spec_seed
+    return ReluLayer(build_dual_frame(affines[0])), output, spec_seed
 
 
 def cmd_boundary(args) -> int:
     started = time.monotonic()
     layer, output, _ = _shallow_network(args)
     boundary = enumerate_pieces(layer, output)
-    norm = normalize_output_layer(output)
+    norm = boundary.readout
     results = {
         "d": boundary.d,
         "t": boundary.values.t,
@@ -284,7 +277,7 @@ def cmd_boundary(args) -> int:
             results["samples"]["csv"] = args.csv
     if args.obj:
         lo, hi = args.box
-        polys = piece_polygons(layer, output, boundary, lo, hi)
+        polys = piece_polygons(layer, boundary, lo, hi)
         write_obj(args.obj, polys)
         results["obj"] = {"path": args.obj, "box": [lo, hi], "pieces_in_box": len(polys)}
     _emit(_report("boundary", args.input, args.seed, results, started))
@@ -294,7 +287,7 @@ def cmd_boundary(args) -> int:
 def cmd_deep_boundary(args) -> int:
     started = time.monotonic()
     affines, output, _ = parse_network_spec(load_json(args.input))
-    layers = tuple(ReluLayer(a, build_dual_frame(a)) for a in affines)
+    layers = tuple(ReluLayer(build_dual_frame(a)) for a in affines)
     net = ReluNetwork(layers, output)
     rng = np.random.default_rng(args.seed)
     levels = trace_boundary(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -32,12 +33,25 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+def _finite_float(v) -> float | None:
+    """``v`` as a float if it is a finite JSON number, else None.
+
+    ``json.loads`` accepts NaN and Infinity, and integer literals beyond
+    the float range; none of them is a valid coefficient.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _as_number_list(values, what: str) -> list[float]:
     _require(isinstance(values, list) and len(values) > 0, f"{what} must be a nonempty array")
-    out = []
-    for v in values:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{what} must contain numbers")
-        out.append(float(v))
+    out = [_finite_float(v) for v in values]
+    _require(None not in out, f"{what} must contain finite numbers")
     return out
 
 
@@ -73,17 +87,15 @@ def parse_network_spec(obj) -> tuple[list[AffineMap], OutputLayer, int]:
     out = obj["output"]
     _require("weights" in out and "bias" in out, "'output' must contain 'weights' and 'bias'")
     weights = _as_number_list(out["weights"], "'output.weights'")
-    _require(
-        isinstance(out["bias"], (int, float)) and not isinstance(out["bias"], bool),
-        "'output.bias' must be a number",
-    )
+    bias = _finite_float(out["bias"])
+    _require(bias is not None, "'output.bias' must be a finite number")
     _require(
         len(weights) == affines[-1].d_out,
         f"'output.weights' length {len(weights)} must equal the last layer's output dimension {affines[-1].d_out}",
     )
     seed = obj.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
-    return affines, OutputLayer(np.array(weights), float(out["bias"])), seed
+    return affines, OutputLayer(np.array(weights), bias), seed
 
 
 def load_json(path: str) -> Any:

@@ -16,37 +16,31 @@ import numpy as np
 
 from .core import AffineMap, DualFrame, build_dual_frame
 from .errors import DimensionMismatch, EnumerationLimit
-from .partition import SectorIndex, _graded_key
+from .partition import SectorIndex, _graded_submasks, _mask_of
 from .tolerances import MAX_ENUM_DIM, RCOND_MIN, ZERO_COMPONENT_TOL, scaled
 
 
 @dataclass(frozen=True, eq=False)
 class ReluLayer:
-    """A ReLU layer together with the dual frame of its affine part."""
+    """A ReLU layer, held as the dual frame of its affine part."""
 
-    affine: AffineMap
     frame: DualFrame
-
-    def __post_init__(self):
-        if self.frame.source is not self.affine and (
-            self.frame.source.matrix.shape != self.affine.matrix.shape
-            or not np.array_equal(self.frame.source.matrix, self.affine.matrix)
-            or not np.array_equal(self.frame.source.offset, self.affine.offset)
-        ):
-            raise ValueError("frame was not built from this affine map")
 
     @classmethod
     def build(cls, matrix, offset=None, rcond_min: float = RCOND_MIN) -> "ReluLayer":
         matrix = np.asarray(matrix, dtype=float)
         if offset is None:
             offset = np.zeros(matrix.shape[0])
-        affine = AffineMap(matrix, offset)
-        return cls(affine, build_dual_frame(affine, rcond_min=rcond_min))
+        return cls(build_dual_frame(AffineMap(matrix, offset), rcond_min=rcond_min))
 
     @classmethod
     def canonical(cls, d: int) -> "ReluLayer":
         """The layer with identity matrix and zero offset."""
         return cls.build(np.eye(d))
+
+    @property
+    def affine(self) -> AffineMap:
+        return self.frame.source
 
     @property
     def d_in(self) -> int:
@@ -78,10 +72,6 @@ def project_with_frame(frame: DualFrame, x) -> np.ndarray:
     return frame.apex + np.maximum(lam, 0.0) @ frame.duals
 
 
-def project_to_cone(layer: ReluLayer, x) -> np.ndarray:
-    return project_with_frame(layer.frame, x)
-
-
 def decompose_check(layer: ReluLayer, x) -> float:
     """Max-norm residual of the factorization T = (affine) o (cone projection).
 
@@ -90,7 +80,7 @@ def decompose_check(layer: ReluLayer, x) -> float:
     the layer.
     """
     lhs = evaluate(layer, x)
-    rhs = layer.affine(project_to_cone(layer, x))
+    rhs = layer.affine(project_with_frame(layer.frame, x))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -110,7 +100,7 @@ class PreimageSet:
     The set is ``base - sum_{i in generator_indices} c_i a_i*`` over
     coefficients c_i >= 0, plus, for contracting layers, arbitrary shifts
     along ``free_subspace`` (the directions the layer ignores).  It is
-    never materialized; use :func:`membership_oracle` or :meth:`sample`.
+    never materialized; use :func:`membership_mask` or :meth:`sample`.
     """
 
     layer: ReluLayer
@@ -186,22 +176,8 @@ def preimage_of_sector(layer: ReluLayer, j) -> list[SectorIndex]:
     d = layer.d_out
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
-    j_mask = 0
-    for i in j:
-        i = int(i)
-        if not 1 <= i <= d:
-            raise ValueError(f"index {i} outside 1..{d}")
-        j_mask |= 1 << (i - 1)
-    rest = ((1 << d) - 1) & ~j_mask
-    out = []
-    sub = rest
-    while True:
-        out.append(SectorIndex(d, j_mask, sub))
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    out.sort(key=_graded_key)
-    return out
+    j_mask = _mask_of(j, d)
+    return [SectorIndex(d, j_mask, k) for k in _graded_submasks(((1 << d) - 1) & ~j_mask)]
 
 
 def membership_mask(layer: ReluLayer, pre: PreimageSet, points, tol: float | None = None) -> np.ndarray:
@@ -224,13 +200,3 @@ def membership_mask(layer: ReluLayer, pre: PreimageSet, points, tol: float | Non
     if plus:
         ok &= np.all(np.abs(r[..., plus]) <= tol, axis=-1)
     return ok
-
-
-def membership_oracle(layer: ReluLayer, pre: PreimageSet, x, tol: float | None = None) -> bool:
-    """True when ``x`` admits the parametric form of the preimage set."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layer.d_in,):
-        raise DimensionMismatch(
-            f"point has shape {x.shape}, layer domain dimension is {layer.d_in}"
-        )
-    return bool(membership_mask(layer, pre, x, tol=tol))

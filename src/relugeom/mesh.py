@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import DecisionBoundary, OutputLayer, normalize_output_layer
+from .boundary import DecisionBoundary
 from .errors import DimensionMismatch
 from .layer import ReluLayer
 
@@ -94,14 +94,14 @@ def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float, tol: floa
 
 
 def piece_polygons(
-    layer: ReluLayer, output: OutputLayer, boundary: DecisionBoundary, lo: float, hi: float
+    layer: ReluLayer, boundary: DecisionBoundary, lo: float, hi: float
 ) -> list[tuple[str, np.ndarray]]:
     """Clipped polygon for every piece that meets the box (d = 3 only)."""
     if layer.d_in != 3 or layer.d_out != 3:
         raise DimensionMismatch("mesh export supports three-dimensional layers only")
     if hi <= lo:
         raise ValueError(f"empty box [{lo}, {hi}]")
-    norm = normalize_output_layer(output)
+    norm = boundary.readout
     a = layer.affine.matrix
     b = layer.affine.offset
     w = norm.weights

@@ -60,15 +60,12 @@ class ReluNetwork:
         return self.layers[0].d_in
 
     def __call__(self, x):
-        return evaluate_network(self, x)
+        return evaluate_tail(self, 1, x)
 
 
 def evaluate_network(net: ReluNetwork, x) -> float | np.ndarray:
     """Full forward pass: readout of the composed layer chain."""
-    h = np.asarray(x, dtype=float)
-    for layer in net.layers:
-        h = evaluate(layer, h)
-    return net.output(h)
+    return evaluate_tail(net, 1, x)
 
 
 def evaluate_tail(net: ReluNetwork, level: int, x) -> float | np.ndarray:
@@ -183,10 +180,7 @@ def sample_shallow_boundary(
         points.append(pts)
         records.extend(FiberRecord(p_idx, f, ()) for f in range(samples_per_piece))
     stacked = np.vstack(points)
-    norm_out = (
-        output if output.bias < 0 else OutputLayer(-output.weights, -output.bias)
-    )
-    residuals = np.abs(np.maximum(layer.affine(stacked), 0.0) @ norm_out.weights + norm_out.bias)
+    residuals = np.abs(bd.readout(evaluate(layer, stacked)))
     return BoundarySampleSet(
         level=level, points=stacked, residuals=residuals, provenance=tuple(records)
     )

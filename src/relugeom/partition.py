@@ -9,7 +9,6 @@ sectors without any further geometry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -91,67 +90,54 @@ class SectorIndex:
         return f"SectorIndex(d={self.d}, plus={set(self.plus) or '{}'}, minus={set(self.minus) or '{}'})"
 
 
-@dataclass(frozen=True, eq=False)
-class DualCoordinates:
-    """Expansion coefficients of a point in a frame's dual basis."""
-
-    lambdas: np.ndarray
-    frame: DualFrame
-
-    def reconstruct(self) -> np.ndarray:
-        """Resum apex + sum_i lambda_i a_i*.
-
-        For contracting frames this returns the row-span projection of the
-        expanded point, since the coefficients carry no complement part.
-        """
-        return self.frame.apex + self.lambdas @ self.frame.duals
-
-
-def expand(frame: DualFrame, x) -> DualCoordinates:
-    """Expansion coefficients of ``x`` in the dual basis.
-
-    Duality makes the row functionals the coordinate functionals: the
-    coefficient vector is exactly the affine image ``A x + b``, so no
-    linear solve is needed here.
-    """
-    return DualCoordinates(lambdas=frame.source(x), frame=frame)
-
-
-def classify(frame: DualFrame, x, zero_tol: float | None = None) -> SectorIndex:
-    """Sector of the point ``x``.
+def split_by_zero_band(lam: np.ndarray, zero_tol: float | None) -> tuple[SectorIndex, tuple[int, ...]]:
+    """Sector of the expansion coefficients ``lam`` and the indices in the zero band.
 
     Coefficients within ``zero_tol`` of zero are assigned to neither index
     set, which places the point in the closed-form lower-dimensional
-    sector.  The default band is relative to the largest coefficient.
+    sector; their 1-based indices are returned as well, so a nonempty
+    second value means the point is numerically on a sector boundary.
+    With ``zero_tol`` None the band is relative to the largest coefficient.
     """
-    lam = expand(frame, x).lambdas
-    if lam.ndim != 1:
-        raise DimensionMismatch("classify expects a single point")
     if zero_tol is None:
         zero_tol = DEFAULT_REL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
     plus_mask = 0
     minus_mask = 0
+    near_zero = []
     for i, value in enumerate(lam):
         if value > zero_tol:
             plus_mask |= 1 << i
         elif value < -zero_tol:
             minus_mask |= 1 << i
-    return SectorIndex(frame.d_out, plus_mask, minus_mask)
+        if abs(value) <= zero_tol:
+            near_zero.append(i + 1)
+    return SectorIndex(len(lam), plus_mask, minus_mask), tuple(near_zero)
 
 
-def near_zero_coefficients(frame: DualFrame, x, zero_tol: float | None = None) -> tuple[int, ...]:
-    """1-based indices whose expansion coefficient sits inside the zero band.
+def classify(frame: DualFrame, x, zero_tol: float | None = None) -> SectorIndex:
+    """Sector of the point ``x``.
 
-    Nonempty output means the point is numerically on a sector boundary.
+    Duality makes the row functionals the coordinate functionals: the
+    expansion coefficients of ``x`` in the dual basis are exactly the
+    affine image ``A x + b``.  The zero band is that of
+    :func:`split_by_zero_band`.
     """
-    lam = expand(frame, x).lambdas
-    if zero_tol is None:
-        zero_tol = DEFAULT_REL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    return tuple(i + 1 for i, value in enumerate(lam) if abs(value) <= zero_tol)
+    lam = frame.source(x)
+    if lam.ndim != 1:
+        raise DimensionMismatch("classify expects a single point")
+    return split_by_zero_band(lam, zero_tol)[0]
 
 
 def _graded_key(sector: SectorIndex):
     return (sector.dimension(), sector.plus_mask, sector.minus_mask)
+
+
+def _graded_submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, ordered by bit count and then by value."""
+    subs = [mask]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & mask)
+    return sorted(subs, key=lambda sub: (sub.bit_count(), sub))
 
 
 def enumerate_sectors(d: int, dim_filter: int | None = None) -> list[SectorIndex]:
@@ -166,29 +152,14 @@ def enumerate_sectors(d: int, dim_filter: int | None = None) -> list[SectorIndex
         raise ValueError("dimension must be at least 1")
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing to enumerate 3^{d} sectors (limit d={MAX_ENUM_DIM})")
-    out: list[SectorIndex] = []
-    if dim_filter is not None:
-        if not 0 <= dim_filter <= d:
-            raise ValueError(f"dimension filter {dim_filter} outside 0..{d}")
-        for support in itertools.combinations(range(1, d + 1), dim_filter):
-            support_mask = _mask_of(support, d)
-            sub = support_mask
-            while True:
-                out.append(SectorIndex(d, sub, support_mask & ~sub))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & support_mask
-        out.sort(key=_graded_key)
-        return out
-    full = (1 << d) - 1
-    for plus_mask in range(full + 1):
-        rest = full & ~plus_mask
-        sub = rest
-        while True:
-            out.append(SectorIndex(d, plus_mask, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+    if dim_filter is not None and not 0 <= dim_filter <= d:
+        raise ValueError(f"dimension filter {dim_filter} outside 0..{d}")
+    out = [
+        SectorIndex(d, plus, support & ~plus)
+        for support in _graded_submasks((1 << d) - 1)
+        if dim_filter is None or support.bit_count() == dim_filter
+        for plus in _graded_submasks(support)
+    ]
     out.sort(key=_graded_key)
     return out
 
@@ -212,18 +183,11 @@ def leq(a: SectorIndex, b: SectorIndex) -> bool:
 
 def closure_members(s: SectorIndex) -> list[SectorIndex]:
     """All sectors below ``s``, i.e. the pieces of its topological closure."""
-    out = []
-    plus_sub = s.plus_mask
-    while True:
-        minus_sub = s.minus_mask
-        while True:
-            out.append(SectorIndex(s.d, plus_sub, minus_sub))
-            if minus_sub == 0:
-                break
-            minus_sub = (minus_sub - 1) & s.minus_mask
-        if plus_sub == 0:
-            break
-        plus_sub = (plus_sub - 1) & s.plus_mask
+    out = [
+        SectorIndex(s.d, plus, minus)
+        for plus in _graded_submasks(s.plus_mask)
+        for minus in _graded_submasks(s.minus_mask)
+    ]
     out.sort(key=_graded_key)
     return out
 

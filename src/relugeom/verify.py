@@ -86,18 +86,12 @@ class SuiteResult:
 # the degenerate configurations the closed-form theory excludes.
 
 
-def random_layer(rng: np.random.Generator, d: int, rcond_min: float = 1e-3) -> ly.ReluLayer:
-    """Random well-conditioned square layer."""
-    while True:
-        a = rng.normal(size=(d, d))
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] / s[0] >= rcond_min:
-            return ly.ReluLayer.build(a, rng.normal(size=d))
-
-
-def random_contracting_layer(
-    rng: np.random.Generator, d_in: int, d_out: int, rcond_min: float = 1e-3
+def random_layer(
+    rng: np.random.Generator, d_out: int, d_in: int | None = None, rcond_min: float = 1e-3
 ) -> ly.ReluLayer:
+    """Random well-conditioned layer; square unless ``d_in`` is given."""
+    if d_in is None:
+        d_in = d_out
     while True:
         a = rng.normal(size=(d_out, d_in))
         s = np.linalg.svd(a, compute_uv=False)
@@ -185,7 +179,7 @@ def run_duality(seed: int, layers_total: int = 1008, dims=tuple(range(2, 11))) -
             )
             worst_apex = max(worst_apex, apex_res)
             x = rng.normal(size=d) * 3.0
-            lam = pt.expand(frame, x).lambdas
+            lam = frame.source(x)
             recon = np.max(np.abs(frame.apex + lam @ frame.duals - x)) / (1.0 + np.max(np.abs(x)))
             worst_recon = max(worst_recon, recon)
             checks += 1
@@ -198,7 +192,7 @@ def run_duality(seed: int, layers_total: int = 1008, dims=tuple(range(2, 11))) -
     for d_in in (3, 4, 6, 8):
         for d_out in range(2, d_in):
             for _ in range(8):
-                layer = random_contracting_layer(rng, d_in, d_out)
+                layer = random_layer(rng, d_out, d_in)
                 frame = layer.frame
                 delta = np.max(np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d_out)))
                 worst_delta = max(worst_delta, delta)
@@ -268,7 +262,7 @@ def run_partition(seed: int, max_count_dim: int = 10, points: int = 10000) -> Su
         xs = rng.normal(size=(per_frame, d)) * 3.0
         for x in xs:
             sector = pt.classify(layer.frame, x)
-            lam = pt.expand(layer.frame, x).lambdas
+            lam = layer.frame.source(x)
             band = 1e-9 * (1 + np.max(np.abs(lam)))
             signs_ok = set(sector.plus) == {
                 i + 1 for i in range(d) if lam[i] > band
@@ -292,7 +286,7 @@ def run_partition(seed: int, max_count_dim: int = 10, points: int = 10000) -> Su
         sectors = pt.enumerate_sectors(d)
         sector = sectors[int(rng.integers(0, len(sectors)))]
         x = pt.sample_sector(layer.frame, sector, 1, rng)[0]
-        lam = pt.expand(layer.frame, x).lambdas
+        lam = layer.frame.source(x)
         zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(lam))))
         lam_perturbed = lam + zero_tol / 2.0
         x2 = layer.frame.apex + lam_perturbed @ layer.frame.duals
@@ -352,9 +346,9 @@ def run_decomposition(seed: int, pairs: int = 10000, dims=tuple(range(2, 9))) ->
             if residual > worst:
                 worst = residual
                 ce = {"d": d, "matrix": layer.affine.matrix.tolist()}
-            proj = ly.project_to_cone(layer, xs)
+            proj = ly.project_with_frame(layer.frame, xs)
             worst_idem = max(
-                worst_idem, float(np.max(np.abs(ly.project_to_cone(layer, proj) - proj)))
+                worst_idem, float(np.max(np.abs(ly.project_with_frame(layer.frame, proj) - proj)))
             )
             checks += per_layer
     result.add("relu_equals_affine_after_projection", checks, worst, 1e-9, ce)

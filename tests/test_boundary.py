@@ -11,7 +11,6 @@ from relugeom import (
     InvalidM,
     OutputLayer,
     canonical_boundary,
-    canonical_reduction,
     enumerate_pieces,
     equivalence_check,
     intersection_values,
@@ -241,6 +240,23 @@ class TestPieceCountOracle:
             assert patterns
             assert patterns <= {p.indices for p in boundary.pieces}
 
+    def test_sampled_patterns_on_ill_conditioned_layer(self):
+        # rcond ~ 1.0e-3 with dual norms ~ 357 and 470: segments drawn in
+        # an input-space box around the apex never cross this boundary.
+        layer = ReluLayer.build(
+            [[-0.20675410893103727, -1.3178943953329878], [-0.15903656250538148, -1.000007825061416]],
+            [0.189974110681755, -0.9149976072077862],
+        )
+        output = OutputLayer([-1.6759454624610572, 0.35507929392213744], -0.38401350958416036)
+        assert layer.frame.conditioning < 2e-3
+        enumerated = {p.indices for p in enumerate_pieces(layer, output).pieces}
+        for seed in range(10):
+            patterns = sample_boundary_patterns(
+                layer, output, np.random.default_rng(seed), n_segments=3000
+            )
+            assert patterns
+            assert patterns <= enumerated
+
 
 class TestCanonicalBoundary:
     def test_d3_m0(self):
@@ -307,7 +323,7 @@ class TestCanonicalReduction:
     def test_map_is_invertible(self):
         layer = random_layer(3, seed=18)
         output = random_output(3, seed=19)
-        reduction = canonical_reduction(layer, output)
+        reduction = enumerate_pieces(layer, output).canonical
         assert np.linalg.cond(reduction.to_actual.matrix) < 1e12
 
 

@@ -160,7 +160,7 @@ class TestContracting:
     def test_layer_output_invariant_under_projection(self):
         rng = np.random.default_rng(3)
         affine, frame = self.frame(seed=3)
-        relu = ReluLayer(affine, frame)
+        relu = ReluLayer(frame)
         xs = rng.normal(size=(100, 5)) * 3.0
         np.testing.assert_allclose(
             evaluate(relu, xs),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import relugeom.errors as errors_module
-from relugeom import GeometryError, SchemaError
+from relugeom import AffineMap, GeometryError, SchemaError, canonical_boundary, sample_piece
 from relugeom.cli import ERROR_CODES, main
 from relugeom.io import canonical_json, parse_layer_spec, parse_network_spec
 
@@ -129,6 +129,52 @@ class TestExitCodes:
         assert body["error"] == "EnumerationLimit"
 
 
+# 10**400 is an integer literal beyond the float range.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
+
+
+def with_value(spec, where, value):
+    """Copy of ``spec`` with ``value`` placed in the named field."""
+    spec = json.loads(json.dumps(spec))
+    layer = spec["layers"][0] if "layers" in spec else spec
+    if where == "matrix":
+        layer["matrix"][1][0] = value
+    elif where == "offset":
+        layer["offset"][0] = value
+    elif where == "weights":
+        spec["output"]["weights"][1] = value
+    else:
+        spec["output"]["bias"] = value
+    return spec
+
+
+class TestNonFiniteSpecs:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf", "huge-int"])
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            ("analyze", "matrix"),
+            ("analyze", "offset"),
+            ("boundary", "matrix"),
+            ("boundary", "offset"),
+            ("boundary", "weights"),
+            ("boundary", "bias"),
+        ],
+    )
+    def test_rejected_as_schema_error(self, command, where, value, tmp_path, capsys):
+        base = identity_layer_spec() if command == "analyze" else shallow_spec([1, 1, 1], -1)
+        path = tmp_path / "spec.json"
+        # json.dumps writes NaN and Infinity literals, which json.loads accepts.
+        path.write_text(json.dumps(with_value(base, where, value)))
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert "finite" in body["message"]
+
+
 class TestAnalyze:
     def test_identity_report(self, tmp_path, capsys):
         path = write_spec(tmp_path / "id.json", identity_layer_spec())
@@ -238,6 +284,34 @@ class TestBoundaryCommand:
         code, body = run(capsys, ["boundary", "--input", path])
         assert code == 3
         assert body["error"] == "DegenerateBias"
+
+    def test_contracting_layer(self, tmp_path, capsys):
+        a = np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.8]])
+        b = np.array([0.4, -0.2])
+        weights, bias = np.array([-1.2, 0.7]), 0.9
+        spec = {
+            "layers": [{"matrix": a.tolist(), "offset": b.tolist()}],
+            "output": {"weights": weights.tolist(), "bias": bias},
+        }
+        path = write_spec(tmp_path / "c.json", spec)
+        code, body = run(capsys, ["boundary", "--input", path, "--samples", "20"])
+        assert code == 0
+        results = body["results"]
+        assert results["m"] == 1 and results["piece_count"] == 2
+        assert results["oracle"]["agrees"] is True
+        assert results["samples"]["max_residual"] <= results["samples"]["tolerance"]
+
+        canonical = results["canonical"]
+        to_actual = AffineMap(canonical["matrix"], canonical["offset"])
+        assert (to_actual.d_in, to_actual.d_out) == (2, 3)
+        normal = np.cross(a[0], a[1])  # spans the complement of the row span
+        rng = np.random.default_rng(1)
+        for piece in canonical_boundary(2, canonical["m"]).pieces:
+            xs = to_actual(sample_piece(piece, 30, radius=1.5, rng=rng))
+            level = np.maximum(xs @ a.T + b, 0.0) @ weights + bias
+            assert np.abs(level).max() < 1e-9 * (1.0 + abs(bias))
+            # the map lands in the row-span slice through the apex
+            assert np.abs((xs - to_actual.offset) @ normal).max() < 1e-9
 
     def test_deep_spec_rejected(self, tmp_path, capsys):
         spec = {

@@ -49,8 +49,7 @@ class TestPiecePolygons:
     def test_canonical_m0_mesh(self):
         boundary = canonical_boundary(3, 0)
         layer = ReluLayer.canonical(3)
-        output = OutputLayer(np.ones(3), -1.0)
-        polys = piece_polygons(layer, output, boundary, -4.0, 4.0)
+        polys = piece_polygons(layer, boundary, -4.0, 4.0)
         assert len(polys) == 7
         labels = {label for label, _ in polys}
         assert "1-2-3" in labels
@@ -73,7 +72,7 @@ class TestPiecePolygons:
         layer = ReluLayer.build(a, rng.normal(size=3) * 0.3)
         output = OutputLayer(np.array([1.0, -0.8, 1.4]), -0.9)
         boundary = enumerate_pieces(layer, output)
-        polys = piece_polygons(layer, output, boundary, -6.0, 6.0)
+        polys = piece_polygons(layer, boundary, -6.0, 6.0)
         assert polys
         for _, poly in polys:
             values = np.maximum(poly @ a.T + layer.affine.offset, 0.0) @ output.weights + output.bias
@@ -82,16 +81,13 @@ class TestPiecePolygons:
     def test_non_3d_rejected(self):
         boundary = canonical_boundary(2, 0)
         with pytest.raises(DimensionMismatch):
-            piece_polygons(
-                ReluLayer.canonical(2), OutputLayer(np.ones(2), -1.0), boundary, -1.0, 1.0
-            )
+            piece_polygons(ReluLayer.canonical(2), boundary, -1.0, 1.0)
 
 
 def test_write_obj_round_trip(tmp_path):
     boundary = canonical_boundary(3, 1)
     layer = ReluLayer.canonical(3)
-    output = OutputLayer(np.array([-1.0, 1.0, 1.0]), -1.0)
-    polys = piece_polygons(layer, output, boundary, -3.0, 3.0)
+    polys = piece_polygons(layer, boundary, -3.0, 3.0)
     path = tmp_path / "mesh.obj"
     write_obj(str(path), polys)
     text = path.read_text().splitlines()
