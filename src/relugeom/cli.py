@@ -18,6 +18,7 @@ field.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -111,6 +112,8 @@ def _parse_points(values, d: int) -> np.ndarray:
             raise SchemaError(f"cannot parse point {text!r}: {exc}") from exc
         if len(coords) != d:
             raise SchemaError(f"point {text!r} has {len(coords)} coordinates, expected {d}")
+        if not all(map(math.isfinite, coords)):
+            raise SchemaError(f"point {text!r} has a coordinate that is not a finite number")
         points.append(coords)
     return np.asarray(points)
 

@@ -177,9 +177,9 @@ def write_level_csv(path: str, sample_set):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for point, residual, record in zip(points, sample_set.residuals, sample_set.provenance):
+        for point, residual, fiber in zip(points, sample_set.residuals, sample_set.fiber.tolist()):
             writer.writerow(
                 [sample_set.level]
                 + [f"{v:.17g}" for v in point]
-                + [f"{residual:.17g}", record.fiber]
+                + [f"{residual:.17g}", fiber]
             )

@@ -7,7 +7,7 @@ boundary of the network at level k (the zero set of the suffix starting
 at layer k) pulls back one level at a time: intersect with the closed
 nonnegative orthant, then take layer preimages.  Exact piece enumeration
 across layers is not attempted; levels are represented by verified
-samples with their fiber provenance.
+samples with their parent and fiber indices.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from .boundary import OutputLayer, enumerate_pieces, sample_piece
 from .core import AffineMap, DualFrame, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient
-from .layer import ReluLayer, evaluate, preimage_of_point, project_with_frame
+from .layer import ReluLayer, evaluate, project_with_frame
+from .tolerances import ZERO_COMPONENT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,31 +134,30 @@ def evaluate_canonical(structure: ComposedAffine, x) -> float | np.ndarray:
     return structure.final_affine(h)
 
 
-@dataclass(frozen=True)
-class FiberRecord:
-    """Provenance of one pulled-back sample point."""
-
-    parent: int
-    fiber: int
-    coefficients: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class BoundarySampleSet:
-    """Verified sample points of the boundary at one level."""
+    """Verified sample points of the boundary at one level.
+
+    Row i of ``points`` came from row ``parent[i]`` of the level-(k+1)
+    sample set (at the seed level: from piece ``parent[i]``) as fiber
+    ``fiber[i]``; fiber 0 of a pulled-back parent is its preimage base
+    point.  ``rejected`` counts the points the residual filter dropped.
+    """
 
     level: int
     points: np.ndarray
     residuals: np.ndarray
-    provenance: tuple[FiberRecord, ...]
+    parent: np.ndarray
+    fiber: np.ndarray
+    rejected: int = 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        res = np.asarray(self.residuals, dtype=float)
-        pts.setflags(write=False)
-        res.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "residuals", res)
+        for name, dtype in (
+            ("points", float), ("residuals", float), ("parent", np.int64), ("fiber", np.int64)
+        ):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -173,16 +173,17 @@ def sample_shallow_boundary(
 ) -> BoundarySampleSet:
     """Seed sample set from the exact piece enumeration of a shallow stage."""
     bd = enumerate_pieces(layer, output)
-    points = []
-    records = []
-    for p_idx, piece in enumerate(bd.pieces):
-        pts = sample_piece(piece, samples_per_piece, radius=radius, rng=rng)
-        points.append(pts)
-        records.extend(FiberRecord(p_idx, f, ()) for f in range(samples_per_piece))
-    stacked = np.vstack(points)
+    stacked = np.vstack(
+        [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in bd.pieces]
+    )
     residuals = np.abs(bd.readout(evaluate(layer, stacked)))
+    n_pieces = len(bd.pieces)
     return BoundarySampleSet(
-        level=level, points=stacked, residuals=residuals, provenance=tuple(records)
+        level=level,
+        points=stacked,
+        residuals=residuals,
+        parent=np.repeat(np.arange(n_pieces), samples_per_piece),
+        fiber=np.tile(np.arange(samples_per_piece), n_pieces),
     )
 
 
@@ -199,10 +200,14 @@ def pull_back_boundary(
     """Pull level-(k+1) boundary samples back through layer k.
 
     Keeps the samples inside the closed nonnegative orthant (the rest have
-    empty preimages), maps each through the layer's point preimage, and
-    emits fiber samples; every emitted point is verified against the
-    level-k zero condition.  The fiber budget per point is
-    min(max_fibers, 4^z) with z the number of zero components.
+    empty preimages) and emits, per kept sample y, the preimage base point
+    apex + y A* followed by fibers swept from it along -a_i* for the zero
+    components i of y (Exponential coefficients) and, for contracting
+    layers, along the complement basis (Normal shifts).  The fiber budget
+    per point is min(max_fibers, 4^(z + free)) with z the number of zero
+    components and free the complement dimension.  Coefficients are drawn
+    parent by parent; the sweeps are one matmul per zero pattern.  Every
+    emitted point is verified against the level-k zero condition.
     """
     if samples.level != k + 1:
         raise ValueError(f"expected samples at level {k + 1}, got {samples.level}")
@@ -216,39 +221,65 @@ def pull_back_boundary(
         )
     inside = np.flatnonzero(np.min(samples.points, axis=1) >= -orthant_tol)
     if inside.size == 0:
-        raise EmptyIntersection(
-            f"no level-{k + 1} samples inside the nonnegative orthant"
+        message = (
+            f"no level-{k + 1} samples inside the nonnegative orthant: pull-back to "
+            f"level {k} received {len(samples)} level-{k + 1} samples, 0 inside"
         )
-    out_points = []
-    out_records = []
-    for parent in inside:
-        y = np.where(samples.points[parent] < 0.0, 0.0, samples.points[parent])
-        pre = preimage_of_point(layer, y)
-        z = len(pre.generator_indices)
-        free = 0 if pre.free_subspace is None else pre.free_subspace.shape[0]
-        n_fibers = min(max_fibers, 4 ** (z + free))
-        fiber_points = [pre.base]
-        fiber_coeffs = [()]
-        if n_fibers > 1:
-            coeffs = rng.exponential(fiber_scale, size=(n_fibers - 1, z))
-            extra = coeffs @ pre.generators
-            if free:
-                shifts = rng.normal(0.0, fiber_scale, size=(n_fibers - 1, free))
-                extra = extra + shifts @ pre.free_subspace
-                coeffs = np.hstack([coeffs, shifts])
-            fiber_points.extend(pre.base + extra)
-            fiber_coeffs.extend(tuple(row) for row in coeffs)
-        for fiber_id, (x, coeff) in enumerate(zip(fiber_points, fiber_coeffs)):
-            out_points.append(x)
-            out_records.append(FiberRecord(int(parent), fiber_id, coeff))
-    stacked = np.asarray(out_points)
-    residuals = np.abs(np.asarray(evaluate_tail(net, k, stacked)))
+        if len(samples) == 0 and samples.rejected:
+            message += (
+                f"; the residual filter at level {k + 1} had rejected all "
+                f"{samples.rejected} of its points"
+            )
+        raise EmptyIntersection(message)
+    frame = layer.frame
+    y = samples.points[inside]
+    y = np.where(y < 0.0, 0.0, y)
+    zero = y <= ZERO_COMPONENT_TOL
+    n_zero = zero.sum(axis=1)
+    free = 0 if frame.complement_basis is None else frame.complement_basis.shape[0]
+    n_fibers = np.minimum(4.0 ** (n_zero + free), max_fibers).astype(np.int64)
+    counts = np.maximum(n_fibers, 1)
+    # A stacked vector-matrix product rounds like the per-point y @ duals.
+    bases = frame.apex + (y[:, None, :] @ frame.duals)[:, 0, :]
+
+    owner = np.repeat(np.arange(inside.size), counts)
+    fiber = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    swept = np.flatnonzero(fiber > 0)
+    extra = np.zeros((swept.size, layer.d_in))
+    if swept.size:
+        # Group parents by zero pattern; unique over packed rows is much
+        # cheaper than np.unique(zero, axis=0) at a few hundred parents.
+        packed = np.packbits(zero, axis=1)
+        _, first, group = np.unique(
+            packed.view(np.dtype((np.void, packed.shape[1])))[:, 0],
+            return_index=True,
+            return_inverse=True,
+        )
+        coeffs = [[] for _ in first]
+        shifts = []
+        for n, z, g in zip(n_fibers.tolist(), n_zero.tolist(), group.tolist()):
+            if n > 1:
+                coeffs[g].append(rng.exponential(fiber_scale, size=(n - 1, z)))
+                if free:
+                    shifts.append(rng.normal(0.0, fiber_scale, size=(n - 1, free)))
+        row_group = group[owner[swept]]
+        for g, pattern in enumerate(zero[first]):
+            if pattern.any():
+                extra[row_group == g] = np.concatenate(coeffs[g]) @ -frame.duals[pattern]
+        if free:
+            extra = extra + np.concatenate(shifts) @ frame.complement_basis
+    points = bases[owner]
+    points[swept] += extra
+
+    residuals = np.abs(np.asarray(evaluate_tail(net, k, points)))
     keep = residuals <= tol
     return BoundarySampleSet(
         level=k,
-        points=stacked[keep],
+        points=points[keep],
         residuals=residuals[keep],
-        provenance=tuple(r for r, ok in zip(out_records, keep) if ok),
+        parent=inside[owner][keep],
+        fiber=fiber[keep],
+        rejected=int(keep.size - np.count_nonzero(keep)),
     )
 
 

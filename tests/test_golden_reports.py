@@ -49,6 +49,8 @@ CASES = {
                         "--obj", "mesh.obj", "--box=-3,3", "--seed", "2"],
     "deep_boundary": ["deep-boundary", "--input", "deep.json", "--samples", "12", "--fibers", "6",
                       "--csv", "lv", "--seed", "4"],
+    "deep_boundary_contracting": ["deep-boundary", "--input", "deep_contracting.json", "--samples", "10",
+                                  "--fibers", "8", "--csv", "lv", "--seed", "5"],
 }
 
 

@@ -175,6 +175,23 @@ class TestNonFiniteSpecs:
         assert "finite" in body["message"]
 
 
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", ["classify", "preimage"])
+    def test_rejected_as_schema_error(self, command, value, tmp_path, capsys):
+        path = write_spec(tmp_path / "id.json", identity_layer_spec())
+        argv = [command, "--input", path, f"--point={value},0,1"]
+        if command == "preimage":
+            argv += ["--samples", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert "finite" in body["message"]
+
+
 class TestAnalyze:
     def test_identity_report(self, tmp_path, capsys):
         path = write_spec(tmp_path / "id.json", identity_layer_spec())

@@ -16,7 +16,8 @@ from relugeom import (
     trace_boundary,
 )
 from relugeom.layer import ReluLayer, evaluate
-from relugeom.network import BoundarySampleSet, FiberRecord, sample_shallow_boundary
+from relugeom.layer import preimage_of_point
+from relugeom.network import BoundarySampleSet, sample_shallow_boundary
 
 
 def random_net(depth, d, seed=0, offset_scale=0.5):
@@ -134,7 +135,8 @@ class TestPullBack:
             level=2,
             points=y[None, :],
             residuals=np.zeros(1),
-            provenance=(FiberRecord(0, 0, ()),),
+            parent=[0],
+            fiber=[0],
         )
         # the residual filter is irrelevant here; accept everything
         got = pull_back_boundary(net, 1, samples, np.random.default_rng(13), tol=np.inf)
@@ -147,7 +149,7 @@ class TestPullBack:
         y = np.array([0.9, 0.0])
         samples = BoundarySampleSet(
             level=2, points=y[None, :], residuals=np.zeros(1),
-            provenance=(FiberRecord(0, 0, ()),),
+            parent=[0], fiber=[0],
         )
         got = pull_back_boundary(net, 1, samples, np.random.default_rng(15), tol=np.inf)
         assert len(got) == 4  # min(16, 4^1)
@@ -160,19 +162,46 @@ class TestPullBack:
         points = np.array([[1.0, -0.5], [0.5, 0.5]])
         samples = BoundarySampleSet(
             level=2, points=points, residuals=np.zeros(2),
-            provenance=(FiberRecord(0, 0, ()), FiberRecord(1, 0, ())),
+            parent=[0, 1], fiber=[0, 0],
         )
         got = pull_back_boundary(net, 1, samples, np.random.default_rng(17), tol=np.inf)
-        assert {r.parent for r in got.provenance} == {1}
+        assert set(got.parent.tolist()) == {1}
 
     def test_all_outside_raises(self):
         net = self.net(seed=18)
         samples = BoundarySampleSet(
             level=2, points=np.array([[-1.0, -1.0]]), residuals=np.zeros(1),
-            provenance=(FiberRecord(0, 0, ()),),
+            parent=[0], fiber=[0],
         )
         with pytest.raises(EmptyIntersection):
             pull_back_boundary(net, 1, samples, np.random.default_rng(19))
+
+    def test_empty_intersection_reports_funnel(self):
+        net = self.net(seed=18)
+        points = np.array([[-1.0, -1.0], [0.5, -0.2], [-0.1, 2.0]])
+        samples = BoundarySampleSet(
+            level=2, points=points, residuals=np.zeros(3), parent=[0, 1, 2], fiber=[0, 0, 0],
+        )
+        with pytest.raises(EmptyIntersection, match="received 3 level-2 samples, 0 inside"):
+            pull_back_boundary(net, 1, samples, np.random.default_rng(19))
+
+    def test_empty_intersection_names_residual_losses(self):
+        net = self.net(seed=18)
+        samples = BoundarySampleSet(
+            level=2, points=np.empty((0, 2)), residuals=np.empty(0), parent=[], fiber=[],
+            rejected=12,
+        )
+        with pytest.raises(EmptyIntersection, match="residual filter at level 2 had rejected all 12"):
+            pull_back_boundary(net, 1, samples, np.random.default_rng(19))
+
+    def test_rejected_counts_residual_filter(self):
+        net = self.net(seed=14)
+        samples = BoundarySampleSet(
+            level=2, points=np.array([[0.9, 0.0]]), residuals=np.zeros(1), parent=[0], fiber=[0],
+        )
+        # a negative tolerance rejects every fiber
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(15), tol=-1.0)
+        assert len(got) == 0 and got.rejected == 4
 
     def test_contracting_layer_fibers_include_null_directions(self):
         rng = np.random.default_rng(40)
@@ -181,7 +210,7 @@ class TestPullBack:
         net = ReluNetwork((first, second), OutputLayer(np.array([1.0, 1.0]), -1.0))
         samples = BoundarySampleSet(
             level=2, points=np.array([[0.8, 0.0]]), residuals=np.zeros(1),
-            provenance=(FiberRecord(0, 0, ()),),
+            parent=[0], fiber=[0],
         )
         got = pull_back_boundary(net, 1, samples, np.random.default_rng(41), tol=np.inf)
         # one zero component plus one null direction widen the fiber budget
@@ -193,6 +222,99 @@ class TestPullBack:
         null_dir = first.frame.complement_basis[0]
         offsets = (got.points - base) @ null_dir
         assert np.abs(offsets[1:]).max() > 1e-3
+
+
+def reference_pull_back(net, k, samples, rng, max_fibers=16, fiber_scale=1.0, tol=1e-7,
+                        orthant_tol=1e-9):
+    """Per-parent pull-back through preimage_of_point, drawing in the same order."""
+    layer = net.layers[k - 1]
+    inside = np.flatnonzero(np.min(samples.points, axis=1) >= -orthant_tol)
+    if inside.size == 0:
+        raise EmptyIntersection("no samples inside the nonnegative orthant")
+    points, parents, fibers = [], [], []
+    for parent in inside:
+        y = np.where(samples.points[parent] < 0.0, 0.0, samples.points[parent])
+        pre = preimage_of_point(layer, y)
+        z = len(pre.generator_indices)
+        free = 0 if pre.free_subspace is None else pre.free_subspace.shape[0]
+        n_fibers = min(max_fibers, 4 ** (z + free))
+        fiber_points = [pre.base]
+        if n_fibers > 1:
+            extra = rng.exponential(fiber_scale, size=(n_fibers - 1, z)) @ pre.generators
+            if free:
+                shifts = rng.normal(0.0, fiber_scale, size=(n_fibers - 1, free))
+                extra = extra + shifts @ pre.free_subspace
+            fiber_points.extend(pre.base + extra)
+        points.extend(fiber_points)
+        parents.extend([parent] * len(fiber_points))
+        fibers.extend(range(len(fiber_points)))
+    points = np.asarray(points)
+    residuals = np.abs(np.asarray(evaluate_tail(net, k, points)))
+    keep = residuals <= tol
+    return points[keep], residuals[keep], np.asarray(parents)[keep], np.asarray(fibers)[keep]
+
+
+def contracting_net(d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    first = ReluLayer.build(rng.normal(size=(d_out, d_in)), rng.normal(size=d_out))
+    second = ReluLayer.build(rng.normal(size=(d_out, d_out)), rng.normal(size=d_out))
+    return ReluNetwork((first, second), OutputLayer(rng.normal(size=d_out), rng.normal()))
+
+
+class TestBatchedPullBackEquivalence:
+    """The batched pull-back reproduces the per-parent loop bit for bit."""
+
+    def parents(self, d, seed):
+        # generic points, zero components, points in the orthant band and outside it
+        rng = np.random.default_rng(seed)
+        y = np.abs(rng.normal(size=(60, d)))
+        y[rng.random(size=y.shape) < 0.35] = 0.0
+        y[::7, 0] = -1e-12
+        y[3::11, -1] = -0.5
+        return BoundarySampleSet(level=2, points=y, residuals=np.zeros(len(y)),
+                                 parent=np.arange(len(y)), fiber=np.zeros(len(y)))
+
+    def assert_same(self, net, samples, seed, **kwargs):
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(seed), **kwargs)
+        rng = np.random.default_rng(seed)
+        points, residuals, parent, fiber = reference_pull_back(net, 1, samples, rng, **kwargs)
+        assert np.array_equal(got.points, points)
+        assert np.array_equal(got.residuals, residuals)
+        assert np.array_equal(got.parent, parent)
+        assert np.array_equal(got.fiber, fiber)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_square_layers(self, d, seed):
+        net = random_net(2, d, seed=100 + seed)
+        self.assert_same(net, self.parents(d, seed), seed, tol=np.inf)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3), (6, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_contracting_layers(self, shape, seed):
+        net = contracting_net(*shape, seed=200 + seed)
+        self.assert_same(net, self.parents(shape[1], seed), seed, tol=np.inf)
+
+    @pytest.mark.parametrize("max_fibers", [0, 1, 2, 5])
+    def test_fiber_budgets(self, max_fibers):
+        for net in (random_net(2, 4, seed=300), contracting_net(5, 3, seed=301)):
+            samples = self.parents(net.layers[0].d_out, 302)
+            self.assert_same(net, samples, 303, max_fibers=max_fibers, fiber_scale=0.5)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-16])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_traced_parents_with_residual_filter(self, seed, tol):
+        # parents are real level-2 samples; the tight tolerance rejects some fibers
+        for layers in (random_net(2, 3, seed=400 + seed).layers,
+                       contracting_net(4, 3, seed=410 + seed).layers):
+            net = ReluNetwork(layers, OutputLayer(np.ones(3), -1.0))
+            rng = np.random.default_rng(seed)
+            samples = sample_shallow_boundary(net.layers[1], net.output, 2, 20, 2.0, rng)
+            try:
+                self.assert_same(net, samples, seed, tol=tol)
+            except EmptyIntersection:
+                with pytest.raises(EmptyIntersection):
+                    reference_pull_back(net, 1, samples, np.random.default_rng(seed), tol=tol)
 
 
 class TestTrace:
