@@ -134,6 +134,27 @@ class PreimageSet:
         return points
 
 
+def preimage_bases(
+    layer: ReluLayer, y, zero_tol: float = ZERO_COMPONENT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped targets, preimage base points and zero masks of codomain rows.
+
+    Each row of y (shape (n, d_out)) has its negative components clamped
+    to 0; a component is a zero component when it is <= zero_tol.  The
+    base point apex + y A* maps to the clamped row under the affine part.
+    The stacked vector-matrix product rounds each row exactly like the
+    one-row product ``y_i @ duals`` (a plain matrix product would not), so
+    a batch gives the same bits as a row at a time.
+    Rows negative beyond the zero band have empty preimages; callers
+    decide which rows to pass.
+    """
+    y = np.asarray(y, dtype=float)
+    y = np.where(y < 0.0, 0.0, y)
+    frame = layer.frame
+    bases = frame.apex + (y[:, None, :] @ frame.duals)[:, 0, :]
+    return y, bases, y <= zero_tol
+
+
 def preimage_of_point(
     layer: ReluLayer, y, zero_tol: float = ZERO_COMPONENT_TOL
 ) -> PreimageSet | None:
@@ -152,18 +173,16 @@ def preimage_of_point(
         )
     if np.any(y < -zero_tol):
         return None
-    y = np.where(y < 0.0, 0.0, y)
-    plus = tuple(i + 1 for i in range(layer.d_out) if y[i] > zero_tol)
-    zeros = tuple(i + 1 for i in range(layer.d_out) if y[i] <= zero_tol)
-    frame = layer.frame
-    base = frame.apex + y @ frame.duals
+    (y,), (base,), (zero,) = preimage_bases(layer, y[None, :], zero_tol)
+    zeros = tuple(int(i) + 1 for i in np.flatnonzero(zero))
+    plus = tuple(int(i) + 1 for i in np.flatnonzero(~zero))
     return PreimageSet(
         layer=layer,
         target=y,
         base=base,
         generator_indices=zeros,
         source_sector=SectorIndex.of(layer.d_out, plus),
-        free_subspace=frame.complement_basis,
+        free_subspace=layer.frame.complement_basis,
     )
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from .boundary import OutputLayer, enumerate_pieces, sample_piece
 from .core import AffineMap, DualFrame, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient
-from .layer import ReluLayer, evaluate, project_with_frame
-from .tolerances import ZERO_COMPONENT_TOL
+from .layer import ReluLayer, evaluate, preimage_bases, project_with_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +204,10 @@ def pull_back_boundary(
     components i of y (Exponential coefficients) and, for contracting
     layers, along the complement basis (Normal shifts).  The fiber budget
     per point is min(max_fibers, 4^(z + free)) with z the number of zero
-    components and free the complement dimension.  Coefficients are drawn
-    parent by parent; the sweeps are one matmul per zero pattern.  Every
-    emitted point is verified against the level-k zero condition.
+    components and free the complement dimension.  Base points and fiber
+    counts are computed for all kept samples at once; coefficients and
+    sweeps are drawn parent by parent in parent order.  Every emitted
+    point is verified against the level-k zero condition.
     """
     if samples.level != k + 1:
         raise ValueError(f"expected samples at level {k + 1}, got {samples.level}")
@@ -232,44 +232,21 @@ def pull_back_boundary(
             )
         raise EmptyIntersection(message)
     frame = layer.frame
-    y = samples.points[inside]
-    y = np.where(y < 0.0, 0.0, y)
-    zero = y <= ZERO_COMPONENT_TOL
-    n_zero = zero.sum(axis=1)
+    _, bases, zero = preimage_bases(layer, samples.points[inside])
     free = 0 if frame.complement_basis is None else frame.complement_basis.shape[0]
-    n_fibers = np.minimum(4.0 ** (n_zero + free), max_fibers).astype(np.int64)
+    n_fibers = np.minimum(4.0 ** (zero.sum(axis=1) + free), max_fibers).astype(np.int64)
     counts = np.maximum(n_fibers, 1)
-    # A stacked vector-matrix product rounds like the per-point y @ duals.
-    bases = frame.apex + (y[:, None, :] @ frame.duals)[:, 0, :]
-
+    starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(inside.size), counts)
-    fiber = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    swept = np.flatnonzero(fiber > 0)
-    extra = np.zeros((swept.size, layer.d_in))
-    if swept.size:
-        # Group parents by zero pattern; unique over packed rows is much
-        # cheaper than np.unique(zero, axis=0) at a few hundred parents.
-        packed = np.packbits(zero, axis=1)
-        _, first, group = np.unique(
-            packed.view(np.dtype((np.void, packed.shape[1])))[:, 0],
-            return_index=True,
-            return_inverse=True,
-        )
-        coeffs = [[] for _ in first]
-        shifts = []
-        for n, z, g in zip(n_fibers.tolist(), n_zero.tolist(), group.tolist()):
-            if n > 1:
-                coeffs[g].append(rng.exponential(fiber_scale, size=(n - 1, z)))
-                if free:
-                    shifts.append(rng.normal(0.0, fiber_scale, size=(n - 1, free)))
-        row_group = group[owner[swept]]
-        for g, pattern in enumerate(zero[first]):
-            if pattern.any():
-                extra[row_group == g] = np.concatenate(coeffs[g]) @ -frame.duals[pattern]
-        if free:
-            extra = extra + np.concatenate(shifts) @ frame.complement_basis
+    fiber = np.arange(owner.size) - starts[owner]
     points = bases[owner]
-    points[swept] += extra
+    for i in np.flatnonzero(n_fibers > 1).tolist():
+        n, pattern = int(n_fibers[i]), zero[i]
+        extra = rng.exponential(fiber_scale, size=(n - 1, int(pattern.sum()))) @ -frame.duals[pattern]
+        if free:
+            shifts = rng.normal(0.0, fiber_scale, size=(n - 1, free))
+            extra = extra + shifts @ frame.complement_basis
+        points[starts[i] + 1 : starts[i] + n] += extra
 
     residuals = np.abs(np.asarray(evaluate_tail(net, k, points)))
     keep = residuals <= tol

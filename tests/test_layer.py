@@ -13,7 +13,7 @@ from relugeom import (
     project_with_frame,
     sample_sector,
 )
-from relugeom.layer import ReluLayer, evaluate
+from relugeom.layer import ReluLayer, evaluate, preimage_bases
 
 
 def random_relu_layer(d, seed=0):
@@ -158,6 +158,33 @@ class TestPreimageOfPoint:
         pre = preimage_of_point(layer, y)
         samples = pre.sample(200, radius=2.0, rng=np.random.default_rng(25))
         assert np.abs(evaluate(layer, samples) - y).max() < 1e-9 * (1 + np.abs(y).max())
+
+
+class TestPreimageBases:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6), (12, 12), (2, 4), (4, 6)])
+    def test_rows_match_one_row_product(self, shape):
+        # the batch must round like apex + y @ duals taken one row at a time
+        d_out, d_in = shape
+        rng = np.random.default_rng(d_out * 10 + d_in)
+        layer = ReluLayer.build(rng.normal(size=(d_out, d_in)), rng.normal(size=d_out))
+        y = np.abs(rng.normal(size=(200, d_out)))
+        y[rng.random(size=y.shape) < 0.3] = 0.0
+        y[::9, 0] = -1e-12
+        clamped, bases, zero = preimage_bases(layer, y)
+        frame = layer.frame
+        for i, row in enumerate(y):
+            row = np.where(row < 0.0, 0.0, row)
+            assert np.array_equal(clamped[i], row)
+            assert np.array_equal(bases[i], frame.apex + row @ frame.duals)
+            assert np.array_equal(zero[i], row <= 1e-9)
+
+    def test_single_row_matches_preimage_of_point(self):
+        layer = random_relu_layer(3, seed=31)
+        y = np.array([1.5, 0.0, -1e-12])
+        _, bases, zero = preimage_bases(layer, y[None, :])
+        pre = preimage_of_point(layer, y)
+        assert np.array_equal(bases[0], pre.base)
+        assert pre.generator_indices == tuple(int(i) + 1 for i in np.flatnonzero(zero[0]))
 
 
 class TestPreimageOfSector:
