@@ -5,32 +5,20 @@ partition, cone projections and exact preimages, exact enumeration and
 affine canonicalization of shallow-network decision boundaries, and a
 sampled boundary recursion for deeper networks.  Every closed-form
 result ships with a brute-force oracle (see :mod:`relugeom.verify`).
+
+The package namespace holds the API of the README; everything else is
+imported from its module (:mod:`relugeom.core`, :mod:`relugeom.partition`,
+:mod:`relugeom.layer`, :mod:`relugeom.boundary`, :mod:`relugeom.network`).
 """
 
 __version__ = "0.1.0"
 
 from .boundary import (
-    BoundaryPiece,
-    CanonicalReduction,
-    DecisionBoundary,
-    IntersectionValues,
     OutputLayer,
-    PulledBackHyperplane,
     canonical_boundary,
     enumerate_pieces,
-    equivalence_check,
-    intersection_values,
-    normalize_output_layer,
     piece_count_oracle,
-    pull_back_hyperplane,
     sample_piece,
-)
-from .core import (
-    AffineMap,
-    DualFrame,
-    build_dual_frame,
-    evaluate_affine,
-    project_to_row_span,
 )
 from .errors import (
     AllNegative,
@@ -46,97 +34,42 @@ from .errors import (
     RankDeficient,
     SchemaError,
 )
-from .layer import (
-    PreimageSet,
-    ReluLayer,
-    decompose_check,
-    image_of_sector,
-    membership_mask,
-    preimage_of_point,
-    preimage_of_sector,
-    project_with_frame,
-)
+from .layer import ReluLayer, preimage_of_point
 from .network import (
     BoundarySampleSet,
-    ComposedAffine,
-    MixingReport,
     ReluNetwork,
     canonical_structure,
     evaluate_canonical,
     evaluate_network,
-    evaluate_tail,
-    mixing_check,
-    pull_back_boundary,
     trace_boundary,
 )
-from .partition import (
-    SectorIndex,
-    boundary_members,
-    classify,
-    closure_members,
-    enumerate_sectors,
-    leq,
-    sample_sector,
-    sector_counts,
-)
+from .partition import classify
 
 __all__ = [
-    "AffineMap",
     "AllNegative",
-    "BoundaryPiece",
     "BoundarySampleSet",
-    "CanonicalReduction",
-    "ComposedAffine",
-    "DecisionBoundary",
     "DegenerateBias",
     "DegenerateDirection",
     "DimensionMismatch",
-    "DualFrame",
     "EmptyIntersection",
     "EmptyPiece",
     "EnumerationLimit",
     "GeometryError",
-    "IntersectionValues",
     "InvalidM",
-    "MixingReport",
     "NotContracting",
     "OutputLayer",
-    "PreimageSet",
-    "PulledBackHyperplane",
     "RankDeficient",
     "ReluLayer",
     "ReluNetwork",
     "SchemaError",
-    "SectorIndex",
-    "boundary_members",
-    "build_dual_frame",
     "canonical_boundary",
     "canonical_structure",
     "classify",
-    "closure_members",
-    "decompose_check",
     "enumerate_pieces",
-    "enumerate_sectors",
-    "equivalence_check",
-    "evaluate_affine",
     "evaluate_canonical",
     "evaluate_network",
-    "evaluate_tail",
-    "image_of_sector",
-    "intersection_values",
-    "leq",
-    "membership_mask",
-    "mixing_check",
-    "normalize_output_layer",
     "piece_count_oracle",
     "preimage_of_point",
-    "preimage_of_sector",
-    "project_to_row_span",
-    "project_with_frame",
-    "pull_back_boundary",
-    "pull_back_hyperplane",
     "sample_piece",
-    "sample_sector",
-    "sector_counts",
     "trace_boundary",
 ]

@@ -32,7 +32,7 @@ from .errors import (
     RankDeficient,
 )
 from .layer import ReluLayer, evaluate
-from .partition import _graded_submasks, _indices_of
+from .partition import _graded_submasks, _indices_of, _mask_of
 from .tolerances import DEGENERATE_DIRECTION_REL, MAX_ENUM_DIM, RCOND_MIN, scaled
 
 
@@ -135,16 +135,15 @@ def intersection_values(
     """
     norm = normalize_output_layer(layer)
     w = norm.weights
-    scale = float(np.max(np.abs(w), initial=0.0))
-    degenerate = tuple(i + 1 for i in range(norm.d) if abs(w[i]) <= degenerate_rel * scale)
+    live = np.abs(w) > degenerate_rel * float(np.max(np.abs(w), initial=0.0))
     t = np.full(norm.d, np.nan)
-    live = [i for i in range(norm.d) if (i + 1) not in degenerate]
-    for i in live:
-        t[i] = -norm.bias / w[i]
-    if live and all(t[i] < 0.0 for i in live):
+    with np.errstate(over="ignore"):  # _readout rejects an infinite t
+        t[live] = -norm.bias / w[live]
+    negative = t[live] < 0.0
+    if negative.size and negative.all():
         raise AllNegative("all intersection values negative: the boundary is empty")
-    m = sum(1 for i in live if t[i] < 0.0)
-    return IntersectionValues(t=t, m=m, degenerate=degenerate)
+    degenerate = tuple(int(i) + 1 for i in np.flatnonzero(~live))
+    return IntersectionValues(t=t, m=int(np.count_nonzero(negative)), degenerate=degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +224,9 @@ def _readout(layer: ReluLayer, output: OutputLayer) -> tuple[OutputLayer, Inters
 
     Degenerate directions (readout weight ~ 0) are rejected, since then
     the hyperplane is parallel to a dual line and the piece structure is
-    not well posed.
+    not well posed.  So are values -bias / weight that leave the float
+    range: an overflow to infinity is a vanishing direction, an underflow
+    to 0 a vanishing bias.  Every returned t is finite and nonzero.
     """
     if output.d != layer.d_out:
         raise DimensionMismatch(
@@ -238,14 +239,19 @@ def _readout(layer: ReluLayer, output: OutputLayer) -> tuple[OutputLayer, Inters
             f"readout weight vanishes at indices {values.degenerate}; "
             "the hyperplane is parallel to the corresponding dual lines"
         )
+    if not np.isfinite(values.t).all():
+        raise DegenerateDirection("an intersection value -bias / weight overflows the float range")
+    if not values.t.all():
+        raise DegenerateBias("an intersection value -bias / weight underflows to 0")
     return norm, values
 
 
 def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     """Enumerate every linear piece of the boundary of output o layer.
 
-    One piece per index subset J whose intersection values are not all
-    negative; the count always comes out to 2^d - 2^m.
+    One piece per index subset J that meets P = {i : t_i > 0}, bounded
+    exactly when J lies inside P; the count always comes out to
+    2^d - 2^m.
 
     The canonical reduction sends the i:th basis vector to
     |t_sigma(i)| a*_sigma(i), where sigma sorts the intersection values
@@ -260,20 +266,18 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     t = values.t
     frame = layer.frame
     full = (1 << d) - 1
+    positive = _mask_of(np.flatnonzero(t > 0.0) + 1, d)
     pieces = []
     for mask in _graded_submasks(full):
+        if not mask & positive:
+            continue
         indices = _indices_of(mask)
-        if not indices:
-            continue
-        tj = t[[i - 1 for i in indices]]
-        if np.all(tj < 0.0):
-            continue
         pieces.append(
             BoundaryPiece(
                 indices=indices,
-                t=tj,
+                t=t[[i - 1 for i in indices]],
                 recession_indices=_indices_of(full & ~mask),
-                bounded=bool(np.all(tj > 0.0)),
+                bounded=not mask & ~positive,
                 apex=frame.apex,
                 duals=frame.duals,
             )
@@ -285,7 +289,10 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
         )
     order = np.argsort(t, kind="stable")
     scale = np.abs(t)
-    matrix = frame.duals[order].T * scale[order]
+    with np.errstate(over="ignore"):
+        matrix = frame.duals[order].T * scale[order]
+    if not np.isfinite(matrix).all():
+        raise RankDeficient("canonical change of variables leaves the float range")
     singulars = np.linalg.svd(matrix, compute_uv=False)
     if singulars[-1] / singulars[0] < RCOND_MIN:
         raise RankDeficient("canonical change of variables is numerically singular")
@@ -401,16 +408,16 @@ def sample_boundary_patterns(
     labeled by its set of positive row functionals; on a piece's relative
     interior that label is the piece's index set, so the returned pattern
     set is a sampled census of the pieces.  Points too close to a pattern
-    change are discarded as ambiguous.
+    change are discarded as ambiguous.  Degenerate readouts are rejected
+    as in :func:`enumerate_pieces`.
     """
-    norm = normalize_output_layer(output)
-    t = intersection_values(norm).t
+    norm, values = _readout(layer, output)
     frame = layer.frame
     d = layer.d_out
-    radius = radius_mult * max(float(np.nanmax(np.abs(t))), 1.0)
+    radius = radius_mult * max(float(np.max(np.abs(values.t))), 1.0)
 
     def level(points):
-        return np.maximum(layer.affine(points), 0.0) @ norm.weights + norm.bias
+        return norm(evaluate(layer, points))
 
     lo = frame.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ frame.duals
     hi = frame.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ frame.duals

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .boundary import OutputLayer, enumerate_pieces, piece_count_oracle, sample_piece
+from .boundary import OutputLayer, enumerate_pieces, piece_count_oracle
 from .core import build_dual_frame
 from .errors import (
     AllNegative,
@@ -52,7 +52,7 @@ from .io import (
 )
 from .layer import ReluLayer, evaluate, preimage_of_point
 from .mesh import piece_polygons, write_obj
-from .network import ReluNetwork, trace_boundary
+from .network import ReluNetwork, sample_shallow_boundary, trace_boundary
 from .partition import sector_counts, split_by_zero_band
 from .tolerances import RCOND_MIN
 from .verify import SUITES, run_suite
@@ -229,7 +229,6 @@ def cmd_boundary(args) -> int:
     started = time.monotonic()
     layer, output, _ = _shallow_network(args)
     boundary = enumerate_pieces(layer, output)
-    norm = boundary.readout
     results = {
         "d": boundary.d,
         "t": boundary.values.t,
@@ -259,24 +258,18 @@ def cmd_boundary(args) -> int:
             "enumerated": boundary.piece_count,
             "agrees": witness == boundary.piece_count,
         }
-    rng = np.random.default_rng(args.seed)
     if args.samples:
-        labels, rows, residuals = [], [], []
-        scale = 1.0 + abs(norm.bias)
-        for piece in boundary.pieces:
-            xs = sample_piece(piece, args.samples, radius=args.radius, rng=rng)
-            labels.extend([piece.label()] * args.samples)
-            rows.append(xs)
-            residuals.append(np.abs(norm(evaluate(layer, xs))) / scale)
-        stacked = np.vstack(rows)
-        residuals = np.concatenate(residuals)
+        rng = np.random.default_rng(args.seed)
+        drawn = sample_shallow_boundary(layer, boundary, 1, args.samples, args.radius, rng)
+        residuals = drawn.residuals / (1.0 + abs(boundary.readout.bias))
         results["samples"] = {
             "per_piece": args.samples,
             "max_residual": float(np.max(residuals)),
             "tolerance": 1e-8,
         }
         if args.csv:
-            write_point_csv(args.csv, labels, stacked, {"residual": residuals})
+            labels = [piece.label() for piece in boundary.pieces for _ in range(args.samples)]
+            write_point_csv(args.csv, labels, drawn.points, {"residual": residuals})
             results["samples"]["csv"] = args.csv
     if args.obj:
         lo, hi = args.box

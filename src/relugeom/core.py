@@ -74,10 +74,6 @@ class AffineMap:
     def __call__(self, x) -> np.ndarray:
         return evaluate_affine(self, x)
 
-    def row(self, i: int) -> tuple[np.ndarray, float]:
-        """Row functional i (1-based): the pair (a_i, b_i)."""
-        return self.matrix[i - 1], float(self.offset[i - 1])
-
 
 @dataclass(frozen=True, eq=False)
 class DualFrame:
@@ -148,8 +144,10 @@ def build_dual_frame(layer: AffineMap, rcond_min: float = RCOND_MIN) -> DualFram
     ``A x_0 = -b``, which lies in V.
 
     Raises RankDeficient when the reciprocal condition estimate of the
-    rows falls below ``rcond_min``, and DimensionMismatch for expanding
-    layers (more rows than input dimensions).
+    rows falls below ``rcond_min``, when a solve fails (the Gram matrix of
+    rows scaled near the float floor is singular) or when the duals or the
+    apex leave the float range; DimensionMismatch for expanding layers
+    (more rows than input dimensions).
     """
     a = layer.matrix
     b = layer.offset
@@ -168,22 +166,28 @@ def build_dual_frame(layer: AffineMap, rcond_min: float = RCOND_MIN) -> DualFram
             f"reciprocal condition estimate {rcond:.3e} below gate {rcond_min:.3e}"
         )
 
-    if d_out == d_in:
-        duals = np.linalg.solve(a, np.eye(d_in)).T
-        apex = np.linalg.solve(a, -b)
-        return DualFrame(source=layer, apex=apex, duals=duals, conditioning=rcond)
-
-    gram = a @ a.T
-    duals = np.linalg.solve(gram, a)
-    apex = -(duals.T @ b)
-    _, _, vt = np.linalg.svd(a)
+    row_span = complement = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are rejected below
+            if d_out == d_in:
+                duals = np.linalg.solve(a, np.eye(d_in)).T
+                apex = np.linalg.solve(a, -b)
+            else:
+                duals = np.linalg.solve(a @ a.T, a)
+                apex = -(duals.T @ b)
+                _, _, vt = np.linalg.svd(a)
+                row_span, complement = vt[:d_out].copy(), vt[d_out:].copy()
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"dual frame solve failed: {exc}") from exc
+    if not (np.isfinite(duals).all() and np.isfinite(apex).all()):
+        raise RankDeficient("dual vectors or cone apex leave the float range")
     return DualFrame(
         source=layer,
         apex=apex,
         duals=duals,
         conditioning=rcond,
-        row_span_basis=vt[:d_out].copy(),
-        complement_basis=vt[d_out:].copy(),
+        row_span_basis=row_span,
+        complement_basis=complement,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import OutputLayer, enumerate_pieces, sample_piece
+from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, sample_piece
 from .core import AffineMap, DualFrame, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient
 from .layer import ReluLayer, evaluate, preimage_bases, project_with_frame
@@ -164,23 +164,26 @@ class BoundarySampleSet:
 
 def sample_shallow_boundary(
     layer: ReluLayer,
-    output: OutputLayer,
+    boundary: DecisionBoundary,
     level: int,
     samples_per_piece: int,
     radius: float,
     rng: np.random.Generator,
 ) -> BoundarySampleSet:
-    """Seed sample set from the exact piece enumeration of a shallow stage."""
-    bd = enumerate_pieces(layer, output)
-    stacked = np.vstack(
-        [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in bd.pieces]
-    )
-    residuals = np.abs(bd.readout(evaluate(layer, stacked)))
-    n_pieces = len(bd.pieces)
+    """Seed sample set: ``samples_per_piece`` points of every piece of the
+    boundary that :func:`enumerate_pieces` found for ``layer``, drawn in
+    piece order, with residuals |readout(layer(x))| of the normalized
+    readout."""
+    drawn = [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in boundary.pieces]
+    # Piece by piece, as the boundary command has always computed them: one
+    # readout product over all stacked points rounds differently in the
+    # last bit from d = 8 on, which would change its CSV bytes.
+    residuals = [np.abs(boundary.readout(evaluate(layer, xs))) for xs in drawn]
+    n_pieces = len(drawn)
     return BoundarySampleSet(
         level=level,
-        points=stacked,
-        residuals=residuals,
+        points=np.vstack(drawn),
+        residuals=np.concatenate(residuals),
         parent=np.repeat(np.arange(n_pieces), samples_per_piece),
         fiber=np.tile(np.arange(samples_per_piece), n_pieces),
     )
@@ -278,9 +281,10 @@ def trace_boundary(
     if rng is None:
         rng = np.random.default_rng(0)
     n = net.depth
+    last = net.layers[-1]
     levels: dict[int, BoundarySampleSet] = {}
     current = sample_shallow_boundary(
-        net.layers[-1], net.output, n, samples_per_piece, radius, rng
+        last, enumerate_pieces(last, net.output), n, samples_per_piece, radius, rng
     )
     levels[n] = current
     for k in range(n - 1, 0, -1):

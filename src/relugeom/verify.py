@@ -573,7 +573,7 @@ def run_deep(
             net, samples_per_piece=20, radius=1.5, rng=np.random.default_rng(sub_seed)
         )
         direct = nw.sample_shallow_boundary(
-            layer, output, 1, 20, 1.5, np.random.default_rng(sub_seed)
+            layer, bd.enumerate_pieces(layer, output), 1, 20, 1.5, np.random.default_rng(sub_seed)
         )
         if not np.array_equal(levels[1].points, direct.points):
             shallow_mismatch += 1

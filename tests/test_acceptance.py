@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from relugeom import enumerate_sectors, sector_counts
+from relugeom.partition import enumerate_sectors, sector_counts
 from relugeom.verify import (
     run_canonical,
     run_count,

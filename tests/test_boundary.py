@@ -12,14 +12,17 @@ from relugeom import (
     OutputLayer,
     canonical_boundary,
     enumerate_pieces,
+    piece_count_oracle,
+    sample_piece,
+)
+from relugeom.boundary import (
+    BoundaryPiece,
     equivalence_check,
     intersection_values,
     normalize_output_layer,
-    piece_count_oracle,
     pull_back_hyperplane,
-    sample_piece,
+    sample_boundary_patterns,
 )
-from relugeom.boundary import BoundaryPiece, sample_boundary_patterns
 from relugeom.layer import ReluLayer, evaluate
 
 

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from relugeom import (
-    AffineMap,
-    DimensionMismatch,
-    NotContracting,
-    RankDeficient,
-    build_dual_frame,
-    evaluate_affine,
-    project_to_row_span,
-)
+from relugeom import DimensionMismatch, NotContracting, RankDeficient
+from relugeom.core import AffineMap, build_dual_frame, evaluate_affine, project_to_row_span
 from relugeom.layer import ReluLayer, evaluate
 
 # Published dual-basis configuration: the columns below are the dual

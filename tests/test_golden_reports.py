@@ -47,6 +47,9 @@ CASES = {
     "boundary_d4": ["boundary", "--input", "net4.json", "--samples", "15", "--csv", "pts.csv", "--seed", "7"],
     "boundary_d3_obj": ["boundary", "--input", "net3.json", "--samples", "10", "--csv", "pts.csv",
                         "--obj", "mesh.obj", "--box=-3,3", "--seed", "2"],
+    "boundary_contracting": ["boundary", "--input", "net_contracting.json", "--samples", "5", "--csv", "pts.csv",
+                             "--seed", "1"],
+    "boundary_d8": ["boundary", "--input", "net8.json", "--samples", "5", "--csv", "pts.csv", "--seed", "8"],
     "deep_boundary": ["deep-boundary", "--input", "deep.json", "--samples", "12", "--fibers", "6",
                       "--csv", "lv", "--seed", "4"],
     "deep_boundary_contracting": ["deep-boundary", "--input", "deep_contracting.json", "--samples", "10",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import relugeom.errors as errors_module
-from relugeom import AffineMap, GeometryError, SchemaError, canonical_boundary, sample_piece
+from relugeom import GeometryError, SchemaError, canonical_boundary, sample_piece
 from relugeom.cli import ERROR_CODES, main
+from relugeom.core import AffineMap
 from relugeom.io import canonical_json, parse_layer_spec, parse_network_spec
 
 PUBLISHED_DUAL_COLUMNS = np.array(
@@ -190,6 +191,71 @@ class TestNonFinitePoints:
         body = json.loads(captured.out)
         assert body["error"] == "SchemaError"
         assert "finite" in body["message"]
+
+
+GENERAL_LAYER = {"matrix": [[1, 0.2], [0.1, 1]], "offset": [0.3, -0.2]}
+
+# Layers that pass the condition gate but whose dual frame has no float
+# representation: subnormal rows (duals overflow), an apex beyond 1e308,
+# and contracting rows whose Gram matrix underflows to a singular one.
+UNREPRESENTABLE_FRAMES = {
+    "subnormal-rows": {"matrix": [[1e-320, 0], [0, 1e-320]], "offset": [1, 1]},
+    "apex-overflow": {"matrix": [[1e-10, 0], [0, 1e-10]], "offset": [1e300, 1]},
+    "singular-gram": {"matrix": [[1e-200, 0, 0], [0, 1e-200, 0]], "offset": [1, 1]},
+}
+
+# Readouts whose intersection values t = -bias / weight or canonical map
+# leave the float range: (layer, weights, bias, error).
+UNREPRESENTABLE_READOUTS = {
+    "t-overflow": (GENERAL_LAYER, [1e-300, 2e-300], -1e300, "DegenerateDirection"),
+    "t-underflow": (GENERAL_LAYER, [1e300, 2e300], -1e-300, "DegenerateBias"),
+    "canonical-overflow": ({"matrix": [[1e-200, 0], [0, 1e-200]], "offset": [1, 1]}, [1, 1], -1e200,
+                           "RankDeficient"),
+}
+
+
+def network_argv(command, path):
+    """A sampling run of the boundary or deep-boundary command."""
+    return [command, "--input", path, "--samples", "2"]
+
+
+def assert_degenerate(argv, error, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    body = json.loads(captured.out)
+    assert body["error"] == error
+    assert body["exit_code"] == 3
+
+
+class TestUnrepresentableGeometry:
+    @pytest.mark.parametrize("command", ["analyze", "classify", "preimage", "boundary", "deep-boundary"])
+    @pytest.mark.parametrize("name", sorted(UNREPRESENTABLE_FRAMES))
+    def test_frame_exits_3(self, name, command, tmp_path, capsys):
+        layer = UNREPRESENTABLE_FRAMES[name]
+        d_out, d_in = len(layer["matrix"]), len(layer["matrix"][0])
+        if command in ("analyze", "classify", "preimage"):
+            path = write_spec(tmp_path / "layer.json", layer)
+            argv = [command, "--input", path]
+            if command == "classify":
+                argv.append("--point=" + ",".join(["1"] * d_in))
+            elif command == "preimage":
+                argv += ["--point=" + ",".join(["1"] * d_out), "--samples", "2"]
+        else:
+            # deep-boundary gets a second layer, so the frame is pulled back through
+            layers = [layer] if command == "boundary" else [layer, identity_layer_spec(d_out)]
+            spec = {"layers": layers, "output": {"weights": [1.0] * d_out, "bias": -1.0}}
+            argv = network_argv(command, write_spec(tmp_path / "net.json", spec))
+        assert_degenerate(argv, "RankDeficient", capsys)
+
+    @pytest.mark.parametrize("command", ["boundary", "deep-boundary"])
+    @pytest.mark.parametrize("name", sorted(UNREPRESENTABLE_READOUTS))
+    def test_readout_exits_3(self, name, command, tmp_path, capsys):
+        layer, weights, bias, error = UNREPRESENTABLE_READOUTS[name]
+        layers = [layer] if command == "boundary" else [GENERAL_LAYER, layer]
+        spec = {"layers": layers, "output": {"weights": weights, "bias": bias}}
+        assert_degenerate(network_argv(command, write_spec(tmp_path / "net.json", spec)), error, capsys)
 
 
 class TestAnalyze:

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from relugeom import (
-    DimensionMismatch,
-    EnumerationLimit,
-    SectorIndex,
+from relugeom import DimensionMismatch, EnumerationLimit, preimage_of_point
+from relugeom.layer import (
+    ReluLayer,
     decompose_check,
+    evaluate,
     image_of_sector,
     membership_mask,
-    preimage_of_point,
+    preimage_bases,
     preimage_of_sector,
     project_with_frame,
-    sample_sector,
 )
-from relugeom.layer import ReluLayer, evaluate, preimage_bases
+from relugeom.partition import SectorIndex, sample_sector
 
 
 def random_relu_layer(d, seed=0):
@@ -108,7 +107,7 @@ class TestImageOfSector:
         layer = random_relu_layer(3, seed=16)
         canonical = ReluLayer.canonical(3)
         rng = np.random.default_rng(17)
-        from relugeom import classify, enumerate_sectors
+        from relugeom.partition import classify, enumerate_sectors
 
         for sector in enumerate_sectors(3):
             xs = sample_sector(layer.frame, sector, 25, rng)
@@ -223,7 +222,7 @@ class TestPreimageOfSector:
         # every domain sector appears in exactly one codomain-sector preimage
         from itertools import combinations
 
-        from relugeom import enumerate_sectors
+        from relugeom.partition import enumerate_sectors
 
         layer = random_relu_layer(3, seed=50)
         seen = []
@@ -238,7 +237,7 @@ class TestPreimageOfSector:
         # closures of the preimage sectors with full minus sets
         from itertools import combinations
 
-        from relugeom import SectorIndex, closure_members
+        from relugeom.partition import SectorIndex, closure_members
 
         layer = random_relu_layer(3, seed=51)
         full = {1, 2, 3}

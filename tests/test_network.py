@@ -8,16 +8,20 @@ from relugeom import (
     RankDeficient,
     ReluNetwork,
     canonical_structure,
+    enumerate_pieces,
     evaluate_canonical,
     evaluate_network,
-    evaluate_tail,
-    mixing_check,
-    pull_back_boundary,
     trace_boundary,
 )
 from relugeom.layer import ReluLayer, evaluate
 from relugeom.layer import preimage_of_point
-from relugeom.network import BoundarySampleSet, sample_shallow_boundary
+from relugeom.network import (
+    BoundarySampleSet,
+    evaluate_tail,
+    mixing_check,
+    pull_back_boundary,
+    sample_shallow_boundary,
+)
 
 
 def random_net(depth, d, seed=0, offset_scale=0.5):
@@ -309,7 +313,8 @@ class TestBatchedPullBackEquivalence:
                        contracting_net(4, 3, seed=410 + seed).layers):
             net = ReluNetwork(layers, OutputLayer(np.ones(3), -1.0))
             rng = np.random.default_rng(seed)
-            samples = sample_shallow_boundary(net.layers[1], net.output, 2, 20, 2.0, rng)
+            boundary = enumerate_pieces(net.layers[1], net.output)
+            samples = sample_shallow_boundary(net.layers[1], boundary, 2, 20, 2.0, rng)
             try:
                 self.assert_same(net, samples, seed, tol=tol)
             except EmptyIntersection:
@@ -337,7 +342,8 @@ class TestTrace:
         levels = trace_boundary(net, samples_per_piece=25, radius=1.5,
                                 rng=np.random.default_rng(22))
         direct = sample_shallow_boundary(
-            net.layers[0], net.output, 1, 25, 1.5, np.random.default_rng(22)
+            net.layers[0], enumerate_pieces(net.layers[0], net.output), 1, 25, 1.5,
+            np.random.default_rng(22),
         )
         np.testing.assert_array_equal(levels[1].points, direct.points)
 

@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relugeom import (
-    AffineMap,
-    DimensionMismatch,
-    EnumerationLimit,
+from relugeom import DimensionMismatch, EnumerationLimit, classify
+from relugeom.core import AffineMap, build_dual_frame
+from relugeom.partition import (
     SectorIndex,
     boundary_members,
-    build_dual_frame,
-    classify,
     closure_members,
     enumerate_sectors,
     leq,
     sample_sector,
     sector_counts,
+    split_by_zero_band,
 )
-from relugeom.partition import split_by_zero_band
 
 
 def random_frame(d, seed=0):
