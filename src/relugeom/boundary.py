@@ -33,7 +33,13 @@ from .errors import (
 )
 from .layer import ReluLayer, evaluate
 from .partition import _graded_submasks, _indices_of, _mask_of
-from .tolerances import DEGENERATE_DIRECTION_REL, MAX_ENUM_DIM, RCOND_MIN, scaled
+from .tolerances import (
+    DEGENERATE_DIRECTION_REL,
+    MAX_ENUM_DIM,
+    RCOND_MIN,
+    WITNESS_LEVEL_REL,
+    scaled,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,51 +108,6 @@ def pull_back_hyperplane(affine: AffineMap, layer: OutputLayer) -> PulledBackHyp
 
 
 @dataclass(frozen=True, eq=False)
-class IntersectionValues:
-    """Where the pulled-back hyperplane crosses each dual line.
-
-    ``t[i-1]`` is the parameter with apex + t_i a_i* on the hyperplane;
-    entries flagged degenerate (vanishing weight) are NaN.  ``m`` counts
-    the negative values among the non-degenerate ones.
-    """
-
-    t: np.ndarray
-    m: int
-    degenerate: tuple[int, ...]
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
-
-    @property
-    def d(self) -> int:
-        return self.t.shape[0]
-
-
-def intersection_values(
-    layer: OutputLayer, degenerate_rel: float = DEGENERATE_DIRECTION_REL
-) -> IntersectionValues:
-    """Intersection values t_i = -bias / weights_i of a normalized readout.
-
-    Raises AllNegative when every non-degenerate value is negative, in
-    which case the boundary is empty.  Near-zero weights are flagged as
-    degenerate directions instead of producing huge values.
-    """
-    norm = normalize_output_layer(layer)
-    w = norm.weights
-    live = np.abs(w) > degenerate_rel * float(np.max(np.abs(w), initial=0.0))
-    t = np.full(norm.d, np.nan)
-    with np.errstate(over="ignore"):  # _readout rejects an infinite t
-        t[live] = -norm.bias / w[live]
-    negative = t[live] < 0.0
-    if negative.size and negative.all():
-        raise AllNegative("all intersection values negative: the boundary is empty")
-    degenerate = tuple(int(i) + 1 for i in np.flatnonzero(~live))
-    return IntersectionValues(t=t, m=int(np.count_nonzero(negative)), degenerate=degenerate)
-
-
-@dataclass(frozen=True, eq=False)
 class BoundaryPiece:
     """One linear piece of the boundary, in parametric form.
 
@@ -192,7 +153,6 @@ class CanonicalReduction:
     piece for J to the actual piece for sigma(J).
     """
 
-    m: int
     sigma: tuple[int, ...]
     scale: np.ndarray
     to_actual: AffineMap
@@ -206,44 +166,55 @@ class DecisionBoundary:
     """Complete piecewise-linear boundary of a shallow network.
 
     ``readout`` is the readout normalized to a negative bias; the
-    intersection values and the piece structure refer to it.
+    intersection values ``t`` (t[i-1] puts apex + t_i a_i* on the
+    boundary's hyperplane) and the piece structure refer to it.  ``m``
+    counts the negative values.
     """
 
     d: int
     readout: OutputLayer
     pieces: tuple[BoundaryPiece, ...]
-    values: IntersectionValues
+    t: np.ndarray
     m: int
     piece_count: int
     curvature: str
     canonical: CanonicalReduction
 
 
-def _readout(layer: ReluLayer, output: OutputLayer) -> tuple[OutputLayer, IntersectionValues]:
-    """Normalized readout and its intersection values on ``layer``.
+def _readout(layer: ReluLayer, output: OutputLayer) -> tuple[OutputLayer, np.ndarray, int]:
+    """Normalized readout, its intersection values t and the number m of negative ones.
 
-    Degenerate directions (readout weight ~ 0) are rejected, since then
-    the hyperplane is parallel to a dual line and the piece structure is
-    not well posed.  So are values -bias / weight that leave the float
-    range: an overflow to infinity is a vanishing direction, an underflow
-    to 0 a vanishing bias.  Every returned t is finite and nonzero.
+    t_i = -bias / weight_i once the bias is normalized negative.  Raises, in
+    this order: AllNegative when the values of all non-vanishing weights
+    are negative (the boundary is empty); DegenerateDirection for weights
+    below DEGENERATE_DIRECTION_REL of the largest (the hyperplane is
+    parallel to a dual line) and for a t that overflows; DegenerateBias for
+    a t that underflows to 0.  Every returned t is finite and nonzero.
     """
     if output.d != layer.d_out:
         raise DimensionMismatch(
             f"readout expects dimension {output.d}, layer outputs {layer.d_out}"
         )
     norm = normalize_output_layer(output)
-    values = intersection_values(norm)
-    if values.degenerate:
+    w = norm.weights
+    live = np.abs(w) > DEGENERATE_DIRECTION_REL * float(np.max(np.abs(w), initial=0.0))
+    with np.errstate(over="ignore", divide="ignore"):  # non-finite values are rejected below
+        t = -norm.bias / w
+    negative = t[live] < 0.0
+    if negative.size and negative.all():
+        raise AllNegative("all intersection values negative: the boundary is empty")
+    if not live.all():
+        vanishing = tuple(int(i) + 1 for i in np.flatnonzero(~live))
         raise DegenerateDirection(
-            f"readout weight vanishes at indices {values.degenerate}; "
+            f"readout weight vanishes at indices {vanishing}; "
             "the hyperplane is parallel to the corresponding dual lines"
         )
-    if not np.isfinite(values.t).all():
+    if not np.isfinite(t).all():
         raise DegenerateDirection("an intersection value -bias / weight overflows the float range")
-    if not values.t.all():
+    if not t.all():
         raise DegenerateBias("an intersection value -bias / weight underflows to 0")
-    return norm, values
+    t.setflags(write=False)
+    return norm, t, int(np.count_nonzero(negative))
 
 
 def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
@@ -262,8 +233,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     d = layer.d_out
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
-    norm, values = _readout(layer, output)
-    t = values.t
+    norm, t, m = _readout(layer, output)
     frame = layer.frame
     full = (1 << d) - 1
     positive = _mask_of(np.flatnonzero(t > 0.0) + 1, d)
@@ -282,7 +252,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
                 duals=frame.duals,
             )
         )
-    expected = 2**d - 2**values.m
+    expected = 2**d - 2**m
     if len(pieces) != expected:
         raise AssertionError(
             f"piece enumeration produced {len(pieces)} pieces, expected {expected}"
@@ -300,12 +270,11 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
         d=d,
         readout=norm,
         pieces=tuple(pieces),
-        values=values,
-        m=values.m,
+        t=t,
+        m=m,
         piece_count=len(pieces),
-        curvature="convex" if values.m == 0 else "saddle",
+        curvature="convex" if m == 0 else "saddle",
         canonical=CanonicalReduction(
-            m=values.m,
             sigma=tuple(int(i) + 1 for i in order),
             scale=scale,
             to_actual=AffineMap(matrix, frame.apex),
@@ -345,7 +314,7 @@ def sample_piece(
     return points
 
 
-def piece_count_oracle(layer: ReluLayer, output: OutputLayer, tol_rel: float = 1e-7) -> int:
+def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     """Count boundary pieces by constructing a witness point on each candidate.
 
     For every index subset with a positive intersection value, builds an
@@ -357,10 +326,9 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer, tol_rel: float = 1
     d = layer.d_out
     if d > 8:
         raise ValueError("witness enumeration is intended for d <= 8")
-    norm, values = _readout(layer, output)
-    t = values.t
+    norm, t, _ = _readout(layer, output)
     frame = layer.frame
-    tol = scaled(tol_rel, abs(norm.bias))
+    tol = scaled(WITNESS_LEVEL_REL, abs(norm.bias))
     count = 0
     for mask in range(1, 1 << d):
         indices = _indices_of(mask)
@@ -394,27 +362,25 @@ def sample_boundary_patterns(
     output: OutputLayer,
     rng: np.random.Generator,
     n_segments: int = 4000,
-    radius_mult: float = 3.0,
-    bisections: int = 80,
 ) -> set[tuple[int, ...]]:
     """Activation patterns of boundary points found by segment bisection.
 
     Draws random segments around the apex in dual coordinates: each
     endpoint is apex + lambda @ duals with lambda uniform in [-r, r]^d and
-    r = radius_mult * max(max |t_i|, 1), so the draw follows the frame and
-    reaches past every intersection value however the layer is
-    conditioned.  Keeps the segments whose endpoints evaluate with
-    opposite signs, and bisects to the zero level.  Each located point is
-    labeled by its set of positive row functionals; on a piece's relative
-    interior that label is the piece's index set, so the returned pattern
-    set is a sampled census of the pieces.  Points too close to a pattern
+    r = 3 max(max |t_i|, 1), so the draw follows the frame and reaches
+    past every intersection value however the layer is conditioned.  Keeps
+    the segments whose endpoints evaluate with opposite signs, and bisects
+    each 80 times toward the zero level.  Each located point is labeled by
+    its set of positive row functionals; on a piece's relative interior
+    that label is the piece's index set, so the returned pattern set is a
+    sampled census of the pieces.  Points too close to a pattern
     change are discarded as ambiguous.  Degenerate readouts are rejected
     as in :func:`enumerate_pieces`.
     """
-    norm, values = _readout(layer, output)
+    norm, t, _ = _readout(layer, output)
     frame = layer.frame
     d = layer.d_out
-    radius = radius_mult * max(float(np.max(np.abs(values.t))), 1.0)
+    radius = 3.0 * max(float(np.max(np.abs(t))), 1.0)
 
     def level(points):
         return norm(evaluate(layer, points))
@@ -424,7 +390,7 @@ def sample_boundary_patterns(
     f_lo, f_hi = level(lo), level(hi)
     crossing = (f_lo * f_hi) < 0.0
     lo, hi, f_lo = lo[crossing], hi[crossing], f_lo[crossing]
-    for _ in range(bisections):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         f_mid = level(mid)
         toward_hi = (f_lo * f_mid) > 0.0

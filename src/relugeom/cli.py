@@ -118,6 +118,24 @@ def _parse_points(values, d: int) -> np.ndarray:
     return np.asarray(points)
 
 
+def _check_arguments(args):
+    """Reject numeric flag values outside their domain as schema errors.
+
+    Counts, seeds, radii and tolerances are nonnegative (NaN is not), the
+    radius is finite and the clip box is a finite interval lo < hi.  The
+    namespace holds only the flags of the chosen command.
+    """
+    for flag in ("seed", "samples", "fibers", "radius", "tol", "level_tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not value >= 0:
+            raise SchemaError(f"--{flag.replace('_', '-')} must be a nonnegative number, got {value}")
+    if not math.isfinite(getattr(args, "radius", 0.0)):
+        raise SchemaError(f"--radius must be finite, got {args.radius}")
+    lo, hi = getattr(args, "box", (0.0, 1.0))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SchemaError(f"--box must be finite numbers lo < hi, got {lo},{hi}")
+
+
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     affine, name = parse_layer_spec(load_json(args.input))
@@ -149,9 +167,15 @@ def cmd_classify(args) -> int:
     affine, _ = parse_layer_spec(load_json(args.input))
     frame = build_dual_frame(affine)
     points = _parse_points(args.point, affine.d_in)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        coefficients = [frame.source(x) for x in points]
+    overflowing = ~np.isfinite(coefficients).all(axis=1)
+    if overflowing.any():
+        raise SchemaError(
+            f"point {points[overflowing][0].tolist()} has expansion coefficients beyond the float range"
+        )
     rows = []
-    for x in points:
-        lam = frame.source(x)
+    for x, lam in zip(points, coefficients):
         sector, boundary_flags = split_by_zero_band(lam, args.tol)
         rows.append(
             {
@@ -185,14 +209,17 @@ def cmd_preimage(args) -> int:
     affine, _ = parse_layer_spec(load_json(args.input))
     layer = ReluLayer(build_dual_frame(affine))
     (y,) = _parse_points([args.point], layer.d_out)
-    if args.tol is not None:
-        pre = preimage_of_point(layer, y, zero_tol=args.tol)
-    else:
-        pre = preimage_of_point(layer, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        if args.tol is not None:
+            pre = preimage_of_point(layer, y, zero_tol=args.tol)
+        else:
+            pre = preimage_of_point(layer, y)
     if pre is None:
         results = {"empty": True, "target": y}
         _emit(_report("preimage", args.input, args.seed, results, started))
         return EXIT_OK
+    if not np.isfinite(pre.base).all():
+        raise SchemaError(f"point {y.tolist()} has a preimage base point beyond the float range")
     results = {
         "empty": False,
         "target": pre.target,
@@ -231,7 +258,7 @@ def cmd_boundary(args) -> int:
     boundary = enumerate_pieces(layer, output)
     results = {
         "d": boundary.d,
-        "t": boundary.values.t,
+        "t": boundary.t,
         "m": boundary.m,
         "piece_count": boundary.piece_count,
         "curvature": boundary.curvature,
@@ -244,7 +271,7 @@ def cmd_boundary(args) -> int:
             for p in boundary.pieces
         ],
         "canonical": {
-            "m": boundary.canonical.m,
+            "m": boundary.m,
             "sigma": list(boundary.canonical.sigma),
             "scale": boundary.canonical.scale,
             "matrix": boundary.canonical.to_actual.matrix,
@@ -406,6 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_arguments(args)
         return args.func(args)
     except GeometryError as exc:
         code = _exit_code_for(exc)

@@ -130,7 +130,7 @@ def evaluate_affine(layer: AffineMap, x) -> np.ndarray:
     return x @ layer.matrix.T + layer.offset
 
 
-def build_dual_frame(layer: AffineMap, rcond_min: float = RCOND_MIN) -> DualFrame:
+def build_dual_frame(layer: AffineMap) -> DualFrame:
     """Construct the dual frame of ``layer``.
 
     Square case: the dual vectors are the columns of the matrix inverse,
@@ -144,7 +144,7 @@ def build_dual_frame(layer: AffineMap, rcond_min: float = RCOND_MIN) -> DualFram
     ``A x_0 = -b``, which lies in V.
 
     Raises RankDeficient when the reciprocal condition estimate of the
-    rows falls below ``rcond_min``, when a solve fails (the Gram matrix of
+    rows falls below RCOND_MIN, when a solve fails (the Gram matrix of
     rows scaled near the float floor is singular) or when the duals or the
     apex leave the float range; DimensionMismatch for expanding layers
     (more rows than input dimensions).
@@ -161,9 +161,9 @@ def build_dual_frame(layer: AffineMap, rcond_min: float = RCOND_MIN) -> DualFram
     if singulars[0] == 0.0:
         raise RankDeficient("zero matrix has no dual frame")
     rcond = float(singulars[-1] / singulars[0])
-    if not np.isfinite(rcond) or rcond < rcond_min:
+    if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise RankDeficient(
-            f"reciprocal condition estimate {rcond:.3e} below gate {rcond_min:.3e}"
+            f"reciprocal condition estimate {rcond:.3e} below gate {RCOND_MIN:.3e}"
         )
 
     row_span = complement = None

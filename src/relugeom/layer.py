@@ -17,7 +17,7 @@ import numpy as np
 from .core import AffineMap, DualFrame, build_dual_frame
 from .errors import DimensionMismatch, EnumerationLimit
 from .partition import SectorIndex, _graded_submasks, _mask_of
-from .tolerances import MAX_ENUM_DIM, RCOND_MIN, ZERO_COMPONENT_TOL, scaled
+from .tolerances import MAX_ENUM_DIM, ZERO_COMPONENT_TOL, scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,11 +27,11 @@ class ReluLayer:
     frame: DualFrame
 
     @classmethod
-    def build(cls, matrix, offset=None, rcond_min: float = RCOND_MIN) -> "ReluLayer":
+    def build(cls, matrix, offset=None) -> "ReluLayer":
         matrix = np.asarray(matrix, dtype=float)
         if offset is None:
             offset = np.zeros(matrix.shape[0])
-        return cls(build_dual_frame(AffineMap(matrix, offset), rcond_min=rcond_min))
+        return cls(build_dual_frame(AffineMap(matrix, offset)))
 
     @classmethod
     def canonical(cls, d: int) -> "ReluLayer":

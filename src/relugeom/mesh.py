@@ -14,6 +14,7 @@ import numpy as np
 from .boundary import DecisionBoundary
 from .errors import DimensionMismatch
 from .layer import ReluLayer
+from .tolerances import PLANE_SIDE_TOL
 
 _BOX_EDGES = [
     (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
@@ -29,12 +30,12 @@ def _box_corners(lo: float, hi: float) -> np.ndarray:
     )
 
 
-def plane_box_polygon(normal, offset: float, lo: float, hi: float, tol: float = 1e-12) -> np.ndarray:
+def plane_box_polygon(normal, offset: float, lo: float, hi: float) -> np.ndarray:
     """Ordered polygon where the plane normal.x + offset = 0 meets the box."""
     normal = np.asarray(normal, dtype=float)
     corners = _box_corners(lo, hi)
     values = corners @ normal + offset
-    points = [c for c, v in zip(corners, values) if abs(v) <= tol]
+    points = [c for c, v in zip(corners, values) if abs(v) <= PLANE_SIDE_TOL]
     for a, b in _BOX_EDGES:
         va, vb = values[a], values[b]
         if va * vb < 0.0:
@@ -69,7 +70,7 @@ def _order_convex(points: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return points[np.argsort(angles)]
 
 
-def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float, tol: float = 1e-12) -> np.ndarray:
+def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float) -> np.ndarray:
     """Keep the part of a convex polygon with normal.x + offset >= 0."""
     if polygon.shape[0] == 0:
         return polygon
@@ -80,14 +81,14 @@ def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float, tol: floa
     for i in range(count):
         j = (i + 1) % count
         vi, vj = values[i], values[j]
-        if vi >= -tol:
+        if vi >= -PLANE_SIDE_TOL:
             out.append(polygon[i])
-        if (vi < -tol and vj > tol) or (vi > tol and vj < -tol):
+        if (vi < -PLANE_SIDE_TOL and vj > PLANE_SIDE_TOL) or (vi > PLANE_SIDE_TOL and vj < -PLANE_SIDE_TOL):
             s = vi / (vi - vj)
             out.append(polygon[i] + s * (polygon[j] - polygon[i]))
     if not out:
         return np.empty((0, 3))
-    deduped = _dedup(np.asarray(out), tol * 10 + 1e-12)
+    deduped = _dedup(np.asarray(out), PLANE_SIDE_TOL * 10 + 1e-12)
     if deduped.shape[0] < 3:
         return np.empty((0, 3))
     return deduped

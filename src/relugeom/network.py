@@ -20,6 +20,7 @@ from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, sample_pi
 from .core import AffineMap, DualFrame, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient
 from .layer import ReluLayer, evaluate, preimage_bases, project_with_frame
+from .tolerances import ZERO_COMPONENT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +196,16 @@ def pull_back_boundary(
     samples: BoundarySampleSet,
     rng: np.random.Generator,
     max_fibers: int = 16,
-    fiber_scale: float = 1.0,
     tol: float = 1e-7,
-    orthant_tol: float = 1e-9,
 ) -> BoundarySampleSet:
     """Pull level-(k+1) boundary samples back through layer k.
 
-    Keeps the samples inside the closed nonnegative orthant (the rest have
-    empty preimages) and emits, per kept sample y, the preimage base point
-    apex + y A* followed by fibers swept from it along -a_i* for the zero
-    components i of y (Exponential coefficients) and, for contracting
-    layers, along the complement basis (Normal shifts).  The fiber budget
+    Keeps the samples inside the closed nonnegative orthant, up to the
+    zero band ZERO_COMPONENT_TOL (the rest have empty preimages), and
+    emits, per kept sample y, the preimage base point apex + y A* followed
+    by fibers swept from it along -a_i* for the zero components i of y
+    (Exponential(1) coefficients) and, for contracting layers, along the
+    complement basis (standard Normal shifts).  The fiber budget
     per point is min(max_fibers, 4^(z + free)) with z the number of zero
     components and free the complement dimension.  Base points and fiber
     counts are computed for all kept samples at once; coefficients and
@@ -222,7 +222,7 @@ def pull_back_boundary(
             f"samples have dimension {samples.points.shape[1]}, "
             f"layer {k} outputs {layer.d_out}"
         )
-    inside = np.flatnonzero(np.min(samples.points, axis=1) >= -orthant_tol)
+    inside = np.flatnonzero(np.min(samples.points, axis=1) >= -ZERO_COMPONENT_TOL)
     if inside.size == 0:
         message = (
             f"no level-{k + 1} samples inside the nonnegative orthant: pull-back to "
@@ -245,9 +245,9 @@ def pull_back_boundary(
     points = bases[owner]
     for i in np.flatnonzero(n_fibers > 1).tolist():
         n, pattern = int(n_fibers[i]), zero[i]
-        extra = rng.exponential(fiber_scale, size=(n - 1, int(pattern.sum()))) @ -frame.duals[pattern]
+        extra = rng.exponential(1.0, size=(n - 1, int(pattern.sum()))) @ -frame.duals[pattern]
         if free:
-            shifts = rng.normal(0.0, fiber_scale, size=(n - 1, free))
+            shifts = rng.normal(0.0, 1.0, size=(n - 1, free))
             extra = extra + shifts @ frame.complement_basis
         points[starts[i] + 1 : starts[i] + n] += extra
 
@@ -269,7 +269,6 @@ def trace_boundary(
     radius: float = 2.0,
     rng: np.random.Generator | None = None,
     max_fibers: int = 16,
-    fiber_scale: float = 1.0,
     tol: float = 1e-7,
 ) -> dict[int, BoundarySampleSet]:
     """Run the boundary recursion from the last level down to the input.
@@ -288,9 +287,7 @@ def trace_boundary(
     )
     levels[n] = current
     for k in range(n - 1, 0, -1):
-        current = pull_back_boundary(
-            net, k, current, rng, max_fibers=max_fibers, fiber_scale=fiber_scale, tol=tol
-        )
+        current = pull_back_boundary(net, k, current, rng, max_fibers=max_fibers, tol=tol)
         levels[k] = current
     return levels
 

@@ -140,24 +140,19 @@ def _graded_submasks(mask: int) -> list[int]:
     return sorted(subs, key=lambda sub: (sub.bit_count(), sub))
 
 
-def enumerate_sectors(d: int, dim_filter: int | None = None) -> list[SectorIndex]:
-    """All sector pairings for index dimension ``d``.
+def enumerate_sectors(d: int) -> list[SectorIndex]:
+    """All 3^d sector pairings for index dimension ``d``.
 
-    Without a filter the list has 3^d entries; with ``dim_filter=k`` it has
-    C(d, k) * 2^k entries of dimension k.  Output order is graded
-    lexicographic by (dimension, plus mask, minus mask) and is part of the
-    contract.
+    Output order is graded lexicographic by (dimension, plus mask, minus
+    mask) and is part of the contract.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing to enumerate 3^{d} sectors (limit d={MAX_ENUM_DIM})")
-    if dim_filter is not None and not 0 <= dim_filter <= d:
-        raise ValueError(f"dimension filter {dim_filter} outside 0..{d}")
     out = [
         SectorIndex(d, plus, support & ~plus)
         for support in _graded_submasks((1 << d) - 1)
-        if dim_filter is None or support.bit_count() == dim_filter
         for plus in _graded_submasks(support)
     ]
     out.sort(key=_graded_key)
@@ -197,18 +192,11 @@ def boundary_members(s: SectorIndex) -> list[SectorIndex]:
     return [m for m in closure_members(s) if m != s]
 
 
-def sample_sector(
-    frame: DualFrame,
-    sector: SectorIndex,
-    n: int,
-    rng: np.random.Generator,
-    scale: float = 1.0,
-    floor: float = 0.1,
-) -> np.ndarray:
+def sample_sector(frame: DualFrame, sector: SectorIndex, n: int, rng: np.random.Generator) -> np.ndarray:
     """Points in the (relative) interior of a sector.
 
     Coefficients are drawn bounded away from zero so the samples classify
-    stably: |coefficient| >= floor * scale on the support.
+    stably: |coefficient| = 0.1 + Exponential(1) on the support.
     """
     if sector.d != frame.d_out:
         raise DimensionMismatch(
@@ -216,7 +204,7 @@ def sample_sector(
         )
     lam = np.zeros((n, frame.d_out))
     for i in sector.plus:
-        lam[:, i - 1] = floor * scale + rng.exponential(scale, size=n)
+        lam[:, i - 1] = 0.1 + rng.exponential(1.0, size=n)
     for i in sector.minus:
-        lam[:, i - 1] = -(floor * scale + rng.exponential(scale, size=n))
+        lam[:, i - 1] = -(0.1 + rng.exponential(1.0, size=n))
     return frame.apex + lam @ frame.duals

@@ -20,10 +20,17 @@ ZERO_COMPONENT_TOL = 1e-9
 # degenerate directions.
 DEGENERATE_DIRECTION_REL = 1e-10
 
+# A witness point counts as on the zero level of a readout with bias c
+# when |level| <= this * (1 + |c|).
+WITNESS_LEVEL_REL = 1e-7
+
+# Polygon vertices within this distance of a clipping plane count as on it.
+PLANE_SIDE_TOL = 1e-12
+
 # Subset enumerations are refused above this index dimension (3^21 pairings).
 MAX_ENUM_DIM = 20
 
 
-def scaled(rel: float, magnitude: float, floor: float = ABS_FLOOR) -> float:
-    """Tolerance proportional to ``magnitude`` with an absolute floor."""
-    return max(rel * (1.0 + magnitude), floor)
+def scaled(rel: float, magnitude: float) -> float:
+    """Tolerance proportional to ``magnitude`` with the absolute floor ABS_FLOOR."""
+    return max(rel * (1.0 + magnitude), ABS_FLOOR)

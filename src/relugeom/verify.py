@@ -86,22 +86,18 @@ class SuiteResult:
 # the degenerate configurations the closed-form theory excludes.
 
 
-def random_layer(
-    rng: np.random.Generator, d_out: int, d_in: int | None = None, rcond_min: float = 1e-3
-) -> ly.ReluLayer:
+def random_layer(rng: np.random.Generator, d_out: int, d_in: int | None = None) -> ly.ReluLayer:
     """Random well-conditioned layer; square unless ``d_in`` is given."""
     if d_in is None:
         d_in = d_out
     while True:
         a = rng.normal(size=(d_out, d_in))
         s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] / s[0] >= rcond_min:
+        if s[-1] / s[0] >= 1e-3:
             return ly.ReluLayer.build(a, rng.normal(size=d_out))
 
 
-def random_output_layer(
-    rng: np.random.Generator, d: int, min_weight: float = 0.15, min_bias: float = 0.2
-) -> bd.OutputLayer:
+def random_output_layer(rng: np.random.Generator, d: int) -> bd.OutputLayer:
     """Random normalized readout with a nonempty boundary.
 
     Weights are kept away from zero (no degenerate directions), the bias
@@ -109,19 +105,17 @@ def random_output_layer(
     """
     while True:
         w = rng.normal(size=d)
-        if np.min(np.abs(w)) < min_weight * np.max(np.abs(w)):
+        if np.min(np.abs(w)) < 0.15 * np.max(np.abs(w)):
             continue
         b = rng.normal() * 1.5
-        if abs(b) < min_bias:
+        if abs(b) < 0.2:
             continue
         out = bd.normalize_output_layer(bd.OutputLayer(w, b))
         if np.any(out.weights > 0.0):
             return out
 
 
-def random_network(
-    rng: np.random.Generator, depth: int, d: int, comp_rcond_min: float = 1e-6
-) -> nw.ReluNetwork:
+def random_network(rng: np.random.Generator, depth: int, d: int) -> nw.ReluNetwork:
     """Random constant-width network whose composed maps stay well conditioned."""
     while True:
         mats = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(depth)]
@@ -129,7 +123,7 @@ def random_network(
         ok = True
         for prefix in itertools.accumulate(mats, lambda acc, m: m @ acc):
             s = np.linalg.svd(prefix, compute_uv=False)
-            if s[-1] / s[0] < comp_rcond_min:
+            if s[-1] / s[0] < 1e-6:
                 ok = False
                 break
         if ok:
@@ -157,18 +151,17 @@ def random_boundary_network(
 
 
 # ---------------------------------------------------------------------------
-# Suites.
+# Suites.  Each runs at a fixed size and depends only on its seed.
 
 
-def run_duality(seed: int, layers_total: int = 1008, dims=tuple(range(2, 11))) -> SuiteResult:
+def run_duality(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("duality", seed)
-    per_d = max(1, layers_total // len(dims))
     worst_delta = worst_apex = worst_recon = 0.0
     ce_delta = None
     checks = 0
-    for d in dims:
-        for _ in range(per_d):
+    for d in range(2, 11):
+        for _ in range(112):
             layer = random_layer(rng, d)
             frame = layer.frame
             delta = np.max(np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d)))
@@ -187,7 +180,8 @@ def run_duality(seed: int, layers_total: int = 1008, dims=tuple(range(2, 11))) -
     result.add("apex_residual", checks, worst_apex, 1e-9)
     result.add("dual_expansion_roundtrip", checks, worst_recon, 1e-9)
 
-    worst_kernel = worst_split = 0.0
+    worst_contract_delta = worst_kernel = worst_split = 0.0
+    ce_contract_delta = None
     n_contract = 0
     for d_in in (3, 4, 6, 8):
         for d_out in range(2, d_in):
@@ -195,7 +189,9 @@ def run_duality(seed: int, layers_total: int = 1008, dims=tuple(range(2, 11))) -
                 layer = random_layer(rng, d_out, d_in)
                 frame = layer.frame
                 delta = np.max(np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d_out)))
-                worst_delta = max(worst_delta, delta)
+                if delta > worst_contract_delta:
+                    worst_contract_delta = delta
+                    ce_contract_delta = {"d_out": d_out, "d_in": d_in, "matrix": layer.affine.matrix.tolist()}
                 kernel = np.max(np.abs(layer.affine.matrix @ frame.complement_basis.T))
                 worst_kernel = max(worst_kernel, kernel)
                 stacked = np.vstack([frame.row_span_basis, frame.complement_basis])
@@ -206,18 +202,19 @@ def run_duality(seed: int, layers_total: int = 1008, dims=tuple(range(2, 11))) -
                 t_diff = np.max(np.abs(ly.evaluate(layer, x) - ly.evaluate(layer, proj)))
                 worst_kernel = max(worst_kernel, t_diff)
                 n_contract += 1
+    result.add("contracting_dual_basis_delta", n_contract, worst_contract_delta, 1e-9, ce_contract_delta)
     result.add("contracting_kernel", n_contract, worst_kernel, 1e-9)
     result.add("span_split_orthonormal", n_contract, worst_split, 1e-9)
     return result
 
 
-def run_partition(seed: int, max_count_dim: int = 10, points: int = 10000) -> SuiteResult:
+def run_partition(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("partition", seed)
 
     count_errors = 0
     ce = None
-    for d in range(1, max_count_dim + 1):
+    for d in range(1, 11):
         sectors = pt.enumerate_sectors(d)
         expected = pt.sector_counts(d)
         if len(sectors) != 3**d or len(set(sectors)) != 3**d:
@@ -233,7 +230,7 @@ def run_partition(seed: int, max_count_dim: int = 10, points: int = 10000) -> Su
         if any(counts[k] != v for k, v in breakdown.items()):
             count_errors += 1
             ce = {"d": d, "counts": counts}
-    result.add("sector_counts_3^d", max_count_dim + 2, count_errors, 1, ce)
+    result.add("sector_counts_3^d", 10 + len(figure_cases), count_errors, 1, ce)
 
     order_errors = 0
     for d in (2, 3, 4):
@@ -254,12 +251,12 @@ def run_partition(seed: int, max_count_dim: int = 10, points: int = 10000) -> Su
 
     worst_recon = 0.0
     ce_recon = None
-    per_frame = 200
+    points = 10000
     n = 0
     while n < points:
         d = int(rng.integers(2, 9))
         layer = random_layer(rng, d)
-        xs = rng.normal(size=(per_frame, d)) * 3.0
+        xs = rng.normal(size=(200, d)) * 3.0
         for x in xs:
             sector = pt.classify(layer.frame, x)
             lam = layer.frame.source(x)
@@ -298,18 +295,18 @@ def run_partition(seed: int, max_count_dim: int = 10, points: int = 10000) -> Su
     return result
 
 
-def run_image(seed: int, dims=(1, 2, 3, 4), samples: int = 100, layers_per_dim: int = 3) -> SuiteResult:
+def run_image(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("image", seed)
     violations = 0
     checks = 0
     ce = None
-    for d in dims:
+    for d in (1, 2, 3, 4):
         canonical = ly.ReluLayer.canonical(d)
-        for _ in range(layers_per_dim):
+        for _ in range(3):
             layer = random_layer(rng, d)
             for sector in pt.enumerate_sectors(d):
-                xs = pt.sample_sector(layer.frame, sector, samples, rng)
+                xs = pt.sample_sector(layer.frame, sector, 100, rng)
                 ys = ly.evaluate(layer, xs)
                 predicted = ly.image_of_sector(layer, sector)
                 for y in ys:
@@ -328,17 +325,18 @@ def run_image(seed: int, dims=(1, 2, 3, 4), samples: int = 100, layers_per_dim: 
     return result
 
 
-def run_decomposition(seed: int, pairs: int = 10000, dims=tuple(range(2, 9))) -> SuiteResult:
+def run_decomposition(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("decomposition", seed)
     worst = 0.0
     worst_idem = 0.0
     ce = None
-    per_dim = max(1, pairs // len(dims))
+    dims = range(2, 9)
     layers_per_dim = 25
+    # About 10^4 pairs, spread evenly over the dimensions and their layers.
+    per_layer = 10000 // len(dims) // layers_per_dim
     checks = 0
     for d in dims:
-        per_layer = max(1, per_dim // layers_per_dim)
         for _ in range(layers_per_dim):
             layer = random_layer(rng, d)
             xs = rng.normal(size=(per_layer, d)) * 3.0
@@ -356,22 +354,23 @@ def run_decomposition(seed: int, pairs: int = 10000, dims=tuple(range(2, 9))) ->
     return result
 
 
-def _grid(d: int, lo: float = -5.0, hi: float = 5.0, step: float = 0.1) -> np.ndarray:
-    axis = np.round(np.arange(lo, hi + step / 2, step), 10)
+def _grid(d: int) -> np.ndarray:
+    """The grid of step 0.1 over [-5, 5]^d."""
+    axis = np.round(np.arange(-5.0, 5.05, 0.1), 10)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def run_preimage(
-    seed: int, dims=(1, 2, 3), targets_per_dim: int = 20, direct_tol: float = 1e-6
-) -> SuiteResult:
+def run_preimage(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("preimage", seed)
+    direct_tol = 1e-6
+    targets_per_dim = 20
     mismatches = 0
     checks = 0
     ce = None
     worst_dim_law = 0
-    for d in dims:
+    for d in (1, 2, 3):
         layer = random_layer(rng, d)
         grid = _grid(d)
         images = ly.evaluate(layer, grid)
@@ -396,25 +395,19 @@ def run_preimage(
             zeros = int(np.sum(y <= 1e-9))
             worst_dim_law = max(worst_dim_law, abs(len(pre.generator_indices) - zeros))
     result.add("grid_membership_agreement", checks, mismatches, 1, ce)
-    result.add("preimage_dimension_law", len(dims) * targets_per_dim, worst_dim_law, 1)
+    result.add("preimage_dimension_law", 3 * targets_per_dim, worst_dim_law, 1)
     return result
 
 
-def run_count(
-    seed: int,
-    configs_per_dim: int = 500,
-    dims=tuple(range(2, 9)),
-    soundness_boundaries: int = 50,
-    soundness_samples_per_piece: int = 1000,
-) -> SuiteResult:
+def run_count(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("count", seed)
     formula_errors = 0
     oracle_errors = 0
     checks = 0
-    ce = None
-    for d in dims:
-        for _ in range(configs_per_dim):
+    ce_formula = ce_witness = None
+    for d in range(2, 9):
+        for _ in range(500):
             layer = random_layer(rng, d)
             output = random_output_layer(rng, d)
             boundary = bd.enumerate_pieces(layer, output)
@@ -423,12 +416,12 @@ def run_count(
             checks += 1
             if boundary.piece_count != expected:
                 formula_errors += 1
-                ce = ce or {"d": d, "m": boundary.m, "count": boundary.piece_count}
+                ce_formula = ce_formula or {"d": d, "m": boundary.m, "count": boundary.piece_count}
             if witness != boundary.piece_count:
                 oracle_errors += 1
-                ce = ce or {"d": d, "witness": witness, "count": boundary.piece_count}
-    result.add("piece_count_formula", checks, formula_errors, 1, ce)
-    result.add("piece_count_witness_oracle", checks, oracle_errors, 1, ce)
+                ce_witness = ce_witness or {"d": d, "witness": witness, "count": boundary.piece_count}
+    result.add("piece_count_formula", checks, formula_errors, 1, ce_formula)
+    result.add("piece_count_witness_oracle", checks, oracle_errors, 1, ce_witness)
 
     figure_errors = 0
     for m, expected in ((0, 7), (1, 6), (2, 4)):
@@ -455,32 +448,33 @@ def run_count(
     worst_level = 0.0
     ce_level = None
     n_samples = 0
-    for _ in range(soundness_boundaries):
+    for _ in range(50):
         d = int(rng.integers(2, 5))
         layer = random_layer(rng, d)
         output = random_output_layer(rng, d)
         boundary = bd.enumerate_pieces(layer, output)
         tol_scale = 1.0 + abs(output.bias)
         for piece in boundary.pieces:
-            xs = bd.sample_piece(piece, soundness_samples_per_piece, radius=2.0, rng=rng)
+            xs = bd.sample_piece(piece, 1000, radius=2.0, rng=rng)
             levels = np.abs(output(ly.evaluate(layer, xs))) / tol_scale
             peak = float(np.max(levels))
             if peak > worst_level:
                 worst_level = peak
                 ce_level = {"d": d, "piece": list(piece.indices)}
-            n_samples += soundness_samples_per_piece
+            n_samples += len(xs)
     result.add("piece_samples_on_zero_level", n_samples, worst_level, 1e-8, ce_level)
     return result
 
 
-def run_canonical(seed: int, configs: int = 100, d: int = 4, samples: int = 1000) -> SuiteResult:
+def run_canonical(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("canonical", seed)
+    configs, d, samples = 100, 4, 1000
     worst_mapped = 0.0
     bijection_errors = 0
     sign_errors = 0
     worst_dual_product = 0.0
-    ce = None
+    ce_mapped = ce_bijection = None
     for _ in range(configs):
         layer = random_layer(rng, d)
         output = random_output_layer(rng, d)
@@ -492,9 +486,9 @@ def run_canonical(seed: int, configs: int = 100, d: int = 4, samples: int = 1000
         mapped_sets = {reduction.map_indices(p.indices) for p in canon.pieces}
         if mapped_sets != actual_sets:
             bijection_errors += 1
-            ce = ce or {"m": boundary.m, "mapped": sorted(mapped_sets)}
+            ce_bijection = ce_bijection or {"m": boundary.m, "mapped": sorted(mapped_sets)}
 
-        t = boundary.values.t
+        t = boundary.t
         norm = bd.normalize_output_layer(output)
         if not all(np.sign(t[i]) == np.sign(norm.weights[i]) for i in range(d)):
             sign_errors += 1
@@ -513,27 +507,22 @@ def run_canonical(seed: int, configs: int = 100, d: int = 4, samples: int = 1000
             peak = float(np.max(levels))
             if peak > worst_mapped:
                 worst_mapped = peak
-                ce = ce or {"m": boundary.m, "piece": list(piece.indices), "residual": peak}
-    result.add("canonical_samples_map_onto_boundary", configs * samples, worst_mapped, 1e-7, ce)
-    result.add("piece_index_bijection", configs, bijection_errors, 1, ce)
+                ce_mapped = {"m": boundary.m, "piece": list(piece.indices), "residual": peak}
+    result.add("canonical_samples_map_onto_boundary", configs * samples, worst_mapped, 1e-7, ce_mapped)
+    result.add("piece_index_bijection", configs, bijection_errors, 1, ce_bijection)
     result.add("intersection_sign_law", configs, sign_errors, 1)
     result.add("pulled_back_normal_duality", configs, worst_dual_product, 1e-10)
     return result
 
 
-def run_deep(
-    seed: int,
-    rewrite_samples: int = 10000,
-    rewrite_nets: int = 10,
-    recursion_depths=(2, 3, 2, 3),
-) -> SuiteResult:
+def run_deep(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("deep", seed)
 
     worst_rewrite = 0.0
     ce = None
-    per_net = max(1, rewrite_samples // rewrite_nets)
-    for _ in range(rewrite_nets):
+    nets, per_net = 10, 1000
+    for _ in range(nets):
         depth = int(rng.integers(1, 5))
         d = int(rng.integers(2, 7))
         net = random_network(rng, depth, d)
@@ -545,12 +534,12 @@ def run_deep(
         if peak > worst_rewrite:
             worst_rewrite = peak
             ce = {"depth": depth, "d": d}
-    result.add("projection_rewrite_matches_network", rewrite_nets * per_net, worst_rewrite, 1e-8, ce)
+    result.add("projection_rewrite_matches_network", nets * per_net, worst_rewrite, 1e-8, ce)
 
     worst_recursion = 0.0
     n_points = 0
     ce_rec = None
-    for depth in recursion_depths:
+    for depth in (2, 3, 2, 3):
         d = int(rng.integers(2, 5))
         net, levels = random_boundary_network(rng, depth, d)
         for level, sample_set in levels.items():

@@ -38,9 +38,9 @@ def report(number, description, suite_or_ok, elapsed, budget):
     assert elapsed < budget, f"criterion {number} exceeded runtime budget ({elapsed:.1f}s)"
 
 
-def timed(fn, *args, **kwargs):
+def timed(fn, seed):
     start = time.monotonic()
-    out = fn(*args, **kwargs)
+    out = fn(seed)
     return out, time.monotonic() - start
 
 
@@ -55,7 +55,7 @@ def deep_suite():
 
 
 def test_criterion_1_duality_identity():
-    suite, elapsed = timed(run_duality, SEED, layers_total=1008)
+    suite, elapsed = timed(run_duality, SEED)
     delta = [p for p in suite.properties if p.name == "dual_basis_delta"][0]
     assert delta.checks >= 1000
     report(1, "dual basis identity on 1000+ random layers, d in 2..10", suite, elapsed, 5.0)
@@ -80,20 +80,20 @@ def test_criterion_2_partition_counts():
 
 
 def test_criterion_3_image_lemma():
-    suite, elapsed = timed(run_image, SEED, dims=(1, 2, 3, 4), samples=100)
+    suite, elapsed = timed(run_image, SEED)
     checks = suite.properties[0].checks
     assert checks >= sum(3**d * 100 for d in (2, 3, 4))
     report(3, "image of every sector classifies to (I+, {}), zero violations", suite, elapsed, 10.0)
 
 
 def test_criterion_4_decomposition_identity():
-    suite, elapsed = timed(run_decomposition, SEED, pairs=10000)
+    suite, elapsed = timed(run_decomposition, SEED)
     assert suite.properties[0].checks >= 10000 * 0.9
     report(4, "ReLU = affine-after-projection, residual < 1e-9 on 10^4 pairs", suite, elapsed, 5.0)
 
 
 def test_criterion_5_preimage_brute_force():
-    suite, elapsed = timed(run_preimage, SEED, dims=(1, 2, 3), targets_per_dim=20)
+    suite, elapsed = timed(run_preimage, SEED)
     report(
         5,
         "grid membership oracle agrees with direct evaluation on 100% of points",
@@ -124,7 +124,7 @@ def test_criterion_7_zero_level_soundness(count_suite):
 
 
 def test_criterion_8_canonicalization():
-    suite, elapsed = timed(run_canonical, SEED, configs=100, d=4, samples=1000)
+    suite, elapsed = timed(run_canonical, SEED)
     report(
         8,
         "canonical samples map onto the boundary (1e-7) and piece indices biject",

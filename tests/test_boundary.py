@@ -18,7 +18,6 @@ from relugeom import (
 from relugeom.boundary import (
     BoundaryPiece,
     equivalence_check,
-    intersection_values,
     normalize_output_layer,
     pull_back_hyperplane,
     sample_boundary_patterns,
@@ -67,46 +66,39 @@ class TestNormalize:
 
 class TestIntersectionValues:
     def test_frozen_example(self):
-        iv = intersection_values(OutputLayer([1.0, 2.0, -4.0], -2.0))
-        np.testing.assert_allclose(iv.t, [2.0, 1.0, -0.5])
-        assert iv.m == 1
-        assert iv.degenerate == ()
+        boundary = enumerate_pieces(ReluLayer.canonical(3), OutputLayer([1.0, 2.0, -4.0], -2.0))
+        np.testing.assert_allclose(boundary.t, [2.0, 1.0, -0.5])
+        assert boundary.m == 1
 
     def test_symmetric_positive(self):
-        iv = intersection_values(OutputLayer([1.0, 1.0, 1.0], -1.0))
-        np.testing.assert_allclose(iv.t, [1.0, 1.0, 1.0])
-        assert iv.m == 0
+        boundary = enumerate_pieces(ReluLayer.canonical(3), OutputLayer([1.0, 1.0, 1.0], -1.0))
+        np.testing.assert_allclose(boundary.t, [1.0, 1.0, 1.0])
+        assert boundary.m == 0
 
     def test_all_negative_rejected(self):
         with pytest.raises(AllNegative):
-            intersection_values(OutputLayer([-1.0, -1.0], -1.0))
-
-    def test_degenerate_direction_flagged(self):
-        iv = intersection_values(OutputLayer([1.0, 0.0, 2.0], -1.0))
-        assert iv.degenerate == (2,)
-        assert np.isnan(iv.t[1])
-        assert iv.m == 0
+            enumerate_pieces(ReluLayer.canonical(2), OutputLayer([-1.0, -1.0], -1.0))
 
     def test_geometric_cross_check(self):
         # Independent route: solve the line-hyperplane equations against
         # the pulled-back hyperplane and compare with the formula.
         layer = random_layer(4, seed=1)
         output = random_output(4, seed=2)
-        iv = intersection_values(output)
+        t = enumerate_pieces(layer, output).t
         pulled = pull_back_hyperplane(layer.affine, output)
         frame = layer.frame
         for i in range(4):
             solved = -(pulled.normal @ frame.apex + pulled.offset) / (
                 pulled.normal @ frame.duals[i]
             )
-            assert iv.t[i] == pytest.approx(solved, rel=1e-10)
-            point = frame.apex + iv.t[i] * frame.duals[i]
+            assert t[i] == pytest.approx(solved, rel=1e-10)
+            point = frame.apex + t[i] * frame.duals[i]
             assert abs(pulled(point)) < 1e-9 * (1 + abs(pulled.offset))
 
     def test_sign_law(self):
         output = random_output(5, seed=3)
-        iv = intersection_values(output)
-        np.testing.assert_array_equal(np.sign(iv.t), np.sign(output.weights))
+        t = enumerate_pieces(ReluLayer.canonical(5), output).t
+        np.testing.assert_array_equal(np.sign(t), np.sign(output.weights))
 
     def test_pulled_back_normal_duality(self):
         layer = random_layer(3, seed=4)
@@ -149,7 +141,7 @@ class TestEnumeratePieces:
 
     def test_degenerate_direction_rejected(self):
         layer = random_layer(3, seed=9)
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(DegenerateDirection, match=r"vanishes at indices \(2,\)"):
             enumerate_pieces(layer, OutputLayer([1.0, 0.0, 1.0], -1.0))
 
     def test_empty_piece_detection(self):
@@ -266,11 +258,11 @@ class TestCanonicalBoundary:
         boundary = canonical_boundary(3, 0)
         assert boundary.piece_count == 7
         assert boundary.curvature == "convex"
-        np.testing.assert_allclose(boundary.values.t, np.ones(3))
+        np.testing.assert_allclose(boundary.t, np.ones(3))
 
     def test_d2_m1_pattern(self):
         boundary = canonical_boundary(2, 1)
-        np.testing.assert_allclose(boundary.values.t, [-1.0, 1.0])
+        np.testing.assert_allclose(boundary.t, [-1.0, 1.0])
         assert boundary.piece_count == 2
 
     def test_d1_single_piece_at_one(self):
@@ -300,12 +292,12 @@ class TestCanonicalReduction:
         layer = ReluLayer.canonical(3)
         output = OutputLayer([0.5, -2.0, 1.0], -1.0)
         boundary = enumerate_pieces(layer, output)
-        np.testing.assert_allclose(boundary.values.t, [2.0, -0.5, 1.0])
+        np.testing.assert_allclose(boundary.t, [2.0, -0.5, 1.0])
         reduction = boundary.canonical
         assert reduction.sigma == (2, 3, 1)
-        sorted_t = boundary.values.t[[i - 1 for i in reduction.sigma]]
+        sorted_t = boundary.t[[i - 1 for i in reduction.sigma]]
         np.testing.assert_array_equal(np.sign(sorted_t), [-1.0, 1.0, 1.0])
-        assert reduction.m == 1
+        assert boundary.m == 1
 
     def test_mapped_samples_land_on_boundary(self):
         rng = np.random.default_rng(17)
@@ -359,7 +351,7 @@ class TestConvexityDichotomy:
             layer = random_layer(d, seed=200 + seed)
             while True:
                 output = random_output(d, seed=230 + seed * 7)
-                if intersection_values(output).m == 0:
+                if enumerate_pieces(ReluLayer.canonical(d), output).m == 0:
                     break
                 seed += 1
             boundary = enumerate_pieces(layer, output)

@@ -2,10 +2,11 @@
 
 Hypothesis draws layer and network specs whose entries are, about half
 each, standard normal values and signed powers of ten 10^e with e from
--320 (subnormal) to 308, and runs the spec-reading commands in process.
-Whatever the geometry, a command returns 0, 2, 3 or 4, prints exactly one
-JSON object, names the returned code in an error report, and lets no
-exception escape ``main``.
+-320 (subnormal) to 308, and runs the spec-reading commands in process,
+each with one numeric flag set to a drawn value, valid or not.  Whatever
+the geometry and the flags, a command returns 0, 2, 3 or 4, prints
+exactly one JSON object, names the returned code in an error report, and
+lets no exception escape ``main``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,25 @@ GAUSS = st.integers(0, 2**32 - 1).map(lambda seed: float(np.random.default_rng(s
 POWER = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.integers(-320, 308))
 ENTRY = st.one_of(GAUSS, POWER)
 WIDTH = st.integers(1, 3)
+
+# Flag values: valid ones first, then ones the CLI rejects with exit 2.
+COUNTS = ["0", "2", "-1"]
+SEEDS = ["0", "7", "-1"]
+REALS = ["0", "1.5", "inf", "-1", "nan"]
+BOXES = ["-3,3", "5,-5", "nan,5", "0,inf"]
+FLAGS = {
+    "classify": {"tol": REALS},
+    "preimage": {"samples": COUNTS, "seed": SEEDS, "radius": REALS, "tol": REALS},
+    "boundary": {"samples": COUNTS, "seed": SEEDS, "radius": REALS, "box": BOXES},
+    "deep-boundary": {"samples": COUNTS, "seed": SEEDS, "radius": REALS, "fibers": COUNTS,
+                      "level-tol": REALS},
+}
+
+
+def flag(command):
+    """One numeric flag of ``command`` set to a drawn value."""
+    return st.sampled_from([f"--{name}={v}" for name, values in FLAGS[command].items() for v in values])
+
 
 FUZZ = settings(
     max_examples=100,
@@ -80,13 +100,17 @@ def assert_contract(argv, spec):
 def test_layer_commands_keep_the_contract(data, spec):
     d_out, d_in = len(spec["matrix"]), len(spec["matrix"][0])
     assert_contract(["analyze"], spec)
-    assert_contract(["classify", point(data.draw(vector(d_in)))], spec)
-    assert_contract(["preimage", point(data.draw(vector(d_out))), "--samples", "3"], spec)
+    assert_contract(["classify", point(data.draw(vector(d_in))), data.draw(flag("classify"))], spec)
+    assert_contract(
+        ["preimage", point(data.draw(vector(d_out))), "--samples", "3", data.draw(flag("preimage"))], spec
+    )
 
 
 @FUZZ
-@given(shallow=network_spec(1), deep=network_spec(2))
-def test_network_commands_keep_the_contract(shallow, deep):
-    assert_contract(["boundary", "--samples", "2"], shallow)
-    assert_contract(["deep-boundary", "--samples", "2", "--fibers", "2"], shallow)
-    assert_contract(["deep-boundary", "--samples", "2", "--fibers", "2"], deep)
+@given(data=st.data(), shallow=network_spec(1), deep=network_spec(2))
+def test_network_commands_keep_the_contract(data, shallow, deep):
+    assert_contract(["boundary", "--samples", "2", data.draw(flag("boundary"))], shallow)
+    for spec in (shallow, deep):
+        assert_contract(
+            ["deep-boundary", "--samples", "2", "--fibers", "2", data.draw(flag("deep-boundary"))], spec
+        )

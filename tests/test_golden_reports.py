@@ -55,13 +55,19 @@ CASES = {
     "deep_boundary_contracting": ["deep-boundary", "--input", "deep_contracting.json", "--samples", "10",
                                   "--fibers", "8", "--csv", "lv", "--seed", "5"],
 }
+# Seed-0 reports of the five verify suites that take about 2 s together.
+CASES.update(
+    {f"verify_{suite}": ["verify", "--suite", suite, "--seed", "0"]
+     for suite in ("partition", "image", "decomposition", "canonical", "deep")}
+)
 
 
 def run_case(name: str) -> dict[str, bytes]:
     """Run one case in the current directory; return stdout and written files."""
     argv = list(CASES[name])
-    spec = argv.index("--input") + 1
-    argv[spec] = str(GOLDEN / argv[spec])
+    if "--input" in argv:
+        spec = argv.index("--input") + 1
+        argv[spec] = str(GOLDEN / argv[spec])
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)

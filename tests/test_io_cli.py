@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from relugeom import GeometryError, SchemaError, canonical_boundary, sample_piec
 from relugeom.cli import ERROR_CODES, main
 from relugeom.core import AffineMap
 from relugeom.io import canonical_json, parse_layer_spec, parse_network_spec
+
+GOLDEN_NET3 = Path(__file__).resolve().parent / "golden" / "net3.json"
 
 PUBLISHED_DUAL_COLUMNS = np.array(
     [
@@ -191,6 +195,75 @@ class TestNonFinitePoints:
         body = json.loads(captured.out)
         assert body["error"] == "SchemaError"
         assert "finite" in body["message"]
+
+
+# One flag value outside its domain each: (command, extra arguments).
+# "boundary-obj" exports a mesh of tests/golden/net3.json.
+BAD_ARGUMENTS = {
+    "boundary-samples": ("boundary", ["--samples=-1"]),
+    "preimage-samples": ("preimage", ["--samples=-1"]),
+    "deep-boundary-samples": ("deep-boundary", ["--samples=-1"]),
+    "boundary-seed": ("boundary", ["--samples=2", "--seed=-1"]),
+    "preimage-seed": ("preimage", ["--samples=2", "--seed=-1"]),
+    "deep-boundary-seed": ("deep-boundary", ["--seed=-1"]),
+    "verify-seed": ("verify", ["--seed=-1"]),
+    "boundary-radius": ("boundary", ["--samples=2", "--radius=-1"]),
+    "preimage-radius": ("preimage", ["--samples=2", "--radius=-1"]),
+    "deep-boundary-radius": ("deep-boundary", ["--radius=-1"]),
+    "box-reversed": ("boundary-obj", ["--box=5,-5"]),
+    "box-nan": ("boundary-obj", ["--box=nan,5"]),
+    "fibers": ("deep-boundary", ["--fibers=-1"]),
+    "classify-tol-negative": ("classify", ["--tol=-1"]),
+    "classify-tol-nan": ("classify", ["--tol=nan"]),
+    "preimage-tol-negative": ("preimage", ["--tol=-1"]),
+    "preimage-tol-nan": ("preimage", ["--tol=nan"]),
+    "level-tol-negative": ("deep-boundary", ["--level-tol=-1e-9"]),
+    "level-tol-nan": ("deep-boundary", ["--level-tol=nan"]),
+}
+
+
+class TestArgumentValues:
+    @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+    def test_rejected_as_schema_error(self, case, tmp_path, capsys):
+        command, extra = BAD_ARGUMENTS[case]
+        layer = write_spec(tmp_path / "layer.json", identity_layer_spec())
+        net = write_spec(tmp_path / "net.json", shallow_spec([1, -1, 1], -1))
+        argv = {
+            "classify": ["classify", "--input", layer, "--point=1,0,1"],
+            "preimage": ["preimage", "--input", layer, "--point=1,0,1"],
+            "boundary": ["boundary", "--input", net],
+            "deep-boundary": ["deep-boundary", "--input", net],
+            "verify": ["verify", "--suite", "image"],
+            "boundary-obj": ["boundary", "--input", str(GOLDEN_NET3), "--obj", str(tmp_path / "m.obj")],
+        }[command]
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith(extra[-1].split("=")[0])
+
+
+class TestOverflowingPoints:
+    @pytest.mark.parametrize(
+        "scale, argv",
+        [
+            (10.0, ["classify", "--point=1e308,1"]),
+            (10.0, ["classify", "--point=1e308,1", "--format", "csv"]),
+            (0.1, ["preimage", "--point=1e308,1e308", "--samples", "2"]),
+        ],
+    )
+    def test_rejected_as_schema_error(self, scale, argv, tmp_path, capsys):
+        path = write_spec(tmp_path / "layer.json", {"matrix": (scale * np.eye(2)).tolist(), "offset": [0, 0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([argv[0], "--input", path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert "float range" in body["message"]
 
 
 GENERAL_LAYER = {"matrix": [[1, 0.2], [0.1, 1]], "offset": [0.3, -0.2]}

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -121,14 +120,6 @@ class TestEnumeration:
         assert len(sectors) == 3**d
         assert len(set(sectors)) == 3**d
 
-    def test_dim_filter(self):
-        for d, k in [(3, 0), (3, 1), (4, 2), (5, 5)]:
-            filtered = enumerate_sectors(d, dim_filter=k)
-            assert len(filtered) == math.comb(d, k) * 2**k
-            assert all(s.dimension() == k for s in filtered)
-            full = [s for s in enumerate_sectors(d) if s.dimension() == k]
-            assert filtered == full
-
     def test_order_is_graded_lex_and_stable(self):
         sectors = enumerate_sectors(4)
         keys = [(s.dimension(), s.plus_mask, s.minus_mask) for s in sectors]
@@ -140,8 +131,6 @@ class TestEnumeration:
             enumerate_sectors(21)
         with pytest.raises(ValueError):
             enumerate_sectors(0)
-        with pytest.raises(ValueError):
-            enumerate_sectors(3, dim_filter=4)
 
 
 class TestOrder:
