@@ -264,7 +264,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     if not np.isfinite(matrix).all():
         raise RankDeficient("canonical change of variables leaves the float range")
     singulars = np.linalg.svd(matrix, compute_uv=False)
-    if singulars[-1] / singulars[0] < RCOND_MIN:
+    if singulars[0] == 0.0 or singulars[-1] / singulars[0] < RCOND_MIN:
         raise RankDeficient("canonical change of variables is numerically singular")
     return DecisionBoundary(
         d=d,
@@ -416,14 +416,3 @@ def canonical_boundary(d: int, m: int) -> DecisionBoundary:
     weights[:m] = -1.0
     return enumerate_pieces(ReluLayer.canonical(d), OutputLayer(weights, -1.0))
 
-
-def equivalence_check(b1: DecisionBoundary, b2: DecisionBoundary) -> bool:
-    """Whether an invertible affine map carries one boundary onto the other.
-
-    Boundaries reduce to the canonical representative with the same m, and
-    different m cannot be related affinely because the piece counts
-    differ, so equality of m decides.
-    """
-    if b1.d != b2.d:
-        raise DimensionMismatch(f"boundaries live in dimensions {b1.d} and {b2.d}")
-    return b1.m == b2.m

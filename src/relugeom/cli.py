@@ -231,8 +231,11 @@ def cmd_preimage(args) -> int:
     }
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        samples = pre.sample(args.samples, radius=args.radius, rng=rng)
-        residual = float(np.max(np.abs(evaluate(layer, samples) - pre.target)))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            samples = pre.sample(args.samples, radius=args.radius, rng=rng)
+            residual = float(np.max(np.abs(evaluate(layer, samples) - pre.target)))
+        if not (np.isfinite(samples).all() and math.isfinite(residual)):
+            raise SchemaError(f"--radius {args.radius:g} puts preimage samples beyond the float range")
         results["samples"] = {
             "count": args.samples,
             "max_residual": residual,

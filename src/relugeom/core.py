@@ -144,9 +144,10 @@ def build_dual_frame(layer: AffineMap) -> DualFrame:
     ``A x_0 = -b``, which lies in V.
 
     Raises RankDeficient when the reciprocal condition estimate of the
-    rows falls below RCOND_MIN, when a solve fails (the Gram matrix of
-    rows scaled near the float floor is singular) or when the duals or the
-    apex leave the float range; DimensionMismatch for expanding layers
+    rows falls below RCOND_MIN, when the Gram matrix leaves the float
+    range, when a solve fails (the Gram matrix of rows scaled near the
+    float floor is singular) or when the duals or the apex leave the float
+    range; DimensionMismatch for expanding layers
     (more rows than input dimensions).
     """
     a = layer.matrix
@@ -173,7 +174,10 @@ def build_dual_frame(layer: AffineMap) -> DualFrame:
                 duals = np.linalg.solve(a, np.eye(d_in)).T
                 apex = np.linalg.solve(a, -b)
             else:
-                duals = np.linalg.solve(a @ a.T, a)
+                gram = a @ a.T
+                if not np.isfinite(gram).all():
+                    raise RankDeficient("Gram matrix of the rows leaves the float range")
+                duals = np.linalg.solve(gram, a)
                 apex = -(duals.T @ b)
                 _, _, vt = np.linalg.svd(a)
                 row_span, complement = vt[:d_out].copy(), vt[d_out:].copy()

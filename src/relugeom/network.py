@@ -18,7 +18,7 @@ import numpy as np
 
 from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, sample_piece
 from .core import AffineMap, DualFrame, build_dual_frame
-from .errors import DimensionMismatch, EmptyIntersection, RankDeficient
+from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
 from .layer import ReluLayer, evaluate, preimage_bases, project_with_frame
 from .tolerances import ZERO_COMPONENT_TOL
 
@@ -174,17 +174,22 @@ def sample_shallow_boundary(
     """Seed sample set: ``samples_per_piece`` points of every piece of the
     boundary that :func:`enumerate_pieces` found for ``layer``, drawn in
     piece order, with residuals |readout(layer(x))| of the normalized
-    readout."""
-    drawn = [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in boundary.pieces]
-    # Piece by piece, as the boundary command has always computed them: one
-    # readout product over all stacked points rounds differently in the
-    # last bit from d = 8 on, which would change its CSV bytes.
-    residuals = [np.abs(boundary.readout(evaluate(layer, xs))) for xs in drawn]
+    readout.  Raises SchemaError when the radius is so large that a point
+    or a residual leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        drawn = [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in boundary.pieces]
+        # Piece by piece, as the boundary command has always computed them: one
+        # readout product over all stacked points rounds differently in the
+        # last bit from d = 8 on, which would change its CSV bytes.
+        residuals = np.concatenate([np.abs(boundary.readout(evaluate(layer, xs))) for xs in drawn])
+    points = np.vstack(drawn)
+    if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
+        raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
     n_pieces = len(drawn)
     return BoundarySampleSet(
         level=level,
-        points=np.vstack(drawn),
-        residuals=np.concatenate(residuals),
+        points=points,
+        residuals=residuals,
         parent=np.repeat(np.arange(n_pieces), samples_per_piece),
         fiber=np.tile(np.arange(samples_per_piece), n_pieces),
     )
@@ -291,47 +296,3 @@ def trace_boundary(
         levels[k] = current
     return levels
 
-
-@dataclass(frozen=True)
-class MixingReport:
-    """Measured surrogate for the class non-mixing condition at one layer.
-
-    Exact-set disjointness of the projected classes is not testable from
-    finite samples, so the report carries the minimum pairwise distance
-    between the projected sets and the threshold used for the verdict.
-    """
-
-    min_distance: float
-    threshold: float
-    mixed: bool
-    n_first: int
-    n_second: int
-
-
-def mixing_check(
-    prefix, x_first, x_second, next_layer: ReluLayer, threshold: float = 1e-9
-) -> MixingReport:
-    """Check whether the next layer's cone projection merges the two classes.
-
-    Pushes both point sets through the prefix layers, applies the next
-    layer's projection, and reports the minimum pairwise distance.  A
-    verdict of mixed at some threshold stays mixed at every larger one.
-    """
-    a = np.atleast_2d(np.asarray(x_first, dtype=float))
-    b = np.atleast_2d(np.asarray(x_second, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("class point sets must be nonempty")
-    for layer in prefix:
-        a = evaluate(layer, a)
-        b = evaluate(layer, b)
-    a = project_with_frame(next_layer.frame, a)
-    b = project_with_frame(next_layer.frame, b)
-    diffs = a[:, None, :] - b[None, :, :]
-    min_distance = float(np.sqrt(np.min(np.sum(diffs * diffs, axis=-1))))
-    return MixingReport(
-        min_distance=min_distance,
-        threshold=threshold,
-        mixed=min_distance <= threshold,
-        n_first=a.shape[0],
-        n_second=b.shape[0],
-    )

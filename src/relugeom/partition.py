@@ -82,10 +82,6 @@ class SectorIndex:
     def to_json(self) -> dict:
         return {"plus": list(self.plus), "minus": list(self.minus)}
 
-    @classmethod
-    def from_json(cls, d: int, obj: dict) -> "SectorIndex":
-        return cls.of(d, obj.get("plus", ()), obj.get("minus", ()))
-
     def __repr__(self):
         return f"SectorIndex(d={self.d}, plus={set(self.plus) or '{}'}, minus={set(self.minus) or '{}'})"
 
@@ -174,22 +170,6 @@ def leq(a: SectorIndex, b: SectorIndex) -> bool:
     if a.d != b.d:
         raise DimensionMismatch(f"sectors have different dimensions {a.d} and {b.d}")
     return (a.plus_mask & ~b.plus_mask) == 0 and (a.minus_mask & ~b.minus_mask) == 0
-
-
-def closure_members(s: SectorIndex) -> list[SectorIndex]:
-    """All sectors below ``s``, i.e. the pieces of its topological closure."""
-    out = [
-        SectorIndex(s.d, plus, minus)
-        for plus in _graded_submasks(s.plus_mask)
-        for minus in _graded_submasks(s.minus_mask)
-    ]
-    out.sort(key=_graded_key)
-    return out
-
-
-def boundary_members(s: SectorIndex) -> list[SectorIndex]:
-    """Closure members strictly below ``s``."""
-    return [m for m in closure_members(s) if m != s]
 
 
 def sample_sector(frame: DualFrame, sector: SectorIndex, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ deterministic functions of their seed and are shared between the CLI
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +25,43 @@ from .errors import AllNegative, DegenerateBias, DegenerateDirection, EmptyInter
 
 @dataclass
 class PropertyResult:
+    """One checked property, accumulated over the cases of a suite.
+
+    A residual property keeps the largest value it has seen (:meth:`see`),
+    a violation-count property the sum of its violations (:meth:`count`).
+    A NaN residual is the worst value of all, so it fails.  ``checks``
+    counts the cases recorded unless the suite declares it.
+    """
+
     name: str
-    checks: int
-    worst: float
     tolerance: float
-    passed: bool
+    declared_checks: int | None = None
+    seen: int = 0
+    worst: float = 0.0
     counterexample: dict | None = None
+
+    @property
+    def checks(self) -> int:
+        return self.seen if self.declared_checks is None else self.declared_checks
+
+    def see(self, value, counterexample=None, checks=1) -> None:
+        """Record residuals (a number or an array); keep the worst and its case."""
+        value = float(np.max(value, initial=0.0))
+        self.seen += checks
+        # NaN compares false: it replaces any finite worst and is kept.
+        if not math.isnan(self.worst) and not value <= self.worst:
+            self.worst, self.counterexample = value, counterexample
+
+    def count(self, violations, counterexample=None, checks=1) -> None:
+        """Record violations; keep the case of the first one."""
+        self.seen += checks
+        if violations and not self.worst:
+            self.counterexample = counterexample
+        self.worst += float(violations)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst < self.tolerance)
 
     def to_json(self) -> dict:
         out = {
@@ -39,7 +71,7 @@ class PropertyResult:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
-        if self.counterexample is not None:
+        if not self.passed and self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
 
@@ -60,17 +92,11 @@ class SuiteResult:
                 return p.counterexample or {"property": p.name, "worst": p.worst}
         return None
 
-    def add(self, name, checks, worst, tolerance, counterexample=None) -> PropertyResult:
-        result = PropertyResult(
-            name=name,
-            checks=checks,
-            worst=float(worst),
-            tolerance=float(tolerance),
-            passed=bool(worst < tolerance),
-            counterexample=counterexample if worst >= tolerance else None,
-        )
-        self.properties.append(result)
-        return result
+    def declare(self, name: str, tolerance: float, checks: int | None = None) -> PropertyResult:
+        """Add a property in report order; ``checks`` fixes its check count."""
+        prop = PropertyResult(name, float(tolerance), checks)
+        self.properties.append(prop)
+        return prop
 
     def to_json(self) -> dict:
         return {
@@ -157,103 +183,73 @@ def random_boundary_network(
 def run_duality(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("duality", seed)
-    worst_delta = worst_apex = worst_recon = 0.0
-    ce_delta = None
-    checks = 0
+    delta = result.declare("dual_basis_delta", 1e-9)
+    apex = result.declare("apex_residual", 1e-9)
+    roundtrip = result.declare("dual_expansion_roundtrip", 1e-9)
+    contract_delta = result.declare("contracting_dual_basis_delta", 1e-9)
+    kernel = result.declare("contracting_kernel", 1e-9)
+    split = result.declare("span_split_orthonormal", 1e-9)
     for d in range(2, 11):
         for _ in range(112):
             layer = random_layer(rng, d)
             frame = layer.frame
-            delta = np.max(np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d)))
-            if delta > worst_delta:
-                worst_delta, ce_delta = delta, {"d": d, "matrix": layer.affine.matrix.tolist()}
-            apex_res = np.linalg.norm(layer.affine(frame.apex)) / (
-                1.0 + np.linalg.norm(layer.affine.offset)
+            delta.see(
+                np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d)),
+                {"d": d, "matrix": layer.affine.matrix.tolist()},
             )
-            worst_apex = max(worst_apex, apex_res)
+            apex.see(np.linalg.norm(layer.affine(frame.apex)) / (1.0 + np.linalg.norm(layer.affine.offset)))
             x = rng.normal(size=d) * 3.0
             lam = frame.source(x)
-            recon = np.max(np.abs(frame.apex + lam @ frame.duals - x)) / (1.0 + np.max(np.abs(x)))
-            worst_recon = max(worst_recon, recon)
-            checks += 1
-    result.add("dual_basis_delta", checks, worst_delta, 1e-9, ce_delta)
-    result.add("apex_residual", checks, worst_apex, 1e-9)
-    result.add("dual_expansion_roundtrip", checks, worst_recon, 1e-9)
+            roundtrip.see(np.abs(frame.apex + lam @ frame.duals - x) / (1.0 + np.max(np.abs(x))))
 
-    worst_contract_delta = worst_kernel = worst_split = 0.0
-    ce_contract_delta = None
-    n_contract = 0
     for d_in in (3, 4, 6, 8):
         for d_out in range(2, d_in):
             for _ in range(8):
                 layer = random_layer(rng, d_out, d_in)
                 frame = layer.frame
-                delta = np.max(np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d_out)))
-                if delta > worst_contract_delta:
-                    worst_contract_delta = delta
-                    ce_contract_delta = {"d_out": d_out, "d_in": d_in, "matrix": layer.affine.matrix.tolist()}
-                kernel = np.max(np.abs(layer.affine.matrix @ frame.complement_basis.T))
-                worst_kernel = max(worst_kernel, kernel)
+                contract_delta.see(
+                    np.abs(frame.duals @ layer.affine.matrix.T - np.eye(d_out)),
+                    {"d_out": d_out, "d_in": d_in, "matrix": layer.affine.matrix.tolist()},
+                )
                 stacked = np.vstack([frame.row_span_basis, frame.complement_basis])
-                split = np.max(np.abs(stacked @ stacked.T - np.eye(d_in)))
-                worst_split = max(worst_split, split)
+                split.see(np.abs(stacked @ stacked.T - np.eye(d_in)))
                 x = rng.normal(size=d_in) * 2.0
                 proj = project_to_row_span(frame, x)
-                t_diff = np.max(np.abs(ly.evaluate(layer, x) - ly.evaluate(layer, proj)))
-                worst_kernel = max(worst_kernel, t_diff)
-                n_contract += 1
-    result.add("contracting_dual_basis_delta", n_contract, worst_contract_delta, 1e-9, ce_contract_delta)
-    result.add("contracting_kernel", n_contract, worst_kernel, 1e-9)
-    result.add("span_split_orthonormal", n_contract, worst_split, 1e-9)
+                kernel.see([
+                    np.max(np.abs(layer.affine.matrix @ frame.complement_basis.T)),
+                    np.max(np.abs(ly.evaluate(layer, x) - ly.evaluate(layer, proj))),
+                ])
     return result
 
 
 def run_partition(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("partition", seed)
+    counts = result.declare("sector_counts_3^d", 1)
+    order = result.declare("partial_order_axioms", 1)
+    roundtrip = result.declare("classification_roundtrip", 1e-9)
+    smoke = result.declare("boundary_stability_smoke", 1)
 
-    count_errors = 0
-    ce = None
     for d in range(1, 11):
         sectors = pt.enumerate_sectors(d)
-        expected = pt.sector_counts(d)
-        if len(sectors) != 3**d or len(set(sectors)) != 3**d:
-            count_errors += 1
-            ce = {"d": d, "total": len(sectors)}
         by_dim = {k: sum(1 for s in sectors if s.dimension() == k) for k in range(d + 1)}
-        if by_dim != expected:
-            count_errors += 1
-            ce = {"d": d, "by_dim": by_dim}
-    figure_cases = {2: {2: 4, 1: 4, 0: 1}, 3: {3: 8, 2: 12, 1: 6, 0: 1}}
-    for d, breakdown in figure_cases.items():
-        counts = pt.sector_counts(d)
-        if any(counts[k] != v for k, v in breakdown.items()):
-            count_errors += 1
-            ce = {"d": d, "counts": counts}
-    result.add("sector_counts_3^d", 10 + len(figure_cases), count_errors, 1, ce)
+        errors = (len(sectors) != 3**d or len(set(sectors)) != 3**d) + (by_dim != pt.sector_counts(d))
+        counts.count(errors, {"d": d, "total": len(sectors), "by_dim": by_dim})
+    for d, breakdown in {2: {2: 4, 1: 4, 0: 1}, 3: {3: 8, 2: 12, 1: 6, 0: 1}}.items():
+        expected = pt.sector_counts(d)
+        counts.count(any(expected[k] != v for k, v in breakdown.items()), {"d": d, "counts": expected})
 
-    order_errors = 0
     for d in (2, 3, 4):
         sectors = pt.enumerate_sectors(d)
-        n = len(sectors)
-        rel = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(sectors):
-            for j, b in enumerate(sectors):
-                rel[i, j] = pt.leq(a, b)
-        if not np.all(np.diagonal(rel)):
-            order_errors += 1
-        if np.any(rel & rel.T & ~np.eye(n, dtype=bool)):
-            order_errors += 1
-        # Transitivity: composing the relation with itself adds nothing.
-        if np.any((rel.astype(int) @ rel.astype(int) > 0) & ~rel):
-            order_errors += 1
-    result.add("partial_order_axioms", 3, order_errors, 1)
+        rel = np.array([[pt.leq(a, b) for b in sectors] for a in sectors])
+        order.count(
+            (not np.all(np.diagonal(rel)))
+            + bool(np.any(rel & rel.T & ~np.eye(len(sectors), dtype=bool)))
+            # Transitivity: composing the relation with itself adds nothing.
+            + bool(np.any((rel.astype(int) @ rel.astype(int) > 0) & ~rel))
+        )
 
-    worst_recon = 0.0
-    ce_recon = None
-    points = 10000
-    n = 0
-    while n < points:
+    for _ in range(10000 // 200):
         d = int(rng.integers(2, 9))
         layer = random_layer(rng, d)
         xs = rng.normal(size=(200, d)) * 3.0
@@ -264,19 +260,9 @@ def run_partition(seed: int) -> SuiteResult:
             signs_ok = set(sector.plus) == {
                 i + 1 for i in range(d) if lam[i] > band
             } and set(sector.minus) == {i + 1 for i in range(d) if lam[i] < -band}
-            recon = np.max(np.abs(layer.frame.apex + lam @ layer.frame.duals - x)) / (
-                1.0 + np.max(np.abs(x))
-            )
-            if not signs_ok:
-                recon = 1.0
-                ce_recon = {"d": d, "x": x.tolist()}
-            worst_recon = max(worst_recon, recon)
-            n += 1
-            if n >= points:
-                break
-    result.add("classification_roundtrip", n, worst_recon, 1e-9, ce_recon)
+            recon = np.abs(layer.frame.apex + lam @ layer.frame.duals - x) / (1.0 + np.max(np.abs(x)))
+            roundtrip.see(recon if signs_ok else 1.0, {"d": d, "x": x.tolist()})
 
-    smoke_errors = 0
     for _ in range(200):
         d = int(rng.integers(2, 7))
         layer = random_layer(rng, d)
@@ -287,20 +273,15 @@ def run_partition(seed: int) -> SuiteResult:
         zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(lam))))
         lam_perturbed = lam + zero_tol / 2.0
         x2 = layer.frame.apex + lam_perturbed @ layer.frame.duals
-        if not pt.leq(pt.classify(layer.frame, x), pt.classify(layer.frame, x2)) and not pt.leq(
-            pt.classify(layer.frame, x2), pt.classify(layer.frame, x)
-        ):
-            smoke_errors += 1
-    result.add("boundary_stability_smoke", 200, smoke_errors, 1)
+        a, b = pt.classify(layer.frame, x), pt.classify(layer.frame, x2)
+        smoke.count(not pt.leq(a, b) and not pt.leq(b, a))
     return result
 
 
 def run_image(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("image", seed)
-    violations = 0
-    checks = 0
-    ce = None
+    forgets = result.declare("image_forgets_minus_set", 1)
     for d in (1, 2, 3, 4):
         canonical = ly.ReluLayer.canonical(d)
         for _ in range(3):
@@ -311,46 +292,33 @@ def run_image(seed: int) -> SuiteResult:
                 predicted = ly.image_of_sector(layer, sector)
                 for y in ys:
                     got = pt.classify(canonical.frame, y)
-                    checks += 1
-                    if got != predicted:
-                        violations += 1
-                        if ce is None:
-                            ce = {
-                                "d": d,
-                                "sector": sector.to_json(),
-                                "got": got.to_json(),
-                                "y": y.tolist(),
-                            }
-    result.add("image_forgets_minus_set", checks, violations, 1, ce)
+                    wrong = got != predicted
+                    forgets.count(
+                        wrong,
+                        {"d": d, "sector": sector.to_json(), "got": got.to_json(), "y": y.tolist()}
+                        if wrong
+                        else None,
+                    )
     return result
 
 
 def run_decomposition(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("decomposition", seed)
-    worst = 0.0
-    worst_idem = 0.0
-    ce = None
+    relu = result.declare("relu_equals_affine_after_projection", 1e-9)
+    idempotent = result.declare("projection_idempotent", 1e-9)
     dims = range(2, 9)
     layers_per_dim = 25
     # About 10^4 pairs, spread evenly over the dimensions and their layers.
     per_layer = 10000 // len(dims) // layers_per_dim
-    checks = 0
     for d in dims:
         for _ in range(layers_per_dim):
             layer = random_layer(rng, d)
             xs = rng.normal(size=(per_layer, d)) * 3.0
-            residual = ly.decompose_check(layer, xs)
-            if residual > worst:
-                worst = residual
-                ce = {"d": d, "matrix": layer.affine.matrix.tolist()}
+            ce = {"d": d, "matrix": layer.affine.matrix.tolist()}
+            relu.see(ly.decompose_check(layer, xs), ce, per_layer)
             proj = ly.project_with_frame(layer.frame, xs)
-            worst_idem = max(
-                worst_idem, float(np.max(np.abs(ly.project_with_frame(layer.frame, proj) - proj)))
-            )
-            checks += per_layer
-    result.add("relu_equals_affine_after_projection", checks, worst, 1e-9, ce)
-    result.add("projection_idempotent", checks, worst_idem, 1e-9)
+            idempotent.see(np.abs(ly.project_with_frame(layer.frame, proj) - proj), checks=per_layer)
     return result
 
 
@@ -364,18 +332,15 @@ def _grid(d: int) -> np.ndarray:
 def run_preimage(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("preimage", seed)
+    membership = result.declare("grid_membership_agreement", 1)
+    dimension_law = result.declare("preimage_dimension_law", 1)
     direct_tol = 1e-6
-    targets_per_dim = 20
-    mismatches = 0
-    checks = 0
-    ce = None
-    worst_dim_law = 0
     for d in (1, 2, 3):
         layer = random_layer(rng, d)
         grid = _grid(d)
         images = ly.evaluate(layer, grid)
         found = 0
-        while found < targets_per_dim:
+        while found < 20:
             y = images[int(rng.integers(0, grid.shape[0]))]
             # Positive components must clear both the zero band and the
             # direct-check tolerance, otherwise the two tests measure
@@ -386,83 +351,58 @@ def run_preimage(seed: int) -> SuiteResult:
             pre = ly.preimage_of_point(layer, y)
             oracle = ly.membership_mask(layer, pre, grid, tol=direct_tol)
             direct = np.max(np.abs(images - y), axis=1) <= direct_tol
-            disagreements = int(np.sum(oracle != direct))
-            mismatches += disagreements
-            checks += grid.shape[0]
-            if disagreements and ce is None:
-                idx = int(np.flatnonzero(oracle != direct)[0])
-                ce = {"d": d, "y": y.tolist(), "x": grid[idx].tolist()}
-            zeros = int(np.sum(y <= 1e-9))
-            worst_dim_law = max(worst_dim_law, abs(len(pre.generator_indices) - zeros))
-    result.add("grid_membership_agreement", checks, mismatches, 1, ce)
-    result.add("preimage_dimension_law", 3 * targets_per_dim, worst_dim_law, 1)
+            disagree = np.flatnonzero(oracle != direct)
+            membership.count(
+                len(disagree),
+                {"d": d, "y": y.tolist(), "x": grid[disagree[0]].tolist()} if len(disagree) else None,
+                grid.shape[0],
+            )
+            dimension_law.see(abs(len(pre.generator_indices) - int(np.sum(y <= 1e-9))))
     return result
 
 
 def run_count(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("count", seed)
-    formula_errors = 0
-    oracle_errors = 0
-    checks = 0
-    ce_formula = ce_witness = None
+    formula = result.declare("piece_count_formula", 1)
+    witness_oracle = result.declare("piece_count_witness_oracle", 1)
+    figure = result.declare("canonical_d3_counts_7_6_4", 1)
+    sampled = result.declare("sampled_patterns_subset_of_pieces", 1)
+    on_level = result.declare("piece_samples_on_zero_level", 1e-8)
     for d in range(2, 9):
         for _ in range(500):
             layer = random_layer(rng, d)
             output = random_output_layer(rng, d)
             boundary = bd.enumerate_pieces(layer, output)
-            expected = 2**d - 2**boundary.m
+            count = boundary.piece_count
             witness = bd.piece_count_oracle(layer, output)
-            checks += 1
-            if boundary.piece_count != expected:
-                formula_errors += 1
-                ce_formula = ce_formula or {"d": d, "m": boundary.m, "count": boundary.piece_count}
-            if witness != boundary.piece_count:
-                oracle_errors += 1
-                ce_witness = ce_witness or {"d": d, "witness": witness, "count": boundary.piece_count}
-    result.add("piece_count_formula", checks, formula_errors, 1, ce_formula)
-    result.add("piece_count_witness_oracle", checks, oracle_errors, 1, ce_witness)
+            formula.count(count != 2**d - 2**boundary.m, {"d": d, "m": boundary.m, "count": count})
+            witness_oracle.count(witness != count, {"d": d, "witness": witness, "count": count})
 
-    figure_errors = 0
     for m, expected in ((0, 7), (1, 6), (2, 4)):
-        boundary = bd.canonical_boundary(3, m)
-        if boundary.piece_count != expected or bd.piece_count_oracle(
-            ly.ReluLayer.canonical(3),
-            bd.OutputLayer(np.where(np.arange(3) < m, -1.0, 1.0), -1.0),
-        ) != expected:
-            figure_errors += 1
-    result.add("canonical_d3_counts_7_6_4", 3, figure_errors, 1)
+        readout = bd.OutputLayer(np.where(np.arange(3) < m, -1.0, 1.0), -1.0)
+        witness = bd.piece_count_oracle(ly.ReluLayer.canonical(3), readout)
+        figure.count(bd.canonical_boundary(3, m).piece_count != expected or witness != expected)
 
-    sampled_errors = 0
     for d in (2, 3):
         for _ in range(5):
             layer = random_layer(rng, d)
             output = random_output_layer(rng, d)
-            boundary = bd.enumerate_pieces(layer, output)
-            enumerated = {p.indices for p in boundary.pieces}
-            sampled = bd.sample_boundary_patterns(layer, output, rng, n_segments=3000)
-            if not sampled or not sampled.issubset(enumerated):
-                sampled_errors += 1
-    result.add("sampled_patterns_subset_of_pieces", 10, sampled_errors, 1)
+            enumerated = {p.indices for p in bd.enumerate_pieces(layer, output).pieces}
+            patterns = bd.sample_boundary_patterns(layer, output, rng, n_segments=3000)
+            sampled.count(not patterns or not patterns.issubset(enumerated))
 
-    worst_level = 0.0
-    ce_level = None
-    n_samples = 0
     for _ in range(50):
         d = int(rng.integers(2, 5))
         layer = random_layer(rng, d)
         output = random_output_layer(rng, d)
-        boundary = bd.enumerate_pieces(layer, output)
-        tol_scale = 1.0 + abs(output.bias)
-        for piece in boundary.pieces:
+        for piece in bd.enumerate_pieces(layer, output).pieces:
             xs = bd.sample_piece(piece, 1000, radius=2.0, rng=rng)
-            levels = np.abs(output(ly.evaluate(layer, xs))) / tol_scale
-            peak = float(np.max(levels))
-            if peak > worst_level:
-                worst_level = peak
-                ce_level = {"d": d, "piece": list(piece.indices)}
-            n_samples += len(xs)
-    result.add("piece_samples_on_zero_level", n_samples, worst_level, 1e-8, ce_level)
+            on_level.see(
+                np.abs(output(ly.evaluate(layer, xs))) / (1.0 + abs(output.bias)),
+                {"d": d, "piece": list(piece.indices)},
+                len(xs),
+            )
     return result
 
 
@@ -470,11 +410,10 @@ def run_canonical(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("canonical", seed)
     configs, d, samples = 100, 4, 1000
-    worst_mapped = 0.0
-    bijection_errors = 0
-    sign_errors = 0
-    worst_dual_product = 0.0
-    ce_mapped = ce_bijection = None
+    mapped_on = result.declare("canonical_samples_map_onto_boundary", 1e-7, configs * samples)
+    bijection = result.declare("piece_index_bijection", 1)
+    sign_law = result.declare("intersection_sign_law", 1)
+    duality = result.declare("pulled_back_normal_duality", 1e-10)
     for _ in range(configs):
         layer = random_layer(rng, d)
         output = random_output_layer(rng, d)
@@ -484,45 +423,31 @@ def run_canonical(seed: int) -> SuiteResult:
 
         actual_sets = {p.indices for p in boundary.pieces}
         mapped_sets = {reduction.map_indices(p.indices) for p in canon.pieces}
-        if mapped_sets != actual_sets:
-            bijection_errors += 1
-            ce_bijection = ce_bijection or {"m": boundary.m, "mapped": sorted(mapped_sets)}
+        bijection.count(mapped_sets != actual_sets, {"m": boundary.m, "mapped": sorted(mapped_sets)})
 
-        t = boundary.t
         norm = bd.normalize_output_layer(output)
-        if not all(np.sign(t[i]) == np.sign(norm.weights[i]) for i in range(d)):
-            sign_errors += 1
+        sign_law.count(not np.array_equal(np.sign(boundary.t), np.sign(norm.weights)))
         pulled = bd.pull_back_hyperplane(layer.affine, norm)
-        worst_dual_product = max(
-            worst_dual_product,
-            float(np.max(np.abs(layer.frame.duals @ pulled.normal - norm.weights))),
-        )
+        duality.see(np.abs(layer.frame.duals @ pulled.normal - norm.weights))
 
         per_piece = max(1, samples // canon.piece_count)
-        scale = 1.0 + abs(norm.bias)
         for piece in canon.pieces:
             xs = bd.sample_piece(piece, per_piece, radius=1.5, rng=rng)
-            mapped = reduction.to_actual(xs)
-            levels = np.abs(output(ly.evaluate(layer, mapped))) / scale
+            levels = np.abs(output(ly.evaluate(layer, reduction.to_actual(xs)))) / (1.0 + abs(norm.bias))
             peak = float(np.max(levels))
-            if peak > worst_mapped:
-                worst_mapped = peak
-                ce_mapped = {"m": boundary.m, "piece": list(piece.indices), "residual": peak}
-    result.add("canonical_samples_map_onto_boundary", configs * samples, worst_mapped, 1e-7, ce_mapped)
-    result.add("piece_index_bijection", configs, bijection_errors, 1, ce_bijection)
-    result.add("intersection_sign_law", configs, sign_errors, 1)
-    result.add("pulled_back_normal_duality", configs, worst_dual_product, 1e-10)
+            mapped_on.see(peak, {"m": boundary.m, "piece": list(piece.indices), "residual": peak})
     return result
 
 
 def run_deep(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("deep", seed)
+    rewrite = result.declare("projection_rewrite_matches_network", 1e-8)
+    recursion = result.declare("pullback_points_on_level_zero_set", 1e-7)
+    shallow = result.declare("depth_one_matches_shallow_sampler", 1)
 
-    worst_rewrite = 0.0
-    ce = None
-    nets, per_net = 10, 1000
-    for _ in range(nets):
+    per_net = 1000
+    for _ in range(10):
         depth = int(rng.integers(1, 5))
         d = int(rng.integers(2, 7))
         net = random_network(rng, depth, d)
@@ -530,29 +455,19 @@ def run_deep(seed: int) -> SuiteResult:
         xs = rng.normal(size=(per_net, d)) * 2.0
         direct = np.asarray(nw.evaluate_network(net, xs))
         rewritten = np.asarray(nw.evaluate_canonical(structure, xs))
-        peak = float(np.max(np.abs(direct - rewritten)))
-        if peak > worst_rewrite:
-            worst_rewrite = peak
-            ce = {"depth": depth, "d": d}
-    result.add("projection_rewrite_matches_network", nets * per_net, worst_rewrite, 1e-8, ce)
+        rewrite.see(np.abs(direct - rewritten), {"depth": depth, "d": d}, per_net)
 
-    worst_recursion = 0.0
-    n_points = 0
-    ce_rec = None
     for depth in (2, 3, 2, 3):
         d = int(rng.integers(2, 5))
         net, levels = random_boundary_network(rng, depth, d)
         for level, sample_set in levels.items():
-            residuals = np.abs(np.asarray(nw.evaluate_tail(net, level, sample_set.points)))
-            peak = float(np.max(residuals, initial=0.0))
-            n_points += len(sample_set)
-            if peak > worst_recursion:
-                worst_recursion = peak
-                ce_rec = {"depth": depth, "d": d, "level": level}
-    result.add("pullback_points_on_level_zero_set", n_points, worst_recursion, 1e-7, ce_rec)
+            recursion.see(
+                np.abs(np.asarray(nw.evaluate_tail(net, level, sample_set.points))),
+                {"depth": depth, "d": d, "level": level},
+                len(sample_set),
+            )
 
-    shallow_mismatch = 0
-    for trial in range(3):
+    for _ in range(3):
         d = int(rng.integers(2, 5))
         layer = random_layer(rng, d)
         output = random_output_layer(rng, d)
@@ -564,9 +479,7 @@ def run_deep(seed: int) -> SuiteResult:
         direct = nw.sample_shallow_boundary(
             layer, bd.enumerate_pieces(layer, output), 1, 20, 1.5, np.random.default_rng(sub_seed)
         )
-        if not np.array_equal(levels[1].points, direct.points):
-            shallow_mismatch += 1
-    result.add("depth_one_matches_shallow_sampler", 3, shallow_mismatch, 1)
+        shallow.count(not np.array_equal(levels[1].points, direct.points))
     return result
 
 

@@ -6,7 +6,6 @@ from relugeom import (
     AllNegative,
     DegenerateBias,
     DegenerateDirection,
-    DimensionMismatch,
     EmptyPiece,
     InvalidM,
     OutputLayer,
@@ -17,7 +16,6 @@ from relugeom import (
 )
 from relugeom.boundary import (
     BoundaryPiece,
-    equivalence_check,
     normalize_output_layer,
     pull_back_hyperplane,
     sample_boundary_patterns,
@@ -320,27 +318,6 @@ class TestCanonicalReduction:
         output = random_output(3, seed=19)
         reduction = enumerate_pieces(layer, output).canonical
         assert np.linalg.cond(reduction.to_actual.matrix) < 1e12
-
-
-class TestEquivalence:
-    def test_same_class(self):
-        layer1, layer2 = random_layer(3, seed=21), random_layer(3, seed=22)
-        out = normalize_output_layer(OutputLayer([-1.0, 1.5, 2.0], -1.0))
-        b1 = enumerate_pieces(layer1, out)
-        b2 = enumerate_pieces(layer2, out)
-        assert b1.m == b2.m == 1
-        assert equivalence_check(b1, b2)
-
-    def test_different_class(self):
-        assert not equivalence_check(canonical_boundary(3, 0), canonical_boundary(3, 1))
-
-    def test_reflexive(self):
-        b = canonical_boundary(2, 1)
-        assert equivalence_check(b, b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            equivalence_check(canonical_boundary(2, 0), canonical_boundary(3, 0))
 
 
 class TestConvexityDichotomy:

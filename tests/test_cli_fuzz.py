@@ -31,7 +31,7 @@ WIDTH = st.integers(1, 3)
 # Flag values: valid ones first, then ones the CLI rejects with exit 2.
 COUNTS = ["0", "2", "-1"]
 SEEDS = ["0", "7", "-1"]
-REALS = ["0", "1.5", "inf", "-1", "nan"]
+REALS = ["0", "1.5", "1e308", "inf", "-1", "nan"]
 BOXES = ["-3,3", "5,-5", "nan,5", "0,inf"]
 FLAGS = {
     "classify": {"tol": REALS},

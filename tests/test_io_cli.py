@@ -266,24 +266,48 @@ class TestOverflowingPoints:
         assert "float range" in body["message"]
 
 
+class TestOverflowingRadius:
+    @pytest.mark.parametrize("command", ["preimage", "boundary", "deep-boundary"])
+    def test_rejected_as_schema_error(self, command, tmp_path, capsys):
+        identity = identity_layer_spec(2)
+        output = {"weights": [0.5, -0.25], "bias": -1.0}
+        spec, extra = {
+            "preimage": ({"matrix": (0.1 * np.eye(2)).tolist(), "offset": [0, 0]}, ["--point=0,0", "--samples=3"]),
+            "boundary": ({"layers": [identity], "output": output}, ["--samples=3"]),
+            "deep-boundary": ({"layers": [identity, identity], "output": output}, []),
+        }[command]
+        code = main([command, "--input", write_spec(tmp_path / "spec.json", spec), "--radius=1e308", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith("--radius")
+
+
 GENERAL_LAYER = {"matrix": [[1, 0.2], [0.1, 1]], "offset": [0.3, -0.2]}
 
 # Layers that pass the condition gate but whose dual frame has no float
 # representation: subnormal rows (duals overflow), an apex beyond 1e308,
-# and contracting rows whose Gram matrix underflows to a singular one.
+# and contracting rows whose Gram matrix underflows to a singular one or
+# overflows (the solve would return zero duals).
 UNREPRESENTABLE_FRAMES = {
     "subnormal-rows": {"matrix": [[1e-320, 0], [0, 1e-320]], "offset": [1, 1]},
     "apex-overflow": {"matrix": [[1e-10, 0], [0, 1e-10]], "offset": [1e300, 1]},
     "singular-gram": {"matrix": [[1e-200, 0, 0], [0, 1e-200, 0]], "offset": [1, 1]},
+    "gram-overflow": {"matrix": [[0.1257302210933933, -1e155]], "offset": [0.1257302210933933]},
 }
 
 # Readouts whose intersection values t = -bias / weight or canonical map
-# leave the float range: (layer, weights, bias, error).
+# leave the float range, the map overflowing or underflowing to zero:
+# (layer, weights, bias, error).
 UNREPRESENTABLE_READOUTS = {
     "t-overflow": (GENERAL_LAYER, [1e-300, 2e-300], -1e300, "DegenerateDirection"),
     "t-underflow": (GENERAL_LAYER, [1e300, 2e300], -1e-300, "DegenerateBias"),
     "canonical-overflow": ({"matrix": [[1e-200, 0], [0, 1e-200]], "offset": [1, 1]}, [1, 1], -1e200,
                            "RankDeficient"),
+    "canonical-underflow": ({"matrix": [[1e200, 0], [0, 1e200]], "offset": [1, 1]}, [1, 1], -1e-200,
+                            "RankDeficient"),
 }
 
 
@@ -575,7 +599,7 @@ class TestVerifyCommand:
 
         def broken(seed):
             suite = SuiteResult("image", seed)
-            suite.add("forced_failure", 1, 2.0, 1.0, {"witness": [1, 2, 3]})
+            suite.declare("forced_failure", 1.0).see(2.0, {"witness": [1, 2, 3]})
             return suite
 
         import relugeom.cli as cli_module

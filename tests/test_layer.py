@@ -237,7 +237,7 @@ class TestPreimageOfSector:
         # closures of the preimage sectors with full minus sets
         from itertools import combinations
 
-        from relugeom.partition import SectorIndex, closure_members
+        from relugeom.partition import enumerate_sectors, leq
 
         layer = random_relu_layer(3, seed=51)
         full = {1, 2, 3}
@@ -251,7 +251,7 @@ class TestPreimageOfSector:
                 for k_size in range(len(j) + 1):
                     for k in combinations(j, k_size):
                         top = SectorIndex.of(3, plus=k, minus=sorted(full - set(k)))
-                        via_closures.update(closure_members(top))
+                        via_closures.update(s for s in enumerate_sectors(3) if leq(s, top))
                 assert direct == via_closures
 
 

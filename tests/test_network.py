@@ -18,7 +18,6 @@ from relugeom.layer import preimage_of_point
 from relugeom.network import (
     BoundarySampleSet,
     evaluate_tail,
-    mixing_check,
     pull_back_boundary,
     sample_shallow_boundary,
 )
@@ -372,66 +371,3 @@ class TestTrace:
             assert y.min() >= 0.0
             assert abs(evaluate_tail(net, 2, y)) < 1e-7
 
-
-class TestMixing:
-    def setup_layer(self, seed=23):
-        rng = np.random.default_rng(seed)
-        while True:
-            a = rng.normal(size=(2, 2))
-            if np.linalg.cond(a) < 1e3:
-                return ReluLayer.build(a, rng.normal(size=2))
-
-    def test_disjoint_inside_cone_not_mixed(self):
-        layer = self.setup_layer()
-        frame = layer.frame
-        x1 = frame.apex + np.array([[1.0, 0.5], [2.0, 0.3]]) @ frame.duals
-        x2 = frame.apex + np.array([[0.2, 3.0], [0.1, 4.0]]) @ frame.duals
-        report = mixing_check([], x1, x2, layer, threshold=1e-6)
-        assert not report.mixed
-        # projection acts trivially inside the cone
-        diffs = x1[:, None, :] - x2[None, :, :]
-        raw = np.sqrt((diffs**2).sum(-1)).min()
-        assert report.min_distance == pytest.approx(raw, rel=1e-9)
-
-    def test_opposite_sector_collapses_and_mixes(self):
-        layer = self.setup_layer(seed=24)
-        frame = layer.frame
-        x1 = frame.apex - np.array([[1.0, 0.5]]) @ frame.duals
-        x2 = frame.apex - np.array([[0.3, 2.0]]) @ frame.duals
-        report = mixing_check([], x1, x2, layer, threshold=1e-8)
-        assert report.mixed
-        assert report.min_distance < 1e-9
-
-    def test_shift_along_free_dual_direction_mixes(self):
-        layer = self.setup_layer(seed=25)
-        frame = layer.frame
-        # points with a strictly negative second coefficient
-        x1 = frame.apex + np.array([[1.0, -0.5], [0.4, -1.0]]) @ frame.duals
-        x2 = x1 - 1.5 * frame.duals[1]
-        report = mixing_check([], x1, x2, layer, threshold=1e-9)
-        assert report.mixed
-
-    def test_monotone_in_threshold(self):
-        layer = self.setup_layer(seed=26)
-        rng = np.random.default_rng(27)
-        x1 = rng.normal(size=(10, 2))
-        x2 = rng.normal(size=(10, 2))
-        small = mixing_check([], x1, x2, layer, threshold=1e-12)
-        for factor in (1e3, 1e6, 1e9):
-            bigger = mixing_check([], x1, x2, layer, threshold=1e-12 * factor)
-            if small.mixed:
-                assert bigger.mixed
-
-    def test_prefix_is_applied(self):
-        prefix_layer = self.setup_layer(seed=28)
-        nxt = self.setup_layer(seed=29)
-        rng = np.random.default_rng(30)
-        x1, x2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-        with_prefix = mixing_check([prefix_layer], x1, x2, nxt)
-        manual = mixing_check([], evaluate(prefix_layer, x1), evaluate(prefix_layer, x2), nxt)
-        assert with_prefix.min_distance == pytest.approx(manual.min_distance)
-
-    def test_empty_sets_rejected(self):
-        layer = self.setup_layer(seed=31)
-        with pytest.raises(ValueError):
-            mixing_check([], np.empty((0, 2)), np.ones((1, 2)), layer)

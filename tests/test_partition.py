@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,8 +10,6 @@ from relugeom import DimensionMismatch, EnumerationLimit, classify
 from relugeom.core import AffineMap, build_dual_frame
 from relugeom.partition import (
     SectorIndex,
-    boundary_members,
-    closure_members,
     enumerate_sectors,
     leq,
     sample_sector,
@@ -45,7 +44,7 @@ class TestSectorIndex:
     def test_json_round_trip(self):
         s = SectorIndex.of(5, plus=[2, 5], minus=[1])
         encoded = json.dumps(s.to_json())
-        assert SectorIndex.from_json(5, json.loads(encoded)) == s
+        assert SectorIndex.of(5, **json.loads(encoded)) == s
         assert json.loads(encoded) == {"plus": [2, 5], "minus": [1]}
 
 
@@ -165,29 +164,40 @@ class TestOrder:
             assert leq(a, c)
 
 
+def closure(s):
+    """The sectors in the closure of ``s``: those below it in the partial order."""
+    return [j for j in enumerate_sectors(s.d) if leq(j, s)]
+
+
 class TestClosure:
     def test_zero_sector(self):
         s = SectorIndex.of(2)
-        assert closure_members(s) == [s]
-        assert boundary_members(s) == []
+        assert closure(s) == [s]
 
     def test_mixed_pair(self):
         s = SectorIndex.of(2, plus=[1], minus=[2])
-        assert set(closure_members(s)) == {
+        assert set(closure(s)) == {
             SectorIndex.of(2),
             SectorIndex.of(2, plus=[1]),
             SectorIndex.of(2, minus=[2]),
             s,
         }
-        assert s not in boundary_members(s)
 
     def test_cardinality_is_product_of_subset_counts(self):
         s = SectorIndex.of(3, plus=[1, 2, 3])
-        assert len(closure_members(s)) == 8
+        assert len(closure(s)) == 8
 
     def test_closure_equals_leq_filter(self):
+        # The limits of a sector's points, reached by sending any subset of
+        # their coefficients to zero, classify into exactly the sectors below it.
+        frame = random_frame(3, seed=4)
         s = SectorIndex.of(3, plus=[1], minus=[2, 3])
-        assert closure_members(s) == [j for j in enumerate_sectors(3) if leq(j, s)]
+        lam = frame.source(sample_sector(frame, s, 1, np.random.default_rng(5))[0])
+        limits = {
+            classify(frame, frame.apex + (lam * np.array(keep)) @ frame.duals)
+            for keep in itertools.product((0.0, 1.0), repeat=3)
+        }
+        assert limits == set(closure(s))
 
 
 class TestPartitionProperty:

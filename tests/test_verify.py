@@ -6,15 +6,25 @@ property must carry its own counterexample.
 """
 
 import dataclasses
+import json
 import types
+
+import numpy as np
 
 import relugeom.boundary as bd
 import relugeom.layer as ly
-from relugeom.verify import run_canonical, run_count, run_duality
+import relugeom.network as nw
+from relugeom.io import canonical_json
+from relugeom.verify import run_canonical, run_count, run_decomposition, run_deep, run_duality
 
 
 def failing(suite) -> dict:
     return {p.name: p.counterexample for p in suite.properties if not p.passed}
+
+
+def reported(suite) -> dict:
+    """Each property's report, as the verify command serializes it."""
+    return {p["property"]: p for p in json.loads(canonical_json(suite.to_json()))["properties"]}
 
 
 def test_duality_checks_contracting_duals(monkeypatch):
@@ -51,3 +61,21 @@ def test_canonical_properties_keep_their_own_counterexamples(monkeypatch):
     failed = failing(run_canonical(0))
     assert set(failed["canonical_samples_map_onto_boundary"]) == {"m", "piece", "residual"}
     assert set(failed["piece_index_bijection"]) == {"m", "mapped"}
+
+
+def test_nan_decomposition_residual_fails(monkeypatch):
+    monkeypatch.setattr(ly, "decompose_check", lambda layer, xs: float("nan"))
+    suite = run_decomposition(0)
+    assert not suite.passed
+    assert set(failing(suite)["relu_equals_affine_after_projection"]) == {"d", "matrix"}
+    report = reported(suite)["relu_equals_affine_after_projection"]
+    assert report["worst_residual"] is None and report["passed"] is False
+
+
+def test_nan_rewrite_residual_fails(monkeypatch):
+    monkeypatch.setattr(nw, "evaluate_canonical", lambda structure, xs: np.full(len(xs), np.nan))
+    suite = run_deep(0)
+    assert list(failing(suite)) == ["projection_rewrite_matches_network"]
+    report = reported(suite)["projection_rewrite_matches_network"]
+    assert report["worst_residual"] is None and report["passed"] is False
+    assert set(report["counterexample"]) == {"depth", "d"}
