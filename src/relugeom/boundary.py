@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineMap
+from .core import AffineMap, ReluLayer
 from .errors import (
     AllNegative,
     DegenerateBias,
@@ -31,7 +31,6 @@ from .errors import (
     InvalidM,
     RankDeficient,
 )
-from .layer import ReluLayer, evaluate
 from .partition import _graded_submasks, _indices_of, _mask_of
 from .tolerances import (
     DEGENERATE_DIRECTION_REL,
@@ -80,31 +79,18 @@ def normalize_output_layer(layer: OutputLayer) -> OutputLayer:
     return layer
 
 
-@dataclass(frozen=True, eq=False)
-class PulledBackHyperplane:
-    """Kernel of the readout pulled back through an affine map.
+def pull_back_hyperplane(affine: AffineMap, layer: OutputLayer) -> OutputLayer:
+    """The readout composed with an affine map, a scalar affine function.
 
-    A point satisfies normal . x + offset = 0 exactly when its affine
-    image lies on the readout's kernel.
+    Its zero set is the readout's kernel pulled back: a point x satisfies
+    ``weights . x + bias = 0`` exactly when its affine image lies on the
+    kernel.
     """
-
-    normal: np.ndarray
-    offset: float
-
-    def __call__(self, x) -> np.ndarray | float:
-        out = np.asarray(x, dtype=float) @ self.normal + self.offset
-        return float(out) if out.ndim == 0 else out
-
-
-def pull_back_hyperplane(affine: AffineMap, layer: OutputLayer) -> PulledBackHyperplane:
     if layer.d != affine.d_out:
         raise DimensionMismatch(
             f"readout expects dimension {layer.d}, affine map outputs {affine.d_out}"
         )
-    return PulledBackHyperplane(
-        normal=affine.matrix.T @ layer.weights,
-        offset=float(layer.weights @ affine.offset + layer.bias),
-    )
+    return OutputLayer(affine.matrix.T @ layer.weights, layer.weights @ affine.offset + layer.bias)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +101,15 @@ class BoundaryPiece:
     lambda_i a_i* with alpha_j > 0 constrained by sum_j alpha_j / t_j = 1
     and lambda_i >= 0.  The piece is bounded in the simplex directions
     exactly when all its t_j are positive; the recession directions make
-    it unbounded whenever the index set is proper.
+    it unbounded whenever the index set is proper.  The apex and the dual
+    vectors a_i* are those of ``layer``.
     """
 
     indices: tuple[int, ...]
     t: np.ndarray
     recession_indices: tuple[int, ...]
     bounded: bool
-    apex: np.ndarray
-    duals: np.ndarray
+    layer: ReluLayer
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -133,11 +119,6 @@ class BoundaryPiece:
     @property
     def is_empty(self) -> bool:
         return len(self.indices) == 0 or not np.any(self.t > 0.0)
-
-    @property
-    def recession_generators(self) -> np.ndarray:
-        idx = [i - 1 for i in self.recession_indices]
-        return -self.duals[idx]
 
     def label(self) -> str:
         return "-".join(str(i) for i in self.indices)
@@ -234,7 +215,6 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
     norm, t, m = _readout(layer, output)
-    frame = layer.frame
     full = (1 << d) - 1
     positive = _mask_of(np.flatnonzero(t > 0.0) + 1, d)
     pieces = []
@@ -248,8 +228,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
                 t=t[[i - 1 for i in indices]],
                 recession_indices=_indices_of(full & ~mask),
                 bounded=not mask & ~positive,
-                apex=frame.apex,
-                duals=frame.duals,
+                layer=layer,
             )
         )
     expected = 2**d - 2**m
@@ -260,7 +239,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     order = np.argsort(t, kind="stable")
     scale = np.abs(t)
     with np.errstate(over="ignore"):
-        matrix = frame.duals[order].T * scale[order]
+        matrix = layer.duals[order].T * scale[order]
     if not np.isfinite(matrix).all():
         raise RankDeficient("canonical change of variables leaves the float range")
     singulars = np.linalg.svd(matrix, compute_uv=False)
@@ -277,7 +256,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
         canonical=CanonicalReduction(
             sigma=tuple(int(i) + 1 for i in order),
             scale=scale,
-            to_actual=AffineMap(matrix, frame.apex),
+            to_actual=AffineMap(matrix, layer.apex),
         ),
     )
 
@@ -307,10 +286,11 @@ def sample_piece(
     weights = rng.gamma(1.0, size=(n, pos.size))
     weights /= weights.sum(axis=1, keepdims=True)
     alphas[:, pos] = weights * budget[:, None] * t[pos]
-    points = piece.apex + alphas @ piece.duals[[i - 1 for i in piece.indices]]
+    duals = piece.layer.duals
+    points = piece.layer.apex + alphas @ duals[[i - 1 for i in piece.indices]]
     if piece.recession_indices:
         lam = rng.uniform(0.0, radius, size=(n, len(piece.recession_indices)))
-        points = points + lam @ piece.recession_generators
+        points = points + lam @ -duals[[i - 1 for i in piece.recession_indices]]
     return points
 
 
@@ -327,7 +307,6 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     if d > 8:
         raise ValueError("witness enumeration is intended for d <= 8")
     norm, t, _ = _readout(layer, output)
-    frame = layer.frame
     tol = scaled(WITNESS_LEVEL_REL, abs(norm.bias))
     count = 0
     for mask in range(1, 1 << d):
@@ -347,8 +326,8 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
         alpha[lead] = tj[lead] * (1.0 - float(np.sum(alpha / tj)) + alpha[lead] / tj[lead])
         if alpha[lead] <= 0.0 or abs(float(np.sum(alpha / tj)) - 1.0) > 1e-9:
             continue
-        x = frame.apex + alpha @ frame.duals[idx0]
-        level = float(norm.weights @ evaluate(layer, x) + norm.bias)
+        x = layer.apex + alpha @ layer.duals[idx0]
+        level = float(norm.weights @ layer(x) + norm.bias)
         rho = layer.affine(x)
         pattern_tol = scaled(1e-9, float(np.max(np.abs(rho))))
         pattern = tuple(i + 1 for i in range(d) if rho[i] > pattern_tol)
@@ -378,15 +357,14 @@ def sample_boundary_patterns(
     as in :func:`enumerate_pieces`.
     """
     norm, t, _ = _readout(layer, output)
-    frame = layer.frame
     d = layer.d_out
     radius = 3.0 * max(float(np.max(np.abs(t))), 1.0)
 
     def level(points):
-        return norm(evaluate(layer, points))
+        return norm(layer(points))
 
-    lo = frame.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ frame.duals
-    hi = frame.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ frame.duals
+    lo = layer.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ layer.duals
+    hi = layer.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ layer.duals
     f_lo, f_hi = level(lo), level(hi)
     crossing = (f_lo * f_hi) < 0.0
     lo, hi, f_lo = lo[crossing], hi[crossing], f_lo[crossing]

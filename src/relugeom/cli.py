@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import OutputLayer, enumerate_pieces, piece_count_oracle
-from .core import build_dual_frame
+from .core import ReluLayer, build_dual_frame
 from .errors import (
     AllNegative,
     DegenerateBias,
@@ -50,7 +50,7 @@ from .io import (
     write_level_csv,
     write_point_csv,
 )
-from .layer import ReluLayer, evaluate, preimage_of_point
+from .layer import evaluate, preimage_of_point
 from .mesh import piece_polygons, write_obj
 from .network import ReluNetwork, sample_shallow_boundary, trace_boundary
 from .partition import sector_counts, split_by_zero_band
@@ -139,25 +139,25 @@ def _check_arguments(args):
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     affine, name = parse_layer_spec(load_json(args.input))
-    frame = build_dual_frame(affine)
-    counts = sector_counts(frame.d_out)
+    layer = build_dual_frame(affine)
+    counts = sector_counts(layer.d_out)
     results = {
         "name": name,
         "d_in": affine.d_in,
         "d_out": affine.d_out,
-        "contracting": frame.is_contracting,
-        "apex": frame.apex,
-        "duals": frame.duals,
-        "conditioning": frame.conditioning,
+        "contracting": layer.is_contracting,
+        "apex": layer.apex,
+        "duals": layer.duals,
+        "conditioning": layer.conditioning,
         "sector_counts": {
             "total": sum(counts.values()),
             "by_dimension": [{"k": k, "count": c} for k, c in sorted(counts.items())],
         },
         "tolerances": {"rcond_gate": RCOND_MIN},
     }
-    if frame.is_contracting:
-        results["row_span_basis"] = frame.row_span_basis
-        results["complement_basis"] = frame.complement_basis
+    if layer.is_contracting:
+        results["row_span_basis"] = layer.row_span_basis
+        results["complement_basis"] = layer.complement_basis
     _emit(_report("analyze", args.input, None, results, started))
     return EXIT_OK
 
@@ -165,10 +165,10 @@ def cmd_analyze(args) -> int:
 def cmd_classify(args) -> int:
     started = time.monotonic()
     affine, _ = parse_layer_spec(load_json(args.input))
-    frame = build_dual_frame(affine)
+    layer = build_dual_frame(affine)
     points = _parse_points(args.point, affine.d_in)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        coefficients = [frame.source(x) for x in points]
+        coefficients = [layer.affine(x) for x in points]
     overflowing = ~np.isfinite(coefficients).all(axis=1)
     if overflowing.any():
         raise SchemaError(
@@ -207,7 +207,7 @@ def cmd_classify(args) -> int:
 def cmd_preimage(args) -> int:
     started = time.monotonic()
     affine, _ = parse_layer_spec(load_json(args.input))
-    layer = ReluLayer(build_dual_frame(affine))
+    layer = build_dual_frame(affine)
     (y,) = _parse_points([args.point], layer.d_out)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         if args.tol is not None:
@@ -252,7 +252,7 @@ def _shallow_network(args) -> tuple[ReluLayer, OutputLayer, int]:
     affines, output, spec_seed = parse_network_spec(load_json(args.input))
     if len(affines) != 1:
         raise SchemaError("this command needs a network spec with exactly one layer")
-    return ReluLayer(build_dual_frame(affines[0])), output, spec_seed
+    return build_dual_frame(affines[0]), output, spec_seed
 
 
 def cmd_boundary(args) -> int:
@@ -313,7 +313,7 @@ def cmd_boundary(args) -> int:
 def cmd_deep_boundary(args) -> int:
     started = time.monotonic()
     affines, output, _ = parse_network_spec(load_json(args.input))
-    layers = tuple(ReluLayer(build_dual_frame(a)) for a in affines)
+    layers = tuple(build_dual_frame(a) for a in affines)
     net = ReluNetwork(layers, output)
     rng = np.random.default_rng(args.seed)
     levels = trace_boundary(
@@ -373,8 +373,16 @@ def _box_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose errors are schema errors: a malformed command
+    line exits 2 with a JSON body, like any other bad input."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="relugeom",
         description="Geometry of fully connected ReLU layers and their decision boundaries.",
     )
@@ -433,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_arguments(args)
         return args.func(args)
     except GeometryError as exc:

@@ -1,4 +1,4 @@
-"""Affine layer maps and the dual frame they induce.
+"""Affine maps, and ReLU layers held as the dual frame they induce.
 
 An affine map ``x -> A x + b`` with independent rows carries a natural
 geometric structure: the rows ``a_i`` are normals of the hyperplanes
@@ -13,7 +13,8 @@ coefficients equal to the affine image ``A x + b``.
 For square maps the dual vectors are the columns of the matrix inverse.
 For contracting maps (fewer rows than columns) the same construction is
 carried out inside the row span V, and the orthogonal complement of V is
-kept alongside because the layer is invariant to it.
+kept alongside because the layer is invariant to it.  A ReLU layer is
+its affine map together with this frame: :class:`ReluLayer`.
 """
 
 from __future__ import annotations
@@ -76,19 +77,21 @@ class AffineMap:
 
 
 @dataclass(frozen=True, eq=False)
-class DualFrame:
-    """Dual basis, cone apex and (contracting case) row-span split for a layer.
+class ReluLayer:
+    """The ReLU layer ``x -> relu(affine(x))``, held as its dual frame.
 
-    ``duals`` stores the dual vectors as rows, so ``duals[i - 1]`` is a_i*.
-    ``conditioning`` is the reciprocal condition estimate of the solved
-    system; frames close to singular are rejected at construction.
+    ``duals`` stores the dual vectors as rows, so ``duals[i - 1]`` is a_i*,
+    and ``apex`` is the cone apex.  ``conditioning`` is the reciprocal
+    condition estimate of the solved system; frames close to singular are
+    rejected by :func:`build_dual_frame`, the one constructor that runs
+    that gate.
 
     For contracting layers ``row_span_basis`` and ``complement_basis`` hold
     orthonormal bases of the row span V and of V-perp.  Both are None in
     the square case.
     """
 
-    source: AffineMap
+    affine: AffineMap
     apex: np.ndarray
     duals: np.ndarray
     conditioning: float
@@ -103,17 +106,33 @@ class DualFrame:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
+    @classmethod
+    def build(cls, matrix, offset=None) -> "ReluLayer":
+        matrix = np.asarray(matrix, dtype=float)
+        if offset is None:
+            offset = np.zeros(matrix.shape[0])
+        return build_dual_frame(AffineMap(matrix, offset))
+
+    @classmethod
+    def canonical(cls, d: int) -> "ReluLayer":
+        """The layer with identity matrix and zero offset."""
+        return cls.build(np.eye(d))
+
     @property
     def d_in(self) -> int:
-        return self.source.d_in
+        return self.affine.d_in
 
     @property
     def d_out(self) -> int:
-        return self.source.d_out
+        return self.affine.d_out
 
     @property
     def is_contracting(self) -> bool:
         return self.row_span_basis is not None
+
+    def __call__(self, x) -> np.ndarray:
+        """T(x) = componentwise max(A x + b, 0)."""
+        return np.maximum(self.affine(x), 0.0)
 
 
 def evaluate_affine(layer: AffineMap, x) -> np.ndarray:
@@ -130,8 +149,8 @@ def evaluate_affine(layer: AffineMap, x) -> np.ndarray:
     return x @ layer.matrix.T + layer.offset
 
 
-def build_dual_frame(layer: AffineMap) -> DualFrame:
-    """Construct the dual frame of ``layer``.
+def build_dual_frame(affine: AffineMap) -> ReluLayer:
+    """The ReLU layer of ``affine``, with its dual frame.
 
     Square case: the dual vectors are the columns of the matrix inverse,
     obtained by a column-wise solve of ``A X = I`` (no explicit inverse),
@@ -147,14 +166,14 @@ def build_dual_frame(layer: AffineMap) -> DualFrame:
     rows falls below RCOND_MIN, when the Gram matrix leaves the float
     range, when a solve fails (the Gram matrix of rows scaled near the
     float floor is singular) or when the duals or the apex leave the float
-    range; DimensionMismatch for expanding layers
-    (more rows than input dimensions).
+    range, and for expanding layers (more rows than input dimensions),
+    whose rows are never independent.
     """
-    a = layer.matrix
-    b = layer.offset
+    a = affine.matrix
+    b = affine.offset
     d_out, d_in = a.shape
     if d_out > d_in:
-        raise DimensionMismatch(
+        raise RankDeficient(
             f"expanding layer ({d_out} rows, {d_in} columns) has no dual frame"
         )
 
@@ -185,8 +204,8 @@ def build_dual_frame(layer: AffineMap) -> DualFrame:
         raise RankDeficient(f"dual frame solve failed: {exc}") from exc
     if not (np.isfinite(duals).all() and np.isfinite(apex).all()):
         raise RankDeficient("dual vectors or cone apex leave the float range")
-    return DualFrame(
-        source=layer,
+    return ReluLayer(
+        affine=affine,
         apex=apex,
         duals=duals,
         conditioning=rcond,
@@ -195,19 +214,19 @@ def build_dual_frame(layer: AffineMap) -> DualFrame:
     )
 
 
-def project_to_row_span(frame: DualFrame, x) -> np.ndarray:
-    """Orthogonal projection onto the row span V of a contracting frame.
+def project_to_row_span(layer: ReluLayer, x) -> np.ndarray:
+    """Orthogonal projection onto the row span V of a contracting layer.
 
     The layer map is invariant to the discarded component: T(x) equals
     T of the projection.  Square frames are rejected rather than treated
     as an identity, so accidental misuse is visible.
     """
-    if frame.row_span_basis is None:
+    if layer.row_span_basis is None:
         raise NotContracting("square frame: the row span is the whole domain")
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (frame.d_in,):
+    if x.shape[-1:] != (layer.d_in,):
         raise DimensionMismatch(
-            f"point has dimension {x.shape[-1] if x.ndim else 0}, frame expects {frame.d_in}"
+            f"point has dimension {x.shape[-1] if x.ndim else 0}, frame expects {layer.d_in}"
         )
-    basis = frame.row_span_basis
+    basis = layer.row_span_basis
     return (x @ basis.T) @ basis

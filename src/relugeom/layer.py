@@ -14,62 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineMap, DualFrame, build_dual_frame
+from .core import ReluLayer
 from .errors import DimensionMismatch, EnumerationLimit
 from .partition import SectorIndex, _graded_submasks, _mask_of
 from .tolerances import MAX_ENUM_DIM, ZERO_COMPONENT_TOL, scaled
 
 
-@dataclass(frozen=True, eq=False)
-class ReluLayer:
-    """A ReLU layer, held as the dual frame of its affine part."""
-
-    frame: DualFrame
-
-    @classmethod
-    def build(cls, matrix, offset=None) -> "ReluLayer":
-        matrix = np.asarray(matrix, dtype=float)
-        if offset is None:
-            offset = np.zeros(matrix.shape[0])
-        return cls(build_dual_frame(AffineMap(matrix, offset)))
-
-    @classmethod
-    def canonical(cls, d: int) -> "ReluLayer":
-        """The layer with identity matrix and zero offset."""
-        return cls.build(np.eye(d))
-
-    @property
-    def affine(self) -> AffineMap:
-        return self.frame.source
-
-    @property
-    def d_in(self) -> int:
-        return self.affine.d_in
-
-    @property
-    def d_out(self) -> int:
-        return self.affine.d_out
-
-    def __call__(self, x) -> np.ndarray:
-        return evaluate(self, x)
+# The functional spelling of ``layer(x)``: T(x) = componentwise max(A x + b, 0).
+evaluate = ReluLayer.__call__
 
 
-def evaluate(layer: ReluLayer, x) -> np.ndarray:
-    """T(x) = componentwise max(A x + b, 0)."""
-    return np.maximum(layer.affine(x), 0.0)
-
-
-def project_with_frame(frame: DualFrame, x) -> np.ndarray:
-    """Cone projection defined by a dual frame.
+def project_with_frame(layer: ReluLayer, x) -> np.ndarray:
+    """Cone projection defined by the layer's dual frame.
 
     Expands in the dual basis, zeroes the negative coefficients, and
     resums.  Output lies in the closed cone spanned by the dual vectors
     at the apex; points already inside are fixed, the all-negative sector
-    collapses to the apex.  For contracting frames the complement part is
+    collapses to the apex.  For contracting layers the complement part is
     dropped as well, so the output lies in the row span.
     """
-    lam = frame.source(x)
-    return frame.apex + np.maximum(lam, 0.0) @ frame.duals
+    lam = layer.affine(x)
+    return layer.apex + np.maximum(lam, 0.0) @ layer.duals
 
 
 def decompose_check(layer: ReluLayer, x) -> float:
@@ -80,7 +45,7 @@ def decompose_check(layer: ReluLayer, x) -> float:
     the layer.
     """
     lhs = evaluate(layer, x)
-    rhs = layer.affine(project_with_frame(layer.frame, x))
+    rhs = layer.affine(project_with_frame(layer, x))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -99,8 +64,8 @@ class PreimageSet:
 
     The set is ``base - sum_{i in generator_indices} c_i a_i*`` over
     coefficients c_i >= 0, plus, for contracting layers, arbitrary shifts
-    along ``free_subspace`` (the directions the layer ignores).  It is
-    never materialized; use :func:`membership_mask` or :meth:`sample`.
+    along the layer's ``complement_basis`` (the directions it ignores).
+    It is never materialized; use :func:`membership_mask` or :meth:`sample`.
     """
 
     layer: ReluLayer
@@ -108,17 +73,16 @@ class PreimageSet:
     base: np.ndarray
     generator_indices: tuple[int, ...]
     source_sector: SectorIndex
-    free_subspace: np.ndarray | None = None
 
     @property
     def generators(self) -> np.ndarray:
         """Sweep directions, one row per generator: -a_i*."""
         idx = [i - 1 for i in self.generator_indices]
-        return -self.layer.frame.duals[idx]
+        return -self.layer.duals[idx]
 
     def dimension(self) -> int:
-        extra = 0 if self.free_subspace is None else self.free_subspace.shape[0]
-        return len(self.generator_indices) + extra
+        free = self.layer.complement_basis
+        return len(self.generator_indices) + (0 if free is None else free.shape[0])
 
     def sample(self, n: int, radius: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
         """Points of the set; coefficients are Exponential(1) scaled by radius."""
@@ -128,9 +92,10 @@ class PreimageSet:
         if self.generator_indices:
             coeffs = rng.exponential(radius, size=(n, len(self.generator_indices)))
             points = points + coeffs @ self.generators
-        if self.free_subspace is not None and self.free_subspace.size:
-            shifts = rng.normal(0.0, radius, size=(n, self.free_subspace.shape[0]))
-            points = points + shifts @ self.free_subspace
+        free = self.layer.complement_basis
+        if free is not None and free.size:
+            shifts = rng.normal(0.0, radius, size=(n, free.shape[0]))
+            points = points + shifts @ free
         return points
 
 
@@ -150,8 +115,7 @@ def preimage_bases(
     """
     y = np.asarray(y, dtype=float)
     y = np.where(y < 0.0, 0.0, y)
-    frame = layer.frame
-    bases = frame.apex + (y[:, None, :] @ frame.duals)[:, 0, :]
+    bases = layer.apex + (y[:, None, :] @ layer.duals)[:, 0, :]
     return y, bases, y <= zero_tol
 
 
@@ -182,7 +146,6 @@ def preimage_of_point(
         base=base,
         generator_indices=zeros,
         source_sector=SectorIndex.of(layer.d_out, plus),
-        free_subspace=layer.frame.complement_basis,
     )
 
 

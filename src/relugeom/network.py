@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, sample_piece
-from .core import AffineMap, DualFrame, build_dual_frame
+from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_piece
+from .core import AffineMap, ReluLayer, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
-from .layer import ReluLayer, evaluate, preimage_bases, project_with_frame
+from .layer import evaluate, preimage_bases, project_with_frame
 from .tolerances import ZERO_COMPONENT_TOL
 
 
@@ -85,16 +85,15 @@ def evaluate_tail(net: ReluNetwork, level: int, x) -> float | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ComposedAffine:
-    """Prefix compositions of the layer affine maps, with their frames.
+    """Prefix compositions of the layer affine maps, each held as a layer.
 
-    ``maps[k-1]`` is the composition of the first k affine parts; its
-    frame defines the k:th cone projection of the rewritten network.
+    ``frames[k-1].affine`` is the composition of the first k affine parts;
+    its frame defines the k:th cone projection of the rewritten network.
     ``final_affine`` is the readout composed with the last map, a scalar
     affine function on the input space.
     """
 
-    maps: tuple[AffineMap, ...]
-    frames: tuple[DualFrame, ...]
+    frames: tuple[ReluLayer, ...]
     final_affine: OutputLayer
 
 
@@ -104,26 +103,18 @@ def canonical_structure(net: ReluNetwork) -> ComposedAffine:
     Each composed affine map must admit a dual frame; failure reports the
     depth at which the composition loses rank.
     """
-    maps: list[AffineMap] = []
-    frames: list[DualFrame] = []
-    matrix = net.layers[0].affine.matrix
-    offset = net.layers[0].affine.offset
+    frames: list[ReluLayer] = []
+    composed = net.layers[0].affine
     for k, layer in enumerate(net.layers, start=1):
         if k > 1:
-            matrix = layer.affine.matrix @ maps[-1].matrix
-            offset = layer.affine.matrix @ maps[-1].offset + layer.affine.offset
-        composed = AffineMap(matrix, offset)
+            a = layer.affine
+            composed = AffineMap(a.matrix @ composed.matrix, a.matrix @ composed.offset + a.offset)
         try:
             frames.append(build_dual_frame(composed))
         except RankDeficient as exc:
             raise RankDeficient(f"composed affine map at depth {k}: {exc}") from exc
-        maps.append(composed)
-    last = maps[-1]
-    final = OutputLayer(
-        last.matrix.T @ net.output.weights,
-        float(net.output.weights @ last.offset + net.output.bias),
-    )
-    return ComposedAffine(maps=tuple(maps), frames=tuple(frames), final_affine=final)
+    final = pull_back_hyperplane(composed, net.output)
+    return ComposedAffine(frames=tuple(frames), final_affine=final)
 
 
 def evaluate_canonical(structure: ComposedAffine, x) -> float | np.ndarray:
@@ -239,9 +230,8 @@ def pull_back_boundary(
                 f"{samples.rejected} of its points"
             )
         raise EmptyIntersection(message)
-    frame = layer.frame
     _, bases, zero = preimage_bases(layer, samples.points[inside])
-    free = 0 if frame.complement_basis is None else frame.complement_basis.shape[0]
+    free = 0 if layer.complement_basis is None else layer.complement_basis.shape[0]
     n_fibers = np.minimum(4.0 ** (zero.sum(axis=1) + free), max_fibers).astype(np.int64)
     counts = np.maximum(n_fibers, 1)
     starts = np.cumsum(counts) - counts
@@ -250,10 +240,10 @@ def pull_back_boundary(
     points = bases[owner]
     for i in np.flatnonzero(n_fibers > 1).tolist():
         n, pattern = int(n_fibers[i]), zero[i]
-        extra = rng.exponential(1.0, size=(n - 1, int(pattern.sum()))) @ -frame.duals[pattern]
+        extra = rng.exponential(1.0, size=(n - 1, int(pattern.sum()))) @ -layer.duals[pattern]
         if free:
             shifts = rng.normal(0.0, 1.0, size=(n - 1, free))
-            extra = extra + shifts @ frame.complement_basis
+            extra = extra + shifts @ layer.complement_basis
         points[starts[i] + 1 : starts[i] + n] += extra
 
     residuals = np.abs(np.asarray(evaluate_tail(net, k, points)))
@@ -280,8 +270,14 @@ def trace_boundary(
 
     Level N is seeded from the exact shallow enumeration of the last layer
     plus readout; every earlier level is produced by pull-back.  Returns
-    one verified sample set per level, keyed by level.
+    one verified sample set per level, keyed by level.  Raises SchemaError
+    when ``samples_per_piece`` is below 1, since no point would be drawn.
     """
+    if samples_per_piece < 1:
+        raise SchemaError(
+            f"--samples {samples_per_piece} draws no boundary points: the trace needs "
+            "at least one sample per piece"
+        )
     if rng is None:
         rng = np.random.default_rng(0)
     n = net.depth

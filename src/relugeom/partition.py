@@ -1,4 +1,4 @@
-"""Sector partition induced by a dual frame.
+"""Sector partition induced by the dual frame of a layer.
 
 Expanding a point in the dual basis, the signs of the coefficients select
 two disjoint index sets (positive and negative).  Each pair of disjoint
@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DualFrame
+from .core import ReluLayer
 from .errors import DimensionMismatch, EnumerationLimit
 from .tolerances import DEFAULT_REL, MAX_ENUM_DIM
 
@@ -110,7 +110,7 @@ def split_by_zero_band(lam: np.ndarray, zero_tol: float | None) -> tuple[SectorI
     return SectorIndex(len(lam), plus_mask, minus_mask), tuple(near_zero)
 
 
-def classify(frame: DualFrame, x, zero_tol: float | None = None) -> SectorIndex:
+def classify(layer: ReluLayer, x, zero_tol: float | None = None) -> SectorIndex:
     """Sector of the point ``x``.
 
     Duality makes the row functionals the coordinate functionals: the
@@ -118,7 +118,7 @@ def classify(frame: DualFrame, x, zero_tol: float | None = None) -> SectorIndex:
     affine image ``A x + b``.  The zero band is that of
     :func:`split_by_zero_band`.
     """
-    lam = frame.source(x)
+    lam = layer.affine(x)
     if lam.ndim != 1:
         raise DimensionMismatch("classify expects a single point")
     return split_by_zero_band(lam, zero_tol)[0]
@@ -172,19 +172,19 @@ def leq(a: SectorIndex, b: SectorIndex) -> bool:
     return (a.plus_mask & ~b.plus_mask) == 0 and (a.minus_mask & ~b.minus_mask) == 0
 
 
-def sample_sector(frame: DualFrame, sector: SectorIndex, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_sector(layer: ReluLayer, sector: SectorIndex, n: int, rng: np.random.Generator) -> np.ndarray:
     """Points in the (relative) interior of a sector.
 
     Coefficients are drawn bounded away from zero so the samples classify
     stably: |coefficient| = 0.1 + Exponential(1) on the support.
     """
-    if sector.d != frame.d_out:
+    if sector.d != layer.d_out:
         raise DimensionMismatch(
-            f"sector indexes {sector.d} hyperplanes, frame has {frame.d_out}"
+            f"sector indexes {sector.d} hyperplanes, frame has {layer.d_out}"
         )
-    lam = np.zeros((n, frame.d_out))
+    lam = np.zeros((n, layer.d_out))
     for i in sector.plus:
         lam[:, i - 1] = 0.1 + rng.exponential(1.0, size=n)
     for i in sector.minus:
         lam[:, i - 1] = -(0.1 + rng.exponential(1.0, size=n))
-    return frame.apex + lam @ frame.duals
+    return layer.apex + lam @ layer.duals

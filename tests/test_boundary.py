@@ -84,14 +84,13 @@ class TestIntersectionValues:
         output = random_output(4, seed=2)
         t = enumerate_pieces(layer, output).t
         pulled = pull_back_hyperplane(layer.affine, output)
-        frame = layer.frame
         for i in range(4):
-            solved = -(pulled.normal @ frame.apex + pulled.offset) / (
-                pulled.normal @ frame.duals[i]
+            solved = -(pulled.weights @ layer.apex + pulled.bias) / (
+                pulled.weights @ layer.duals[i]
             )
             assert t[i] == pytest.approx(solved, rel=1e-10)
-            point = frame.apex + t[i] * frame.duals[i]
-            assert abs(pulled(point)) < 1e-9 * (1 + abs(pulled.offset))
+            point = layer.apex + t[i] * layer.duals[i]
+            assert abs(pulled(point)) < 1e-9 * (1 + abs(pulled.bias))
 
     def test_sign_law(self):
         output = random_output(5, seed=3)
@@ -103,7 +102,7 @@ class TestIntersectionValues:
         output = random_output(3, seed=5)
         pulled = pull_back_hyperplane(layer.affine, output)
         np.testing.assert_allclose(
-            layer.frame.duals @ pulled.normal, output.weights, atol=1e-10
+            layer.duals @ pulled.weights, output.weights, atol=1e-10
         )
 
 
@@ -148,8 +147,7 @@ class TestEnumeratePieces:
             t=np.array([-1.0]),
             recession_indices=(2,),
             bounded=False,
-            apex=np.zeros(2),
-            duals=np.eye(2),
+            layer=ReluLayer.canonical(2),
         )
         assert piece.is_empty
         with pytest.raises(EmptyPiece):
@@ -165,7 +163,7 @@ class TestSamplePiece:
         assert central
         xs = sample_piece(central[0], 100, rng=np.random.default_rng(12))
         pulled = pull_back_hyperplane(layer.affine, normalize_output_layer(output))
-        assert np.abs(pulled(xs)).max() < 1e-9 * (1 + abs(pulled.offset))
+        assert np.abs(pulled(xs)).max() < 1e-9 * (1 + abs(pulled.bias))
         # and inside the affine sector: all expansion coefficients positive
         lams = layer.affine(xs)
         assert lams.min() > 0
@@ -241,7 +239,7 @@ class TestPieceCountOracle:
             [0.189974110681755, -0.9149976072077862],
         )
         output = OutputLayer([-1.6759454624610572, 0.35507929392213744], -0.38401350958416036)
-        assert layer.frame.conditioning < 2e-3
+        assert layer.conditioning < 2e-3
         enumerated = {p.indices for p in enumerate_pieces(layer, output).pieces}
         for seed in range(10):
             patterns = sample_boundary_patterns(

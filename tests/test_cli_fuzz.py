@@ -3,7 +3,8 @@
 Hypothesis draws layer and network specs whose entries are, about half
 each, standard normal values and signed powers of ten 10^e with e from
 -320 (subnormal) to 308, and runs the spec-reading commands in process,
-each with one numeric flag set to a drawn value, valid or not.  Whatever
+each with one numeric flag set to a drawn value: valid, out of its
+domain, or not a number at all (which argparse rejects).  Whatever
 the geometry and the flags, a command returns 0, 2, 3 or 4, prints
 exactly one JSON object, names the returned code in an error report, and
 lets no exception escape ``main``.
@@ -29,7 +30,7 @@ ENTRY = st.one_of(GAUSS, POWER)
 WIDTH = st.integers(1, 3)
 
 # Flag values: valid ones first, then ones the CLI rejects with exit 2.
-COUNTS = ["0", "2", "-1"]
+COUNTS = ["0", "2", "-1", "x"]
 SEEDS = ["0", "7", "-1"]
 REALS = ["0", "1.5", "1e308", "inf", "-1", "nan"]
 BOXES = ["-3,3", "5,-5", "nan,5", "0,inf"]

@@ -3,7 +3,7 @@ import pytest
 
 from relugeom import DimensionMismatch, NotContracting, RankDeficient
 from relugeom.core import AffineMap, build_dual_frame, evaluate_affine, project_to_row_span
-from relugeom.layer import ReluLayer, evaluate
+from relugeom.layer import evaluate
 
 # Published dual-basis configuration: the columns below are the dual
 # vectors and the apex is (1, 1, 1).  The layer matrix is recovered
@@ -96,8 +96,8 @@ def test_dimension_errors():
         AffineMap(np.eye(3), np.zeros(2))
     with pytest.raises(DimensionMismatch):
         evaluate_affine(AffineMap(np.eye(3), np.zeros(3)), np.zeros(2))
-    # Expanding layers are out of scope.
-    with pytest.raises(DimensionMismatch):
+    # Expanding layers have no dual frame: their rows are never independent.
+    with pytest.raises(RankDeficient):
         build_dual_frame(AffineMap(np.ones((3, 2)), np.zeros(3)))
 
 
@@ -149,12 +149,11 @@ class TestContracting:
 
     def test_layer_output_invariant_under_projection(self):
         rng = np.random.default_rng(3)
-        affine, frame = self.frame(seed=3)
-        relu = ReluLayer(frame)
+        affine, relu = self.frame(seed=3)
         xs = rng.normal(size=(100, 5)) * 3.0
         np.testing.assert_allclose(
             evaluate(relu, xs),
-            evaluate(relu, project_to_row_span(frame, xs)),
+            evaluate(relu, project_to_row_span(relu, xs)),
             atol=1e-9,
         )
 

@@ -122,6 +122,14 @@ class TestExitCodes:
         assert code == 3
         assert body["error"] == "RankDeficient"
 
+    def test_expanding_layer_exits_3(self, tmp_path, capsys):
+        # more rows than columns: the rows cannot be independent
+        spec = {"matrix": [[1, 0], [0, 1], [1, 1]], "offset": [0, 0, 0]}
+        code, body = run(capsys, ["analyze", "--input", write_spec(tmp_path / "e.json", spec)])
+        assert code == 3
+        assert body["error"] == "RankDeficient"
+        assert body["message"] == "expanding layer (3 rows, 2 columns) has no dual frame"
+
     def test_enumeration_guard_exits_4(self, tmp_path, capsys):
         d = 21
         spec = {
@@ -546,7 +554,44 @@ class TestBoundaryCommand:
         assert strip(first) == strip(second)
 
 
+class TestParserErrors:
+    """A command line argparse rejects exits 2 with a JSON body (an unknown
+    suite: TestVerifyCommand)."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["boundary", "--input", str(GOLDEN_NET3), "--samples", "x"], "invalid int value: 'x'"),
+            (["analyze"], "the following arguments are required: --input"),
+        ],
+    )
+    def test_rejected_as_schema_error(self, argv, fragment, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body == {"error": "SchemaError", "message": body["message"], "exit_code": 2}
+        assert body["message"].startswith(f"relugeom {argv[0]}: ")
+        assert fragment in body["message"]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["analyze", "--help"]])
+    def test_help_and_version_still_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestDeepBoundaryCommand:
+    @pytest.mark.parametrize("spec", ["deep.json", "net3.json"])
+    def test_zero_samples_rejected(self, spec, capsys):
+        path = str(GOLDEN_NET3.parent / spec)
+        code, body = run(capsys, ["deep-boundary", "--input", path, "--samples", "0"])
+        assert code == 2
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith("--samples 0 ")
+
     def test_two_canonical_layers(self, tmp_path, capsys):
         spec = {
             "layers": [identity_layer_spec(2), identity_layer_spec(2)],
@@ -610,5 +655,10 @@ class TestVerifyCommand:
         assert body["first_counterexample"] == {"witness": [1, 2, 3]}
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--suite", "nope"])
+        code = main(["verify", "--suite", "nope"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith("relugeom verify: argument --suite: invalid choice: 'nope'")

@@ -30,43 +30,39 @@ class TestEvaluate:
 
     def test_sector_points_map_to_plus_coefficients(self):
         layer = random_relu_layer(3, seed=1)
-        frame = layer.frame
         alpha = np.array([0.8, 1.7])
-        x = frame.apex + alpha[0] * frame.duals[0] - alpha[1] * frame.duals[2]
+        x = layer.apex + alpha[0] * layer.duals[0] - alpha[1] * layer.duals[2]
         expected = np.array([alpha[0], 0.0, 0.0])
         np.testing.assert_allclose(evaluate(layer, x), expected, atol=1e-10)
 
     def test_apex_maps_to_zero(self):
         layer = random_relu_layer(4, seed=2)
-        np.testing.assert_allclose(evaluate(layer, layer.frame.apex), np.zeros(4), atol=1e-10)
+        np.testing.assert_allclose(evaluate(layer, layer.apex), np.zeros(4), atol=1e-10)
 
 
 class TestConeProjection:
     def test_fixes_cone_points(self):
         layer = random_relu_layer(3, seed=4)
-        frame = layer.frame
-        x = frame.apex + 0.5 * frame.duals[0] + 2.0 * frame.duals[2]
-        np.testing.assert_allclose(project_with_frame(layer.frame, x), x, atol=1e-10)
+        x = layer.apex + 0.5 * layer.duals[0] + 2.0 * layer.duals[2]
+        np.testing.assert_allclose(project_with_frame(layer, x), x, atol=1e-10)
 
     def test_truncates_negative_coefficients(self):
         layer = random_relu_layer(2, seed=5)
-        frame = layer.frame
-        x = frame.apex + frame.duals[0] - frame.duals[1]
+        x = layer.apex + layer.duals[0] - layer.duals[1]
         np.testing.assert_allclose(
-            project_with_frame(layer.frame, x), frame.apex + frame.duals[0], atol=1e-10
+            project_with_frame(layer, x), layer.apex + layer.duals[0], atol=1e-10
         )
 
     def test_opposite_sector_collapses_to_apex(self):
         layer = random_relu_layer(3, seed=6)
-        frame = layer.frame
-        x = frame.apex - frame.duals.sum(axis=0)
-        np.testing.assert_allclose(project_with_frame(layer.frame, x), frame.apex, atol=1e-10)
+        x = layer.apex - layer.duals.sum(axis=0)
+        np.testing.assert_allclose(project_with_frame(layer, x), layer.apex, atol=1e-10)
 
     def test_idempotent(self):
         layer = random_relu_layer(4, seed=7)
         xs = np.random.default_rng(8).normal(size=(200, 4)) * 3.0
-        once = project_with_frame(layer.frame, xs)
-        twice = project_with_frame(layer.frame, once)
+        once = project_with_frame(layer, xs)
+        twice = project_with_frame(layer, once)
         assert np.abs(twice - once).max() < 1e-9
 
 
@@ -79,7 +75,7 @@ class TestDecomposition:
 
     def test_apex_residual(self):
         layer = random_relu_layer(3, seed=11)
-        assert decompose_check(layer, layer.frame.apex) < 1e-12
+        assert decompose_check(layer, layer.apex) < 1e-12
 
     def test_canonical_layer_exact(self):
         layer = ReluLayer.canonical(3)
@@ -110,9 +106,9 @@ class TestImageOfSector:
         from relugeom.partition import classify, enumerate_sectors
 
         for sector in enumerate_sectors(3):
-            xs = sample_sector(layer.frame, sector, 25, rng)
+            xs = sample_sector(layer, sector, 25, rng)
             for y in evaluate(layer, xs):
-                assert classify(canonical.frame, y) == image_of_sector(layer, sector)
+                assert classify(canonical, y) == image_of_sector(layer, sector)
 
 
 class TestPreimageOfPoint:
@@ -130,7 +126,7 @@ class TestPreimageOfPoint:
         layer = random_relu_layer(3, seed=19)
         pre = preimage_of_point(layer, np.zeros(3))
         assert pre.generator_indices == (1, 2, 3)
-        np.testing.assert_allclose(pre.base, layer.frame.apex, atol=1e-10)
+        np.testing.assert_allclose(pre.base, layer.apex, atol=1e-10)
 
     def test_one_zero_component_gives_ray(self):
         layer = random_relu_layer(3, seed=20)
@@ -170,11 +166,10 @@ class TestPreimageBases:
         y[rng.random(size=y.shape) < 0.3] = 0.0
         y[::9, 0] = -1e-12
         clamped, bases, zero = preimage_bases(layer, y)
-        frame = layer.frame
         for i, row in enumerate(y):
             row = np.where(row < 0.0, 0.0, row)
             assert np.array_equal(clamped[i], row)
-            assert np.array_equal(bases[i], frame.apex + row @ frame.duals)
+            assert np.array_equal(bases[i], layer.apex + row @ layer.duals)
             assert np.array_equal(zero[i], row <= 1e-9)
 
     def test_single_row_matches_preimage_of_point(self):
@@ -269,7 +264,7 @@ class TestMembershipOracle:
         layer, pre = self.layer_and_pre()
         assert pre.generator_indices
         i = pre.generator_indices[0]
-        x = pre.base - 2.0 * layer.frame.duals[i - 1]
+        x = pre.base - 2.0 * layer.duals[i - 1]
         assert membership_mask(layer, pre, x)
         np.testing.assert_allclose(
             evaluate(layer, x), evaluate(layer, pre.base), atol=1e-9
@@ -278,7 +273,7 @@ class TestMembershipOracle:
     def test_wrong_sign_rejected(self):
         layer, pre = self.layer_and_pre()
         i = pre.generator_indices[0]
-        x = pre.base + layer.frame.duals[i - 1]
+        x = pre.base + layer.duals[i - 1]
         assert not membership_mask(layer, pre, x)
 
     def test_oracle_agrees_with_direct_check_on_grid(self):
@@ -311,7 +306,7 @@ class TestContractingLayer:
     def test_output_invariant_to_complement(self):
         layer = self.build()
         rng = np.random.default_rng(34)
-        w_basis = layer.frame.complement_basis
+        w_basis = layer.complement_basis
         for _ in range(50):
             x = rng.normal(size=4) * 2.0
             w = (rng.normal(size=2) * rng.uniform(0.1, 10.0)) @ w_basis
@@ -323,10 +318,10 @@ class TestContractingLayer:
         layer = self.build()
         y = np.array([1.0, 0.0])
         pre = preimage_of_point(layer, y)
-        assert pre.free_subspace is not None
+        assert layer.complement_basis is not None
         # one sweep generator (the zero component) plus two free directions
         assert pre.dimension() == 3
-        shifted = pre.base + 1.3 * pre.free_subspace[0]
+        shifted = pre.base + 1.3 * layer.complement_basis[0]
         assert membership_mask(layer, pre, shifted)
         samples = pre.sample(100, rng=np.random.default_rng(35))
         assert np.abs(evaluate(layer, samples) - y).max() < 1e-9

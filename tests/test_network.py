@@ -89,8 +89,8 @@ class TestCanonicalStructure:
         net = random_net(1, 3, seed=7)
         structure = canonical_structure(net)
         affine = net.layers[0].affine
-        np.testing.assert_allclose(structure.maps[0].matrix, affine.matrix)
-        np.testing.assert_allclose(structure.maps[0].offset, affine.offset)
+        np.testing.assert_allclose(structure.frames[0].affine.matrix, affine.matrix)
+        np.testing.assert_allclose(structure.frames[0].affine.offset, affine.offset)
         np.testing.assert_allclose(
             structure.final_affine.weights, affine.matrix.T @ net.output.weights
         )
@@ -112,7 +112,7 @@ class TestCanonicalStructure:
         rng = np.random.default_rng(11)
         for x in rng.normal(size=(10, 3)):
             np.testing.assert_allclose(
-                structure.maps[2](x),
+                structure.frames[2].affine(x),
                 net.layers[2].affine(net.layers[1].affine(net.layers[0].affine(x))),
                 atol=1e-10,
             )
@@ -222,7 +222,7 @@ class TestPullBack:
             np.testing.assert_allclose(evaluate(first, x), [0.8, 0.0], atol=1e-9)
         # at least one fiber actually left the row span
         base = got.points[0]
-        null_dir = first.frame.complement_basis[0]
+        null_dir = first.complement_basis[0]
         offsets = (got.points - base) @ null_dir
         assert np.abs(offsets[1:]).max() > 1e-3
 
@@ -238,14 +238,14 @@ def reference_pull_back(net, k, samples, rng, max_fibers=16, tol=1e-7):
         y = np.where(samples.points[parent] < 0.0, 0.0, samples.points[parent])
         pre = preimage_of_point(layer, y)
         z = len(pre.generator_indices)
-        free = 0 if pre.free_subspace is None else pre.free_subspace.shape[0]
+        free = 0 if layer.complement_basis is None else layer.complement_basis.shape[0]
         n_fibers = min(max_fibers, 4 ** (z + free))
         fiber_points = [pre.base]
         if n_fibers > 1:
             extra = rng.exponential(1.0, size=(n_fibers - 1, z)) @ pre.generators
             if free:
                 shifts = rng.normal(0.0, 1.0, size=(n_fibers - 1, free))
-                extra = extra + shifts @ pre.free_subspace
+                extra = extra + shifts @ layer.complement_basis
             fiber_points.extend(pre.base + extra)
         points.extend(fiber_points)
         parents.extend([parent] * len(fiber_points))

@@ -52,14 +52,14 @@ class TestExpand:
     def test_apex_has_zero_coefficients(self):
         frame = random_frame(3, seed=1)
         np.testing.assert_allclose(
-            frame.source(frame.apex), np.zeros(3), atol=1e-12
+            frame.affine(frame.apex), np.zeros(3), atol=1e-12
         )
 
     def test_single_dual_direction(self):
         frame = random_frame(4, seed=2)
         x = frame.apex + 3.0 * frame.duals[1]
         np.testing.assert_allclose(
-            frame.source(x), [0.0, 3.0, 0.0, 0.0], atol=1e-12
+            frame.affine(x), [0.0, 3.0, 0.0, 0.0], atol=1e-12
         )
 
     def test_matches_independent_solve_and_affine_image(self):
@@ -67,11 +67,11 @@ class TestExpand:
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.normal(size=5) * 3.0
-            lam = frame.source(x)
+            lam = frame.affine(x)
             # Independent route: solve the expansion system against the duals.
             solved = np.linalg.solve(frame.duals.T, x - frame.apex)
             np.testing.assert_allclose(lam, solved, atol=1e-9)
-            np.testing.assert_allclose(lam, frame.source(x), atol=1e-12)
+            np.testing.assert_allclose(lam, frame.affine(x), atol=1e-12)
 
 
 class TestClassify:
@@ -90,8 +90,8 @@ class TestClassify:
 
     def test_zero_band_flags(self):
         frame = build_dual_frame(AffineMap(np.eye(2), np.zeros(2)))
-        assert split_by_zero_band(frame.source([1.0, 1e-12]), None)[1] == (2,)
-        assert split_by_zero_band(frame.source([1.0, 1.0]), None)[1] == ()
+        assert split_by_zero_band(frame.affine([1.0, 1e-12]), None)[1] == (2,)
+        assert split_by_zero_band(frame.affine([1.0, 1.0]), None)[1] == ()
 
 
 class TestEnumeration:
@@ -192,7 +192,7 @@ class TestClosure:
         # their coefficients to zero, classify into exactly the sectors below it.
         frame = random_frame(3, seed=4)
         s = SectorIndex.of(3, plus=[1], minus=[2, 3])
-        lam = frame.source(sample_sector(frame, s, 1, np.random.default_rng(5))[0])
+        lam = frame.affine(sample_sector(frame, s, 1, np.random.default_rng(5))[0])
         limits = {
             classify(frame, frame.apex + (lam * np.array(keep)) @ frame.duals)
             for keep in itertools.product((0.0, 1.0), repeat=3)
@@ -208,7 +208,7 @@ class TestPartitionProperty:
             xs = rng.normal(size=(200, d)) * 3.0
             for x in xs:
                 sector = classify(frame, x)
-                lam = frame.source(x)
+                lam = frame.affine(x)
                 assert set(sector.plus).isdisjoint(sector.minus)
                 recon = frame.apex + lam @ frame.duals
                 assert np.abs(recon - x).max() < 1e-9 * (1 + np.abs(x).max())
@@ -226,7 +226,7 @@ class TestPartitionProperty:
         frame = random_frame(3, seed=15)
         sector = SectorIndex.of(3, plus=[2], minus=[3])
         x = sample_sector(frame, sector, 1, rng)[0]
-        lam = frame.source(x)
+        lam = frame.affine(x)
         zero_tol = 1e-9 * (1 + np.abs(lam).max())
         nudged = frame.apex + (lam + zero_tol / 2) @ frame.duals
         assert leq(classify(frame, x), classify(frame, nudged)) or leq(

@@ -12,6 +12,7 @@ import types
 import numpy as np
 
 import relugeom.boundary as bd
+import relugeom.core as core
 import relugeom.layer as ly
 import relugeom.network as nw
 from relugeom.io import canonical_json
@@ -34,8 +35,8 @@ def test_duality_checks_contracting_duals(monkeypatch):
             return frame
         return dataclasses.replace(frame, duals=frame.duals * (1.0 + 1e-6))
 
-    build = ly.build_dual_frame
-    monkeypatch.setattr(ly, "build_dual_frame", perturbed)
+    build = core.build_dual_frame
+    monkeypatch.setattr(core, "build_dual_frame", perturbed)
     failed = failing(run_duality(0))
     assert list(failed) == ["contracting_dual_basis_delta"]
     assert set(failed["contracting_dual_basis_delta"]) == {"d_out", "d_in", "matrix"}
@@ -79,3 +80,16 @@ def test_nan_rewrite_residual_fails(monkeypatch):
     report = reported(suite)["projection_rewrite_matches_network"]
     assert report["worst_residual"] is None and report["passed"] is False
     assert set(report["counterexample"]) == {"depth", "d"}
+
+
+def test_deep_suite_checks_the_seed_sampler(monkeypatch):
+    # The seed sampler returns its rows reversed; trace_boundary calls it,
+    # so only an expectation built without it can notice.
+    sample = nw.sample_shallow_boundary
+
+    def reversed_rows(*args, **kwargs):
+        drawn = sample(*args, **kwargs)
+        return dataclasses.replace(drawn, points=drawn.points[::-1], residuals=drawn.residuals[::-1])
+
+    monkeypatch.setattr(nw, "sample_shallow_boundary", reversed_rows)
+    assert "depth_one_matches_shallow_sampler" in failing(run_deep(0))
