@@ -275,23 +275,37 @@ def sample_piece(
         raise EmptyPiece(f"piece {piece.indices} has no points")
     if rng is None:
         rng = np.random.default_rng(0)
-    t = piece.t
-    pos = np.flatnonzero(t > 0.0)
-    neg = np.flatnonzero(t < 0.0)
     alphas = np.zeros((n, len(piece.indices)))
-    budget = np.ones(n)
-    if neg.size:
-        alphas[:, neg] = rng.exponential(radius * float(np.max(np.abs(t[neg]))), size=(n, neg.size))
-        budget = 1.0 - alphas[:, neg] @ (1.0 / t[neg])
-    weights = rng.gamma(1.0, size=(n, pos.size))
-    weights /= weights.sum(axis=1, keepdims=True)
-    alphas[:, pos] = weights * budget[:, None] * t[pos]
+    lam = np.empty((n, len(piece.recession_indices)))
+    _draw_coefficients(piece.t, alphas, lam, radius, rng)
     duals = piece.layer.duals
     points = piece.layer.apex + alphas @ duals[[i - 1 for i in piece.indices]]
     if piece.recession_indices:
-        lam = rng.uniform(0.0, radius, size=(n, len(piece.recession_indices)))
         points = points + lam @ -duals[[i - 1 for i in piece.recession_indices]]
     return points
+
+
+def _draw_coefficients(t: np.ndarray, alphas: np.ndarray, lam: np.ndarray, radius: float, rng):
+    """Fill one piece's coefficients in place: ``alphas`` (n, |J|) on the
+    dual vectors of J and ``lam`` (n, |R|) on the recession directions.
+
+    The RNG is drawn in a fixed order, exponential, gamma, uniform, so
+    pieces drawn one after another consume the stream identically whether
+    their points are then formed one piece at a time or stacked.
+    """
+    n = alphas.shape[0]
+    (pos,) = (t > 0.0).nonzero()
+    (neg,) = (t < 0.0).nonzero()
+    if neg.size:
+        alphas[:, neg] = rng.exponential(radius * float(np.abs(t[neg]).max()), size=(n, neg.size))
+        budget = 1.0 - alphas[:, neg] @ (1.0 / t[neg])
+    weights = rng.gamma(1.0, size=(n, pos.size))
+    weights /= weights.sum(axis=1, keepdims=True)
+    if neg.size:
+        weights *= budget[:, None]
+    alphas[:, pos] = weights * t[pos]
+    if lam.shape[1]:
+        lam[...] = rng.uniform(0.0, radius, size=lam.shape)
 
 
 def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:

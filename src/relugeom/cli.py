@@ -255,6 +255,19 @@ def _shallow_network(args) -> tuple[ReluLayer, OutputLayer, int]:
     return build_dual_frame(affines[0]), output, spec_seed
 
 
+def _residual_rounding(layer: ReluLayer, readout: OutputLayer, points) -> float:
+    """How far rounding alone can move the residual of any of ``points``.
+
+    Evaluating |relu(A x + b) . w + c| in floats errs by at most about
+    (d + 2) eps (|w| . (|A| |x| + |b|) + |c|), d the input dimension; at
+    the radii the boundary command is meant for this is near 1e-14.
+    """
+    a = layer.affine
+    with np.errstate(over="ignore"):  # an overflow only makes the bound infinite
+        size = (np.abs(points) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(readout.weights)
+        return (layer.d_in + 2) * np.finfo(float).eps * (float(np.max(size)) + abs(readout.bias))
+
+
 def cmd_boundary(args) -> int:
     started = time.monotonic()
     layer, output, _ = _shallow_network(args)
@@ -291,14 +304,22 @@ def cmd_boundary(args) -> int:
     if args.samples:
         rng = np.random.default_rng(args.seed)
         drawn = sample_shallow_boundary(layer, boundary, 1, args.samples, args.radius, rng)
-        residuals = drawn.residuals / (1.0 + abs(boundary.readout.bias))
+        scale = 1.0 + abs(boundary.readout.bias)
+        tolerance = 1e-8
+        rounding = _residual_rounding(layer, boundary.readout, drawn.points) / scale
+        if not rounding <= tolerance:
+            raise SchemaError(
+                f"--radius {args.radius:g} puts boundary samples where rounding alone can move a "
+                f"residual by up to {rounding:.3g}, beyond the stated tolerance {tolerance:g}"
+            )
+        residuals = drawn.residuals / scale
         results["samples"] = {
             "per_piece": args.samples,
             "max_residual": float(np.max(residuals)),
-            "tolerance": 1e-8,
+            "tolerance": tolerance,
         }
         if args.csv:
-            labels = [piece.label() for piece in boundary.pieces for _ in range(args.samples)]
+            labels = [label for piece in boundary.pieces for label in [piece.label()] * args.samples]
             write_point_csv(args.csv, labels, drawn.points, {"residual": residuals})
             results["samples"]["csv"] = args.csv
     if args.obj:

@@ -11,11 +11,15 @@ network spec chains layer specs and adds a scalar readout::
 Reports are serialized with fixed 17-significant-digit float formatting
 so identical inputs and seeds reproduce identical bytes (the wall-time
 field is the one documented exception).
+
+CSV files use one dialect: comma separators, CRLF line ends and no
+quoting, with every float written as ``%.17g``.  No field ever needs
+quotes: labels are piece index sets such as ``1-3-4``, or ``preimage``,
+and the other fields are numbers.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -113,24 +117,38 @@ def input_digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
 def _format_float(x: float) -> str:
-    if np.isnan(x) or np.isinf(x):
+    if not math.isfinite(x):
         return "null"
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"
 
 
+def _format_number(v) -> str:
+    """Text of an int or a float, Python or numpy (bools excluded)."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return _format_float(float(v))
+
+
 def canonical_json(obj, indent: int = 0) -> str:
-    """Serialize with deterministic float formatting (17 significant digits)."""
+    """Serialize with deterministic float formatting (17 significant digits).
+
+    A list stays on one line when its items do and the line is at most 100
+    characters; otherwise it puts one item per line.  An item's text
+    depends on its indent only when it spans lines, so the items are
+    serialized once, at the deeper indent, for both forms.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+    if isinstance(obj, _NUMBERS):
+        return _format_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -144,42 +162,55 @@ def canonical_json(obj, indent: int = 0) -> str:
         )
         return "{\n" + items + "\n" + "  " * indent + "}"
     if isinstance(obj, (list, tuple)):
-        inner = [canonical_json(v, indent) for v in obj]
-        flat = "[" + ", ".join(inner) + "]"
-        if len(flat) <= 100 and "\n" not in flat:
-            return flat
+        kinds = set(map(type, obj))
+        numeric = all(issubclass(kind, _NUMBERS) and kind is not bool for kind in kinds)
+        if kinds == {int}:
+            items = list(map(str, obj))
+        elif kinds == {float}:
+            items = list(map(_format_float, obj))
+        elif numeric:
+            items = list(map(_format_number, obj))
+        else:
+            items = [canonical_json(v, indent + 1) for v in obj]
+        if numeric or not any("\n" in item for item in items):
+            flat = "[" + ", ".join(items) + "]"
+            if len(flat) <= 100:
+                return flat
         pad = "  " * (indent + 1)
-        return "[\n" + ",\n".join(pad + canonical_json(v, indent + 1) for v in obj) + "\n" + "  " * indent + "]"
+        return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * indent + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_CHUNK_ROWS = 1024  # CSV rows formatted per write
+
+
+def _write_csv(path: str, header: list[str], row_format: str, columns: list):
+    """Write ``header`` and one line per row of ``columns`` (equal-length
+    lists or 1-D arrays), each line from the one ``%`` format ``row_format``.
+    Rows go out ``_CHUNK_ROWS`` at a time, so no text the size of the file
+    is ever built."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [column[start : start + _CHUNK_ROWS] for column in columns]
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+            fh.writelines(map(row_format.__mod__, rows))
 
 
 def write_point_csv(path: str, labels, points, extra_columns: dict | None = None):
     """CSV of labeled points; coordinate columns are named x1..xd."""
     points = np.asarray(points, dtype=float)
-    d = points.shape[1]
-    header = ["label"] + [f"x{i}" for i in range(1, d + 1)]
     extra = extra_columns or {}
-    header += list(extra.keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row_idx, (label, point) in enumerate(zip(labels, points)):
-            row = [label] + [f"{v:.17g}" for v in point]
-            row += [f"{extra[k][row_idx]:.17g}" for k in extra]
-            writer.writerow(row)
+    header = ["label"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + list(extra)
+    table = np.column_stack([points, *(np.asarray(column, dtype=float) for column in extra.values())])
+    row_format = "%s," + ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    _write_csv(path, header, row_format, [labels, *table.T])
 
 
 def write_level_csv(path: str, sample_set):
     """CSV of one level's boundary samples: level, coordinates, residual, fiber."""
     points = sample_set.points
-    d = points.shape[1]
-    header = ["level"] + [f"x{i}" for i in range(1, d + 1)] + ["residual", "fiber"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for point, residual, fiber in zip(points, sample_set.residuals, sample_set.fiber.tolist()):
-            writer.writerow(
-                [sample_set.level]
-                + [f"{v:.17g}" for v in point]
-                + [f"{residual:.17g}", fiber]
-            )
+    header = ["level"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + ["residual", "fiber"]
+    table = np.column_stack([points, sample_set.residuals])
+    row_format = "%d," + ",".join(["%.17g"] * table.shape[1]) + ",%d\r\n"
+    _write_csv(path, header, row_format, [[sample_set.level] * len(points), *table.T, sample_set.fiber])

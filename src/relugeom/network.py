@@ -13,10 +13,11 @@ samples with their parent and fiber indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_piece
+from .boundary import DecisionBoundary, OutputLayer, _draw_coefficients, enumerate_pieces, pull_back_hyperplane
 from .core import AffineMap, ReluLayer, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
 from .layer import evaluate, preimage_bases, project_with_frame
@@ -166,17 +167,36 @@ def sample_shallow_boundary(
     boundary that :func:`enumerate_pieces` found for ``layer``, drawn in
     piece order, with residuals |readout(layer(x))| of the normalized
     readout.  Raises SchemaError when the radius is so large that a point
-    or a residual leaves the float range."""
+    or a residual leaves the float range.
+
+    The points are exactly those of :func:`sample_piece` called piece by
+    piece on the same generator.  Coefficients are drawn piece by piece;
+    points and residuals are formed for each run of pieces with equal |J|
+    (consecutive in graded order) by stacked products, which call BLAS
+    once per piece and so round exactly like the per-piece products.  One
+    plain matrix product over all points would not: it differs in the last
+    bit from d = 8 on, which would change the boundary command's CSV bytes.
+    """
+    n, d = samples_per_piece, boundary.d
+    points, residuals = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        drawn = [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in boundary.pieces]
-        # Piece by piece, as the boundary command has always computed them: one
-        # readout product over all stacked points rounds differently in the
-        # last bit from d = 8 on, which would change its CSV bytes.
-        residuals = np.concatenate([np.abs(boundary.readout(evaluate(layer, xs))) for xs in drawn])
-    points = np.vstack(drawn)
+        for grade, run in groupby(boundary.pieces, key=lambda piece: len(piece.indices)):
+            run = tuple(run)
+            alphas = np.zeros((len(run), n, grade))
+            lam = np.empty((len(run), n, d - grade))
+            for p, piece in enumerate(run):
+                _draw_coefficients(piece.t, alphas[p], lam[p], radius, rng)
+            block = layer.apex + alphas @ layer.duals[np.array([piece.indices for piece in run]) - 1]
+            if grade < d:
+                recession = np.array([piece.recession_indices for piece in run]) - 1
+                block = block + lam @ -layer.duals[recession]
+            points.append(block.reshape(-1, layer.d_in))
+            residuals.append(np.abs(boundary.readout(evaluate(layer, block))).ravel())
+    points = np.concatenate(points)
+    residuals = np.concatenate(residuals)
     if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
         raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
-    n_pieces = len(drawn)
+    n_pieces = len(boundary.pieces)
     return BoundarySampleSet(
         level=level,
         points=points,

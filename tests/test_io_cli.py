@@ -295,6 +295,37 @@ class TestOverflowingRadius:
 
 GENERAL_LAYER = {"matrix": [[1, 0.2], [0.1, 1]], "offset": [0.3, -0.2]}
 
+class TestRadiusBeyondRounding:
+    """Finite samples at a radius where rounding alone exceeds the stated
+    tolerance: the report could not keep its claim, so the command refuses."""
+
+    @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
+    def test_rejected_as_schema_error(self, layer, tmp_path, capsys):
+        spec = {"layers": [layer], "output": {"weights": [1, -1], "bias": -1}}
+        path = write_spec(tmp_path / "net.json", spec)
+        code = main(["boundary", "--input", path, "--samples", "2", "--radius", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith("--radius 1e+308")
+        assert "tolerance" in body["message"]
+
+    @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
+    @pytest.mark.parametrize("radius", ["1", "1e3", "1e5", "1e7", "1e9", "1e12", "1e200"])
+    def test_stated_tolerance_met_whenever_accepted(self, layer, radius, tmp_path, capsys):
+        spec = {"layers": [layer], "output": {"weights": [1, -1], "bias": -1}}
+        path = write_spec(tmp_path / "net.json", spec)
+        code, body = run(capsys, ["boundary", "--input", path, "--samples", "4", "--radius", radius])
+        if code == 0:
+            assert body["results"]["samples"]["max_residual"] <= body["results"]["samples"]["tolerance"]
+        else:
+            assert code == 2 and body["message"].startswith("--radius")
+        if float(radius) <= 1e5:
+            assert code == 0
+
+
 # Layers that pass the condition gate but whose dual frame has no float
 # representation: subnormal rows (duals overflow), an apex beyond 1e308,
 # and contracting rows whose Gram matrix underflows to a singular one or

@@ -1,0 +1,227 @@
+"""The array-speed writers of ``relugeom.io`` against their reference versions.
+
+``reference_canonical_json`` (a list serialized twice, once flat and once
+one item per line) and the ``csv.writer`` versions of both CSV writers are
+the earlier implementations, kept here as the definition of the bytes the
+library must reproduce.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relugeom.cli import main
+from relugeom.io import canonical_json, write_level_csv, write_point_csv
+from relugeom.network import BoundarySampleSet
+
+
+def reference_format_float(x: float) -> str:
+    if np.isnan(x) or np.isinf(x):
+        return "null"
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return f"{x:.17g}"
+
+
+def reference_canonical_json(obj, indent: int = 0) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_canonical_json(obj.tolist(), indent)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "  " * (indent + 1)
+        items = ",\n".join(
+            f"{pad}{json.dumps(str(k))}: {reference_canonical_json(v, indent + 1)}" for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + "  " * indent + "}"
+    if isinstance(obj, (list, tuple)):
+        inner = [reference_canonical_json(v, indent) for v in obj]
+        flat = "[" + ", ".join(inner) + "]"
+        if len(flat) <= 100 and "\n" not in flat:
+            return flat
+        pad = "  " * (indent + 1)
+        return "[\n" + ",\n".join(pad + reference_canonical_json(v, indent + 1) for v in obj) + "\n" + "  " * indent + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_write_point_csv(path, labels, points, extra_columns=None):
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    header = ["label"] + [f"x{i}" for i in range(1, d + 1)]
+    extra = extra_columns or {}
+    header += list(extra.keys())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row_idx, (label, point) in enumerate(zip(labels, points)):
+            row = [label] + [f"{v:.17g}" for v in point]
+            row += [f"{extra[k][row_idx]:.17g}" for k in extra]
+            writer.writerow(row)
+
+
+def reference_write_level_csv(path, sample_set):
+    points = sample_set.points
+    d = points.shape[1]
+    header = ["level"] + [f"x{i}" for i in range(1, d + 1)] + ["residual", "fiber"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for point, residual, fiber in zip(points, sample_set.residuals, sample_set.fiber.tolist()):
+            writer.writerow([sample_set.level] + [f"{v:.17g}" for v in point] + [f"{residual:.17g}", fiber])
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, -3.0, 1e16, 1e15, 0.1, 1 / 3,
+                  np.nan, np.inf, -np.inf]
+
+
+def hostile_table(rng, rows, cols):
+    """Random floats of every magnitude with the special values planted."""
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 308, size=(rows, cols))
+    integral = rng.random(size=table.shape) < 0.15
+    table[integral] = rng.integers(-(10**6), 10**6, size=int(integral.sum()))
+    special = rng.random(size=table.shape) < 0.3
+    table[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+    return table
+
+
+class TestCsvWritersMatchCsvModule:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("with_extra", [False, True])
+    def test_point_csv(self, seed, with_extra, tmp_path):
+        rng = np.random.default_rng(seed)
+        # 2600 rows cross the writer's chunk boundaries
+        rows, d = [0, 1, 7, 2600, 40, 1025][seed], int(rng.integers(1, 9))
+        points = hostile_table(rng, rows, d)
+        labels = ["-".join(map(str, sorted(rng.choice(12, size=3, replace=False) + 1))) for _ in range(rows)]
+        extra = {"residual": hostile_table(rng, rows, 1)[:, 0], "other": np.arange(rows)} if with_extra else None
+        write_point_csv(tmp_path / "got.csv", labels, points, extra)
+        reference_write_point_csv(tmp_path / "want.csv", labels, points, extra)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_point_csv_integral_floats(self, tmp_path):
+        points = np.array([[1.0, -2.0, 0.0], [1e16, -0.0, 3e20]])
+        write_point_csv(tmp_path / "got.csv", ["preimage"] * 2, points)
+        reference_write_point_csv(tmp_path / "want.csv", ["preimage"] * 2, points)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_csv(self, seed, tmp_path):
+        rng = np.random.default_rng(100 + seed)
+        rows, d = [0, 3, 1500, 64][seed], int(rng.integers(1, 7))
+        sample_set = BoundarySampleSet(
+            level=int(rng.integers(1, 5)),
+            points=hostile_table(rng, rows, d),
+            residuals=np.abs(hostile_table(rng, rows, 1)[:, 0]),
+            parent=np.zeros(rows, dtype=int),
+            fiber=rng.integers(0, 16, size=rows),
+        )
+        write_level_csv(tmp_path / "got.csv", sample_set)
+        reference_write_level_csv(tmp_path / "want.csv", sample_set)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+LABEL = re.compile(r"^[0-9]+(-[0-9]+)*$|^preimage$")
+
+
+def csv_labels(path: Path) -> list[str]:
+    with open(path, newline="") as fh:
+        return [row[0] for row in list(csv.reader(fh))[1:]]
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["boundary", "--samples", "2", "--csv", "out.csv"],
+         {"layers": [{"matrix": np.eye(11).tolist(), "offset": [0.0] * 11}],
+          "output": {"weights": [1.0] * 6 + [-1.0] * 5, "bias": -1.0}}),
+        (["boundary", "--samples", "3", "--csv", "out.csv"],
+         {"layers": [{"matrix": [[1, 0.2, 0.5], [0.1, 1, -0.3]], "offset": [0.3, -0.2]}],
+          "output": {"weights": [1, -1], "bias": 0.5}}),
+        (["preimage", "--point", "0.5,0,1", "--samples", "5", "--csv", "out.csv"],
+         {"matrix": np.eye(3).tolist(), "offset": [0.0, 0.0, 0.0]}),
+    ],
+    ids=["boundary-d11", "boundary-contracting", "preimage"],
+)
+def test_csv_labels_never_need_quoting(argv, spec, tmp_path, monkeypatch, capsys):
+    # csv.writer quoted nothing because no label holds a comma, a quote or a line break
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main([argv[0], "--input", "spec.json", *argv[1:]]) == 0
+    capsys.readouterr()
+    labels = csv_labels(tmp_path / "out.csv")
+    assert labels and all(LABEL.match(label) for label in labels)
+
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e15 + 0.5, 2.0, -7.0]),
+    st.integers(-(10**17), 10**17).map(float),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    floats,
+    floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.integers(-100, 100).map(np.int32),
+    st.booleans().map(np.bool_),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
+    st.sampled_from(['say "hi"', "naïve", "∂x/∂y", "back\\slash", "new\nline"]),
+)
+arrays = st.one_of(
+    st.lists(floats, max_size=12).map(np.array),
+    st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(
+        lambda shape: st.lists(floats, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+            lambda values: np.array(values, dtype=float).reshape(shape)
+        )
+    ),
+    st.lists(st.integers(-1000, 1000), max_size=10).map(lambda v: np.array(v, dtype=np.int64)),
+)
+documents = st.recursive(
+    st.one_of(scalars, arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=8),
+        st.lists(children, max_size=8).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalJsonMatchesTwoPassReference:
+    @settings(max_examples=200, deadline=None)
+    @given(documents)
+    def test_bytes(self, obj):
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+    @pytest.mark.parametrize("width", [99, 100, 101, 102])
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_flat_form_at_the_width_limit(self, width, indent):
+        # "[1, 1, ..., 1, 2...2]" of exactly ``width`` characters, alone and nested
+        head = [1] * 30
+        tail = int("2" * (width - 2 - 3 * len(head)))
+        for obj in ([*head, tail], [*map(float, head[:10]), "x" * (width - 2 - 5 * 10 - 2)]):
+            flat = json.dumps(obj)
+            assert len(flat) == width
+            for doc in (obj, {"k": obj}, [obj, [obj]], (obj,)):
+                assert canonical_json(doc, indent) == reference_canonical_json(doc, indent)

@@ -13,6 +13,7 @@ from relugeom import (
     evaluate_network,
     trace_boundary,
 )
+from relugeom.boundary import sample_piece
 from relugeom.layer import ReluLayer, evaluate
 from relugeom.layer import preimage_of_point
 from relugeom.network import (
@@ -21,6 +22,7 @@ from relugeom.network import (
     pull_back_boundary,
     sample_shallow_boundary,
 )
+from relugeom.verify import random_layer, random_output_layer
 
 
 def random_net(depth, d, seed=0, offset_scale=0.5):
@@ -318,6 +320,56 @@ class TestBatchedPullBackEquivalence:
             except EmptyIntersection:
                 with pytest.raises(EmptyIntersection):
                     reference_pull_back(net, 1, samples, np.random.default_rng(seed), tol=tol)
+
+
+def reference_seed_samples(layer, boundary, samples_per_piece, radius, rng):
+    """The per-piece seed sampler: sample_piece on every piece in piece
+    order, then each piece's residuals from its own evaluate and readout."""
+    drawn = [sample_piece(piece, samples_per_piece, radius=radius, rng=rng) for piece in boundary.pieces]
+    residuals = np.concatenate([np.abs(boundary.readout(evaluate(layer, xs))) for xs in drawn])
+    n_pieces = len(drawn)
+    return (
+        np.vstack(drawn),
+        residuals,
+        np.repeat(np.arange(n_pieces), samples_per_piece),
+        np.tile(np.arange(samples_per_piece), n_pieces),
+    )
+
+
+SEED_SAMPLER_SHAPES = [(d, d) for d in range(2, 13)] + [(2, 3), (3, 5), (6, 8)]
+SEED_SAMPLER_DRAWS = [(samples, radius) for samples in range(1, 7) for radius in (0.5, 1.0, 2.0)]
+
+
+class TestBatchedSeedSamplerEquivalence:
+    """The seed sampler, batched by grade, reproduces the per-piece loop bit for bit."""
+
+    def assert_same(self, d_out, d_in, seed, draws):
+        rng = np.random.default_rng(1000 * d_out + 10 * d_in + seed)
+        layer = random_layer(rng, d_out, d_in)
+        boundary = enumerate_pieces(layer, random_output_layer(rng, d_out))
+        for samples, radius in draws:
+            got = sample_shallow_boundary(layer, boundary, 1, samples, radius, np.random.default_rng(seed))
+            points, residuals, parent, fiber = reference_seed_samples(
+                layer, boundary, samples, radius, np.random.default_rng(seed)
+            )
+            assert np.array_equal(got.points, points)
+            assert np.array_equal(got.residuals, residuals)
+            assert np.array_equal(got.parent, parent)
+            assert np.array_equal(got.fiber, fiber)
+
+    @pytest.mark.parametrize("d_out, d_in", SEED_SAMPLER_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_piece_loop(self, d_out, d_in, seed):
+        # two of the 18 (samples, radius) pairs per seed; the three seeds
+        # together cover every sample count and every radius
+        draws = {0: [(1, 0.5), (4, 1.0)], 1: [(2, 1.0), (5, 2.0)], 2: [(3, 2.0), (6, 0.5)]}[seed]
+        self.assert_same(d_out, d_in, seed, draws)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d_out, d_in", SEED_SAMPLER_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_piece_loop_on_every_draw(self, d_out, d_in, seed):
+        self.assert_same(d_out, d_in, seed, SEED_SAMPLER_DRAWS)
 
 
 class TestTrace:
