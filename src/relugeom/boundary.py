@@ -37,6 +37,7 @@ from .tolerances import (
     MAX_ENUM_DIM,
     RCOND_MIN,
     WITNESS_LEVEL_REL,
+    WITNESS_MAX_DIM,
     scaled,
 )
 
@@ -262,7 +263,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
 
 
 def sample_piece(
-    piece: BoundaryPiece, n: int, radius: float = 1.0, rng: np.random.Generator | None = None
+    piece: BoundaryPiece, n: int, radius: float = 1.0, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Random points of a boundary piece.
 
@@ -273,8 +274,6 @@ def sample_piece(
     """
     if piece.is_empty:
         raise EmptyPiece(f"piece {piece.indices} has no points")
-    if rng is None:
-        rng = np.random.default_rng(0)
     alphas = np.zeros((n, len(piece.indices)))
     lam = np.empty((n, len(piece.recession_indices)))
     _draw_coefficients(piece.t, alphas, lam, radius, rng)
@@ -316,10 +315,11 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     really lies on the zero level of the network and carries the claimed
     activation pattern, and counts it.  No piece-count formula is used, so
     agreement with :func:`enumerate_pieces` is a genuine cross-check.
+    Refused with EnumerationLimit above d = WITNESS_MAX_DIM.
     """
     d = layer.d_out
-    if d > 8:
-        raise ValueError("witness enumeration is intended for d <= 8")
+    if d > WITNESS_MAX_DIM:
+        raise EnumerationLimit(f"refusing witness enumeration at d={d} (limit d={WITNESS_MAX_DIM})")
     norm, t, _ = _readout(layer, output)
     tol = scaled(WITNESS_LEVEL_REL, abs(norm.bias))
     count = 0

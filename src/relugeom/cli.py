@@ -2,7 +2,8 @@
 
 Commands: analyze, classify, preimage, boundary, deep-boundary, verify.
 Every command reads a JSON spec, writes a JSON run report to stdout, and
-maps errors to a fixed exit-code taxonomy:
+exits with a fixed code; each error class carries its code as
+``exit_code``:
 
     0  success
     1  verification failure (a suite found a counterexample)
@@ -25,25 +26,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .boundary import OutputLayer, enumerate_pieces, piece_count_oracle
+from .boundary import enumerate_pieces, piece_count_oracle
 from .core import ReluLayer, build_dual_frame
-from .errors import (
-    AllNegative,
-    DegenerateBias,
-    DegenerateDirection,
-    DimensionMismatch,
-    EmptyIntersection,
-    EmptyPiece,
-    EnumerationLimit,
-    GeometryError,
-    InvalidM,
-    NotContracting,
-    RankDeficient,
-    SchemaError,
-)
+from .errors import GeometryError, SchemaError
 from .io import (
     canonical_json,
-    input_digest,
     load_json,
     parse_layer_spec,
     parse_network_spec,
@@ -54,50 +41,26 @@ from .layer import evaluate, preimage_of_point
 from .mesh import piece_polygons, write_obj
 from .network import ReluNetwork, sample_shallow_boundary, trace_boundary
 from .partition import sector_counts, split_by_zero_band
-from .tolerances import RCOND_MIN
+from .tolerances import RCOND_MIN, WITNESS_MAX_DIM, ZERO_COMPONENT_TOL
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_SCHEMA = 2
-EXIT_DEGENERATE = 3
-EXIT_RESOURCE = 4
-
-# Total mapping of the error taxonomy onto exit codes.
-ERROR_CODES: dict[type, int] = {
-    SchemaError: EXIT_SCHEMA,
-    DimensionMismatch: EXIT_SCHEMA,
-    InvalidM: EXIT_SCHEMA,
-    EmptyPiece: EXIT_SCHEMA,
-    RankDeficient: EXIT_DEGENERATE,
-    DegenerateBias: EXIT_DEGENERATE,
-    DegenerateDirection: EXIT_DEGENERATE,
-    AllNegative: EXIT_DEGENERATE,
-    NotContracting: EXIT_DEGENERATE,
-    EmptyIntersection: EXIT_DEGENERATE,
-    EnumerationLimit: EXIT_RESOURCE,
-}
-
-
-def _exit_code_for(exc: GeometryError) -> int:
-    for klass, code in ERROR_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return EXIT_SCHEMA
 
 
 def _emit(report: dict):
     sys.stdout.write(canonical_json(report) + "\n")
 
 
-def _report(command: str, path: str, seed: int | None, results: dict, started: float) -> dict:
+def _report(args, digest: str, results: dict, started: float) -> dict:
+    """The report envelope; it carries the seed exactly when the command takes ``--seed``."""
     out = {
-        "command": command,
-        "input_digest": input_digest(path),
+        "command": args.command,
+        "input_digest": digest,
         "version": __version__,
     }
-    if seed is not None:
-        out["seed"] = seed
+    if "seed" in args:
+        out["seed"] = args.seed
     out["results"] = results
     out["wall_time_ms"] = (time.monotonic() - started) * 1000.0
     return out
@@ -136,9 +99,32 @@ def _check_arguments(args):
         raise SchemaError(f"--box must be finite numbers lo < hi, got {lo},{hi}")
 
 
+def _refuse_rounding_beyond(tolerance: float, radius: float, layer: ReluLayer, points, weights, offset):
+    """Refuse a ``--radius`` at which rounding alone could carry a stated
+    residual past its stated ``tolerance``.
+
+    The residuals are |relu(A x + b) @ weights + offset| at ``points``:
+    a boundary readout's value (its weight vector and bias) or a preimage
+    sample's distance to the target y (the identity and -y).  Evaluating
+    one in floats errs by at most about
+    (d + 2) eps ((|A| |x| + |b|) @ |weights| + |offset|), d the input
+    dimension; at radius 1 or 2 this is near 1e-14.
+    """
+    a = layer.affine
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the bound inf or NaN: refused
+        size = (np.abs(points) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(weights) + np.abs(offset)
+        rounding = (layer.d_in + 2) * np.finfo(float).eps * float(np.max(size))
+    if not rounding <= tolerance:
+        raise SchemaError(
+            f"--radius {radius:g} puts samples where rounding alone can move a residual "
+            f"by up to {rounding:.3g}, beyond the stated tolerance {tolerance:g}"
+        )
+
+
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    affine, name = parse_layer_spec(load_json(args.input))
+    spec, digest = load_json(args.input)
+    affine, name = parse_layer_spec(spec)
     layer = build_dual_frame(affine)
     counts = sector_counts(layer.d_out)
     results = {
@@ -158,13 +144,14 @@ def cmd_analyze(args) -> int:
     if layer.is_contracting:
         results["row_span_basis"] = layer.row_span_basis
         results["complement_basis"] = layer.complement_basis
-    _emit(_report("analyze", args.input, None, results, started))
+    _emit(_report(args, digest, results, started))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     started = time.monotonic()
-    affine, _ = parse_layer_spec(load_json(args.input))
+    spec, digest = load_json(args.input)
+    affine, _ = parse_layer_spec(spec)
     layer = build_dual_frame(affine)
     points = _parse_points(args.point, affine.d_in)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
@@ -200,23 +187,20 @@ def cmd_classify(args) -> int:
                 + "\n"
             )
         return EXIT_OK
-    _emit(_report("classify", args.input, None, results, started))
+    _emit(_report(args, digest, results, started))
     return EXIT_OK
 
 
 def cmd_preimage(args) -> int:
     started = time.monotonic()
-    affine, _ = parse_layer_spec(load_json(args.input))
+    spec, digest = load_json(args.input)
+    affine, _ = parse_layer_spec(spec)
     layer = build_dual_frame(affine)
     (y,) = _parse_points([args.point], layer.d_out)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        if args.tol is not None:
-            pre = preimage_of_point(layer, y, zero_tol=args.tol)
-        else:
-            pre = preimage_of_point(layer, y)
+        pre = preimage_of_point(layer, y, zero_tol=args.tol)
     if pre is None:
-        results = {"empty": True, "target": y}
-        _emit(_report("preimage", args.input, args.seed, results, started))
+        _emit(_report(args, digest, {"empty": True, "target": y}, started))
         return EXIT_OK
     if not np.isfinite(pre.base).all():
         raise SchemaError(f"point {y.tolist()} has a preimage base point beyond the float range")
@@ -236,41 +220,27 @@ def cmd_preimage(args) -> int:
             residual = float(np.max(np.abs(evaluate(layer, samples) - pre.target)))
         if not (np.isfinite(samples).all() and math.isfinite(residual)):
             raise SchemaError(f"--radius {args.radius:g} puts preimage samples beyond the float range")
+        tolerance = 1e-8 * (1.0 + float(np.max(np.abs(pre.target))))
+        _refuse_rounding_beyond(tolerance, args.radius, layer, samples, np.eye(layer.d_out), -pre.target)
         results["samples"] = {
             "count": args.samples,
             "max_residual": residual,
-            "tolerance": 1e-8 * (1.0 + float(np.max(np.abs(pre.target)))),
+            "tolerance": tolerance,
         }
         if args.csv:
             write_point_csv(args.csv, ["preimage"] * args.samples, samples)
             results["samples"]["csv"] = args.csv
-    _emit(_report("preimage", args.input, args.seed, results, started))
+    _emit(_report(args, digest, results, started))
     return EXIT_OK
-
-
-def _shallow_network(args) -> tuple[ReluLayer, OutputLayer, int]:
-    affines, output, spec_seed = parse_network_spec(load_json(args.input))
-    if len(affines) != 1:
-        raise SchemaError("this command needs a network spec with exactly one layer")
-    return build_dual_frame(affines[0]), output, spec_seed
-
-
-def _residual_rounding(layer: ReluLayer, readout: OutputLayer, points) -> float:
-    """How far rounding alone can move the residual of any of ``points``.
-
-    Evaluating |relu(A x + b) . w + c| in floats errs by at most about
-    (d + 2) eps (|w| . (|A| |x| + |b|) + |c|), d the input dimension; at
-    the radii the boundary command is meant for this is near 1e-14.
-    """
-    a = layer.affine
-    with np.errstate(over="ignore"):  # an overflow only makes the bound infinite
-        size = (np.abs(points) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(readout.weights)
-        return (layer.d_in + 2) * np.finfo(float).eps * (float(np.max(size)) + abs(readout.bias))
 
 
 def cmd_boundary(args) -> int:
     started = time.monotonic()
-    layer, output, _ = _shallow_network(args)
+    spec, digest = load_json(args.input)
+    affines, output = parse_network_spec(spec)
+    if len(affines) != 1:
+        raise SchemaError("this command needs a network spec with exactly one layer")
+    layer = build_dual_frame(affines[0])
     boundary = enumerate_pieces(layer, output)
     results = {
         "d": boundary.d,
@@ -294,7 +264,7 @@ def cmd_boundary(args) -> int:
             "offset": boundary.canonical.to_actual.offset,
         },
     }
-    if boundary.d <= 8:
+    if boundary.d <= WITNESS_MAX_DIM:
         witness = piece_count_oracle(layer, output)
         results["oracle"] = {
             "witness_count": witness,
@@ -304,14 +274,11 @@ def cmd_boundary(args) -> int:
     if args.samples:
         rng = np.random.default_rng(args.seed)
         drawn = sample_shallow_boundary(layer, boundary, 1, args.samples, args.radius, rng)
-        scale = 1.0 + abs(boundary.readout.bias)
+        readout, scale = boundary.readout, 1.0 + abs(boundary.readout.bias)
         tolerance = 1e-8
-        rounding = _residual_rounding(layer, boundary.readout, drawn.points) / scale
-        if not rounding <= tolerance:
-            raise SchemaError(
-                f"--radius {args.radius:g} puts boundary samples where rounding alone can move a "
-                f"residual by up to {rounding:.3g}, beyond the stated tolerance {tolerance:g}"
-            )
+        _refuse_rounding_beyond(
+            tolerance, args.radius, layer, drawn.points, readout.weights / scale, readout.bias / scale
+        )
         residuals = drawn.residuals / scale
         results["samples"] = {
             "per_piece": args.samples,
@@ -327,13 +294,14 @@ def cmd_boundary(args) -> int:
         polys = piece_polygons(layer, boundary, lo, hi)
         write_obj(args.obj, polys)
         results["obj"] = {"path": args.obj, "box": [lo, hi], "pieces_in_box": len(polys)}
-    _emit(_report("boundary", args.input, args.seed, results, started))
+    _emit(_report(args, digest, results, started))
     return EXIT_OK
 
 
 def cmd_deep_boundary(args) -> int:
     started = time.monotonic()
-    affines, output, _ = parse_network_spec(load_json(args.input))
+    spec, digest = load_json(args.input)
+    affines, output = parse_network_spec(spec)
     layers = tuple(build_dual_frame(a) for a in affines)
     net = ReluNetwork(layers, output)
     rng = np.random.default_rng(args.seed)
@@ -344,6 +312,10 @@ def cmd_deep_boundary(args) -> int:
         rng=rng,
         max_fibers=args.fibers,
         tol=args.level_tol,
+    )
+    # Pulled-back levels keep only points within --level-tol; the seed level is drawn unfiltered.
+    _refuse_rounding_beyond(
+        args.level_tol, args.radius, layers[-1], levels[net.depth].points, output.weights, output.bias
     )
     per_level = []
     for level in sorted(levels, reverse=True):
@@ -360,7 +332,7 @@ def cmd_deep_boundary(args) -> int:
             entry["csv"] = path
         per_level.append(entry)
     results = {"depth": net.depth, "levels": per_level}
-    _emit(_report("deep-boundary", args.input, args.seed, results, started))
+    _emit(_report(args, digest, results, started))
     return EXIT_OK
 
 
@@ -429,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preimage", help="exact preimage of a codomain point")
     add_common(p)
     p.add_argument("--point", required=True, help="comma-separated target coordinates")
-    p.add_argument("--tol", type=float, default=None, help="zero band for target components")
+    p.add_argument("--tol", type=float, default=ZERO_COMPONENT_TOL, help="zero band for target components")
     p.add_argument("--samples", type=int, default=0, help="sample the preimage set")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--csv", help="write samples to this CSV path")
@@ -467,9 +439,8 @@ def main(argv=None) -> int:
         _check_arguments(args)
         return args.func(args)
     except GeometryError as exc:
-        code = _exit_code_for(exc)
-        _emit({"error": type(exc).__name__, "message": str(exc), "exit_code": code})
-        return code
+        _emit({"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code})
+        return exc.exit_code
 
 
 if __name__ == "__main__":

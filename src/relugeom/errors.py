@@ -1,12 +1,18 @@
 """Exception taxonomy for the library.
 
-Every error raised by the geometric modules derives from GeometryError so
-callers (and the CLI exit-code mapping) can treat the taxonomy as closed.
+Every error that a CLI input can provoke derives from GeometryError and
+carries the CLI's exit code for it as ``exit_code``: 2 for a schema or
+argument error (the base class's code), 3 for degenerate geometry and 4
+for a resource guard.  A few checks of library arguments that no CLI
+input reaches (index sets in ``partition``, levels in ``network``, the
+clip box in ``mesh``) raise ValueError instead.
 """
 
 
 class GeometryError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors of this package; exit code 2 unless a subclass says otherwise."""
+
+    exit_code = 2
 
 
 class DimensionMismatch(GeometryError):
@@ -16,21 +22,31 @@ class DimensionMismatch(GeometryError):
 class RankDeficient(GeometryError):
     """Matrix rows are dependent beyond tolerance; the dual basis is undefined."""
 
+    exit_code = 3
+
 
 class NotContracting(GeometryError):
     """A row-span projection was requested on a square (full-rank) frame."""
+
+    exit_code = 3
 
 
 class DegenerateBias(GeometryError):
     """Output layer bias is zero, so the kernel hyperplane passes through the origin."""
 
+    exit_code = 3
+
 
 class DegenerateDirection(GeometryError):
     """An output weight vanishes; the pulled-back hyperplane is parallel to a dual line."""
 
+    exit_code = 3
+
 
 class AllNegative(GeometryError):
     """Every intersection value is negative; the decision boundary is empty."""
+
+    exit_code = 3
 
 
 class InvalidM(GeometryError):
@@ -44,9 +60,13 @@ class EmptyPiece(GeometryError):
 class EmptyIntersection(GeometryError):
     """No boundary samples fall inside the nonnegative orthant at this level."""
 
+    exit_code = 3
+
 
 class EnumerationLimit(GeometryError):
     """Combinatorial enumeration refused: the index dimension exceeds the guard."""
+
+    exit_code = 4
 
 
 class SchemaError(GeometryError):

@@ -8,6 +8,9 @@ network spec chains layer specs and adds a scalar readout::
      "output": {"weights": [...], "bias": -1.0},
      "seed": 0}
 
+The optional ``seed`` must be an integer but is not used: sampling
+commands take their seed from ``--seed``.
+
 Reports are serialized with fixed 17-significant-digit float formatting
 so identical inputs and seeds reproduce identical bytes (the wall-time
 field is the one documented exception).
@@ -76,8 +79,8 @@ def parse_layer_spec(obj) -> tuple[AffineMap, str | None]:
     return AffineMap(np.array(parsed_rows), np.array(offset)), name
 
 
-def parse_network_spec(obj) -> tuple[list[AffineMap], OutputLayer, int]:
-    """Validate a network spec: chainable layers, readout, optional seed."""
+def parse_network_spec(obj) -> tuple[list[AffineMap], OutputLayer]:
+    """Validate a network spec: chainable layers, readout, optional (unused) seed."""
     _require(isinstance(obj, dict), "network spec must be a JSON object")
     _require("layers" in obj, "network spec missing 'layers'")
     _require(isinstance(obj["layers"], list) and len(obj["layers"]) > 0, "'layers' must be a nonempty array")
@@ -99,22 +102,19 @@ def parse_network_spec(obj) -> tuple[list[AffineMap], OutputLayer, int]:
     )
     seed = obj.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
-    return affines, OutputLayer(np.array(weights), bias), seed
+    return affines, OutputLayer(np.array(weights), bias)
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str) -> tuple[Any, str]:
+    """The parsed JSON file and the ``sha256:`` digest of the bytes parsed."""
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+            data = fh.read()
+        return json.loads(data.decode("utf-8")), "sha256:" + hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise SchemaError(f"cannot read input file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
-
-
-def input_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 _NUMBERS = (int, float, np.integer, np.floating)

@@ -84,10 +84,8 @@ class PreimageSet:
         free = self.layer.complement_basis
         return len(self.generator_indices) + (0 if free is None else free.shape[0])
 
-    def sample(self, n: int, radius: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
+    def sample(self, n: int, radius: float, *, rng: np.random.Generator) -> np.ndarray:
         """Points of the set; coefficients are Exponential(1) scaled by radius."""
-        if rng is None:
-            rng = np.random.default_rng(0)
         points = np.tile(self.base, (n, 1))
         if self.generator_indices:
             coeffs = rng.exponential(radius, size=(n, len(self.generator_indices)))

@@ -61,9 +61,6 @@ class ReluNetwork:
     def d_in(self) -> int:
         return self.layers[0].d_in
 
-    def __call__(self, x):
-        return evaluate_tail(self, 1, x)
-
 
 def evaluate_network(net: ReluNetwork, x) -> float | np.ndarray:
     """Full forward pass: readout of the composed layer chain."""
@@ -211,8 +208,8 @@ def pull_back_boundary(
     k: int,
     samples: BoundarySampleSet,
     rng: np.random.Generator,
-    max_fibers: int = 16,
-    tol: float = 1e-7,
+    max_fibers: int,
+    tol: float,
 ) -> BoundarySampleSet:
     """Pull level-(k+1) boundary samples back through layer k.
 
@@ -226,7 +223,8 @@ def pull_back_boundary(
     components and free the complement dimension.  Base points and fiber
     counts are computed for all kept samples at once; coefficients and
     sweeps are drawn parent by parent in parent order.  Every emitted
-    point is verified against the level-k zero condition.
+    point is verified against the level-k zero condition: its suffix
+    value from layer k is at most ``tol`` in magnitude.
     """
     if samples.level != k + 1:
         raise ValueError(f"expected samples at level {k + 1}, got {samples.level}")
@@ -282,7 +280,8 @@ def trace_boundary(
     net: ReluNetwork,
     samples_per_piece: int = 50,
     radius: float = 2.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     max_fibers: int = 16,
     tol: float = 1e-7,
 ) -> dict[int, BoundarySampleSet]:
@@ -298,8 +297,6 @@ def trace_boundary(
             f"--samples {samples_per_piece} draws no boundary points: the trace needs "
             "at least one sample per piece"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = net.depth
     last = net.layers[-1]
     levels: dict[int, BoundarySampleSet] = {}
@@ -308,7 +305,7 @@ def trace_boundary(
     )
     levels[n] = current
     for k in range(n - 1, 0, -1):
-        current = pull_back_boundary(net, k, current, rng, max_fibers=max_fibers, tol=tol)
+        current = pull_back_boundary(net, k, current, rng, max_fibers, tol)
         levels[k] = current
     return levels
 

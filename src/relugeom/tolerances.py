@@ -30,6 +30,9 @@ PLANE_SIDE_TOL = 1e-12
 # Subset enumerations are refused above this index dimension (3^21 pairings).
 MAX_ENUM_DIM = 20
 
+# The witness oracle, one point per subset, is refused above this dimension.
+WITNESS_MAX_DIM = 8
+
 
 def scaled(rel: float, magnitude: float) -> float:
     """Tolerance proportional to ``magnitude`` with the absolute floor ABS_FLOOR."""

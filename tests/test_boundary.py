@@ -7,6 +7,7 @@ from relugeom import (
     DegenerateBias,
     DegenerateDirection,
     EmptyPiece,
+    EnumerationLimit,
     InvalidM,
     OutputLayer,
     canonical_boundary,
@@ -151,7 +152,7 @@ class TestEnumeratePieces:
         )
         assert piece.is_empty
         with pytest.raises(EmptyPiece):
-            sample_piece(piece, 5)
+            sample_piece(piece, 5, rng=np.random.default_rng(0))
 
 
 class TestSamplePiece:
@@ -202,6 +203,13 @@ class TestSamplePiece:
 
 
 class TestPieceCountOracle:
+    def test_refused_above_witness_limit(self):
+        layer = ReluLayer.canonical(9)
+        output = OutputLayer(np.ones(9), -1.0)
+        with pytest.raises(EnumerationLimit, match="limit d=8"):
+            piece_count_oracle(layer, output)
+        assert enumerate_pieces(layer, output).piece_count == 2**9 - 1
+
     def test_d1_single_piece(self):
         layer = ReluLayer.canonical(1)
         output = OutputLayer([1.0], -1.0)

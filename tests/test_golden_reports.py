@@ -44,6 +44,9 @@ CASES = {
     "preimage_contracting": ["preimage", "--input", "layer_contracting.json", "--point=0.4,0",
                              "--samples", "20", "--radius", "2", "--csv", "pre.csv", "--seed", "9"],
     "preimage_empty": ["preimage", "--input", "layer3.json", "--point=1,-2,0"],
+    # --tol 0.5 admits the target's -0.2 as a zero component; without it the preimage is empty.
+    "preimage_tol": ["preimage", "--input", "layer3.json", "--point=1.5,0,-0.2", "--tol", "0.5",
+                     "--samples", "4", "--csv", "pre.csv", "--seed", "6"],
     "boundary_d4": ["boundary", "--input", "net4.json", "--samples", "15", "--csv", "pts.csv", "--seed", "7"],
     "boundary_d3_obj": ["boundary", "--input", "net3.json", "--samples", "10", "--csv", "pts.csv",
                         "--obj", "mesh.obj", "--box=-3,3", "--seed", "2"],

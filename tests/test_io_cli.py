@@ -1,4 +1,6 @@
+import builtins
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -7,11 +9,12 @@ import pytest
 
 import relugeom.errors as errors_module
 from relugeom import GeometryError, SchemaError, canonical_boundary, sample_piece
-from relugeom.cli import ERROR_CODES, main
+from relugeom.cli import main
 from relugeom.core import AffineMap
 from relugeom.io import canonical_json, parse_layer_spec, parse_network_spec
 
 GOLDEN_NET3 = Path(__file__).resolve().parent / "golden" / "net3.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLISHED_DUAL_COLUMNS = np.array(
     [
@@ -97,19 +100,30 @@ class TestCanonicalJson:
         assert json.loads(text) == {"a": [1.0, 0.5], "b": [True, None]}
 
 
+def readme_exit_classes() -> list[tuple[str, int]]:
+    """(error class, exit code) for every class named in the third column
+    of the README's exit-code table."""
+    section = README.read_text().split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    pairs = []
+    for line in section.splitlines():
+        cells = re.split(r"(?<!\\)\|", line)
+        if len(cells) == 5 and cells[1].strip().isdigit():
+            pairs += [(name, int(cells[1])) for name in re.findall(r"`(\w+)`", cells[3])]
+    return pairs
+
+
 class TestExitCodes:
     def test_taxonomy_is_total(self):
-        classes = [
-            obj
+        classes = {
+            name: obj
             for name, obj in vars(errors_module).items()
-            if isinstance(obj, type)
-            and issubclass(obj, GeometryError)
-            and obj is not GeometryError
-        ]
-        assert classes
-        for klass in classes:
-            codes = [code for k, code in ERROR_CODES.items() if issubclass(klass, k)]
-            assert len(set(codes)) == 1, f"{klass.__name__} has no unique exit code"
+            if isinstance(obj, type) and issubclass(obj, GeometryError)
+        }
+        documented = readme_exit_classes()
+        assert len(classes) > 1
+        assert sorted(name for name, _ in documented) == sorted(classes)
+        for name, code in documented:
+            assert classes[name].exit_code == code, name
 
     def test_missing_input_is_schema_error(self, capsys):
         code, body = run(capsys, ["analyze", "--input", "/nonexistent/path.json"])
@@ -140,6 +154,35 @@ class TestExitCodes:
         code, body = run(capsys, ["boundary", "--input", path])
         assert code == 4
         assert body["error"] == "EnumerationLimit"
+
+    def test_witness_oracle_left_out_above_its_limit(self, tmp_path, capsys):
+        spec = {"layers": [identity_layer_spec(9)], "output": {"weights": [1.0] * 9, "bias": -1.0}}
+        code, body = run(capsys, ["boundary", "--input", write_spec(tmp_path / "d9.json", spec)])
+        assert code == 0
+        assert body["results"]["piece_count"] == 2**9 - 1
+        assert "oracle" not in body["results"]
+
+
+class TestInputReadOnce:
+    @pytest.mark.parametrize("command", ["analyze", "classify", "preimage", "boundary", "deep-boundary"])
+    def test_each_command_opens_its_input_once(self, command, tmp_path, capsys, monkeypatch):
+        layer = identity_layer_spec(2)
+        spec = layer if command in ("analyze", "classify", "preimage") else shallow_spec([1, -1], -1, d=2)
+        path = write_spec(tmp_path / "spec.json", spec)
+        extra = {"classify": ["--point=1,0"], "preimage": ["--point=1,0", "--samples=2"],
+                 "boundary": ["--samples=2"], "deep-boundary": ["--samples=2"]}.get(command, [])
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, body = run(capsys, [command, "--input", path, *extra])
+        assert code == 0
+        assert opened.count(path) == 1
+        assert body["input_digest"].startswith("sha256:")
 
 
 # 10**400 is an integer literal beyond the float range.
@@ -295,31 +338,74 @@ class TestOverflowingRadius:
 
 GENERAL_LAYER = {"matrix": [[1, 0.2], [0.1, 1]], "offset": [0.3, -0.2]}
 
+RADIUS_READOUT = {"weights": [1, -1], "bias": -1}
+RADII = ["1", "1e3", "1e5", "1e7", "1e9", "1e12", "1e200"]
+
+
+def radius_argv(command, layer, radius, tmp_path):
+    """A three-sample run of ``command`` at ``radius``: the preimage of (1, 0)
+    under ``layer``, or the boundary of the readout RADIUS_READOUT behind one
+    copy of ``layer`` (two for deep-boundary)."""
+    spec, extra = {
+        "preimage": (layer, ["--point=1,0"]),
+        "boundary": ({"layers": [layer], "output": RADIUS_READOUT}, []),
+        "deep-boundary": ({"layers": [layer, layer], "output": RADIUS_READOUT}, []),
+    }[command]
+    path = write_spec(tmp_path / "spec.json", spec)
+    return [command, "--input", path, "--samples", "3", "--radius", radius, *extra]
+
+
+def stated_residuals(command, results):
+    """The (max_residual, tolerance) pairs that a report states."""
+    if command == "deep-boundary":
+        return [(level["max_residual"], level["tolerance"]) for level in results["levels"]]
+    return [(results["samples"]["max_residual"], results["samples"]["tolerance"])]
+
+
+def assert_rounding_refusal(radius, capsys):
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    body = json.loads(captured.out)
+    assert body["error"] == "SchemaError"
+    assert body["message"].startswith(f"--radius {float(radius):g}")
+    assert "tolerance" in body["message"]
+
+
 class TestRadiusBeyondRounding:
     """Finite samples at a radius where rounding alone exceeds the stated
     tolerance: the report could not keep its claim, so the command refuses."""
 
     @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
     def test_rejected_as_schema_error(self, layer, tmp_path, capsys):
-        spec = {"layers": [layer], "output": {"weights": [1, -1], "bias": -1}}
+        spec = {"layers": [layer], "output": RADIUS_READOUT}
         path = write_spec(tmp_path / "net.json", spec)
-        code = main(["boundary", "--input", path, "--samples", "2", "--radius", "1e308"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == ""
-        body = json.loads(captured.out)
-        assert body["error"] == "SchemaError"
-        assert body["message"].startswith("--radius 1e+308")
-        assert "tolerance" in body["message"]
+        assert main(["boundary", "--input", path, "--samples", "2", "--radius", "1e308"]) == 2
+        assert_rounding_refusal("1e308", capsys)
+
+    @pytest.mark.parametrize("command", ["preimage", "deep-boundary"])
+    def test_finite_samples_past_the_tolerance_rejected(self, command, tmp_path, capsys):
+        # At radius 1e200 the samples stay finite, but the preimage residual
+        # was 1.0 against 2e-08 and the level-2 residual 3.4e+184 against 1e-07.
+        assert main(radius_argv(command, GENERAL_LAYER, "1e200", tmp_path)) == 2
+        assert_rounding_refusal("1e200", capsys)
 
     @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
-    @pytest.mark.parametrize("radius", ["1", "1e3", "1e5", "1e7", "1e9", "1e12", "1e200"])
+    @pytest.mark.parametrize("radius", RADII)
     def test_stated_tolerance_met_whenever_accepted(self, layer, radius, tmp_path, capsys):
-        spec = {"layers": [layer], "output": {"weights": [1, -1], "bias": -1}}
-        path = write_spec(tmp_path / "net.json", spec)
-        code, body = run(capsys, ["boundary", "--input", path, "--samples", "4", "--radius", radius])
+        self.check_radius("boundary", layer, radius, tmp_path, capsys)
+
+    @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
+    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("command", ["preimage", "deep-boundary"])
+    def test_stated_tolerances_met_whenever_accepted(self, command, layer, radius, tmp_path, capsys):
+        self.check_radius(command, layer, radius, tmp_path, capsys)
+
+    @staticmethod
+    def check_radius(command, layer, radius, tmp_path, capsys):
+        code, body = run(capsys, radius_argv(command, layer, radius, tmp_path))
         if code == 0:
-            assert body["results"]["samples"]["max_residual"] <= body["results"]["samples"]["tolerance"]
+            for residual, tolerance in stated_residuals(command, body["results"]):
+                assert residual <= tolerance
         else:
             assert code == 2 and body["message"].startswith("--radius")
         if float(radius) <= 1e5:

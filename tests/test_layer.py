@@ -323,5 +323,5 @@ class TestContractingLayer:
         assert pre.dimension() == 3
         shifted = pre.base + 1.3 * layer.complement_basis[0]
         assert membership_mask(layer, pre, shifted)
-        samples = pre.sample(100, rng=np.random.default_rng(35))
+        samples = pre.sample(100, radius=1.0, rng=np.random.default_rng(35))
         assert np.abs(evaluate(layer, samples) - y).max() < 1e-9

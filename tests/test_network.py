@@ -144,7 +144,7 @@ class TestPullBack:
             fiber=[0],
         )
         # the residual filter is irrelevant here; accept everything
-        got = pull_back_boundary(net, 1, samples, np.random.default_rng(13), tol=np.inf)
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(13), max_fibers=16, tol=np.inf)
         assert len(got) == 1
         direct = np.linalg.solve(layer.affine.matrix, y - layer.affine.offset)
         np.testing.assert_allclose(got.points[0], direct, atol=1e-10)
@@ -156,7 +156,7 @@ class TestPullBack:
             level=2, points=y[None, :], residuals=np.zeros(1),
             parent=[0], fiber=[0],
         )
-        got = pull_back_boundary(net, 1, samples, np.random.default_rng(15), tol=np.inf)
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(15), max_fibers=16, tol=np.inf)
         assert len(got) == 4  # min(16, 4^1)
         layer = net.layers[0]
         for x in got.points:
@@ -169,7 +169,7 @@ class TestPullBack:
             level=2, points=points, residuals=np.zeros(2),
             parent=[0, 1], fiber=[0, 0],
         )
-        got = pull_back_boundary(net, 1, samples, np.random.default_rng(17), tol=np.inf)
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(17), max_fibers=16, tol=np.inf)
         assert set(got.parent.tolist()) == {1}
 
     def test_all_outside_raises(self):
@@ -179,7 +179,7 @@ class TestPullBack:
             parent=[0], fiber=[0],
         )
         with pytest.raises(EmptyIntersection):
-            pull_back_boundary(net, 1, samples, np.random.default_rng(19))
+            pull_back_boundary(net, 1, samples, np.random.default_rng(19), max_fibers=16, tol=1e-7)
 
     def test_empty_intersection_reports_funnel(self):
         net = self.net(seed=18)
@@ -188,7 +188,7 @@ class TestPullBack:
             level=2, points=points, residuals=np.zeros(3), parent=[0, 1, 2], fiber=[0, 0, 0],
         )
         with pytest.raises(EmptyIntersection, match="received 3 level-2 samples, 0 inside"):
-            pull_back_boundary(net, 1, samples, np.random.default_rng(19))
+            pull_back_boundary(net, 1, samples, np.random.default_rng(19), max_fibers=16, tol=1e-7)
 
     def test_empty_intersection_names_residual_losses(self):
         net = self.net(seed=18)
@@ -197,7 +197,7 @@ class TestPullBack:
             rejected=12,
         )
         with pytest.raises(EmptyIntersection, match="residual filter at level 2 had rejected all 12"):
-            pull_back_boundary(net, 1, samples, np.random.default_rng(19))
+            pull_back_boundary(net, 1, samples, np.random.default_rng(19), max_fibers=16, tol=1e-7)
 
     def test_rejected_counts_residual_filter(self):
         net = self.net(seed=14)
@@ -205,7 +205,7 @@ class TestPullBack:
             level=2, points=np.array([[0.9, 0.0]]), residuals=np.zeros(1), parent=[0], fiber=[0],
         )
         # a negative tolerance rejects every fiber
-        got = pull_back_boundary(net, 1, samples, np.random.default_rng(15), tol=-1.0)
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(15), max_fibers=16, tol=-1.0)
         assert len(got) == 0 and got.rejected == 4
 
     def test_contracting_layer_fibers_include_null_directions(self):
@@ -217,7 +217,7 @@ class TestPullBack:
             level=2, points=np.array([[0.8, 0.0]]), residuals=np.zeros(1),
             parent=[0], fiber=[0],
         )
-        got = pull_back_boundary(net, 1, samples, np.random.default_rng(41), tol=np.inf)
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(41), max_fibers=16, tol=np.inf)
         # one zero component plus one null direction widen the fiber budget
         assert len(got) == 16
         for x in got.points:
@@ -278,10 +278,10 @@ class TestBatchedPullBackEquivalence:
         return BoundarySampleSet(level=2, points=y, residuals=np.zeros(len(y)),
                                  parent=np.arange(len(y)), fiber=np.zeros(len(y)))
 
-    def assert_same(self, net, samples, seed, **kwargs):
-        got = pull_back_boundary(net, 1, samples, np.random.default_rng(seed), **kwargs)
+    def assert_same(self, net, samples, seed, max_fibers=16, tol=1e-7):
+        got = pull_back_boundary(net, 1, samples, np.random.default_rng(seed), max_fibers, tol)
         rng = np.random.default_rng(seed)
-        points, residuals, parent, fiber = reference_pull_back(net, 1, samples, rng, **kwargs)
+        points, residuals, parent, fiber = reference_pull_back(net, 1, samples, rng, max_fibers, tol)
         assert np.array_equal(got.points, points)
         assert np.array_equal(got.residuals, residuals)
         assert np.array_equal(got.parent, parent)
