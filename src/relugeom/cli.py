@@ -99,9 +99,10 @@ def _check_arguments(args):
         raise SchemaError(f"--box must be finite numbers lo < hi, got {lo},{hi}")
 
 
-def _refuse_rounding_beyond(tolerance: float, radius: float, layer: ReluLayer, points, weights, offset):
-    """Refuse a ``--radius`` at which rounding alone could carry a stated
-    residual past its stated ``tolerance``.
+def _refuse_rounding_beyond(args, tolerance: float, layer: ReluLayer, points, weights, offset):
+    """Refuse a ``--radius`` (with ``--level-tol`` where the command has it,
+    since a tolerance of 0 is below any rounding) at which rounding alone
+    could carry a stated residual past its stated ``tolerance``.
 
     The residuals are |relu(A x + b) @ weights + offset| at ``points``:
     a boundary readout's value (its weight vector and bias) or a preimage
@@ -115,9 +116,12 @@ def _refuse_rounding_beyond(tolerance: float, radius: float, layer: ReluLayer, p
         size = (np.abs(points) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(weights) + np.abs(offset)
         rounding = (layer.d_in + 2) * np.finfo(float).eps * float(np.max(size))
     if not rounding <= tolerance:
+        flags = f"--radius {args.radius:g}"
+        if "level_tol" in args:
+            flags += f" with --level-tol {args.level_tol:g}"
         raise SchemaError(
-            f"--radius {radius:g} puts samples where rounding alone can move a residual "
-            f"by up to {rounding:.3g}, beyond the stated tolerance {tolerance:g}"
+            f"{flags}: rounding alone can move a sample's residual by up to {rounding:.3g}, "
+            f"beyond the stated tolerance {tolerance:g}"
         )
 
 
@@ -221,7 +225,7 @@ def cmd_preimage(args) -> int:
         if not (np.isfinite(samples).all() and math.isfinite(residual)):
             raise SchemaError(f"--radius {args.radius:g} puts preimage samples beyond the float range")
         tolerance = 1e-8 * (1.0 + float(np.max(np.abs(pre.target))))
-        _refuse_rounding_beyond(tolerance, args.radius, layer, samples, np.eye(layer.d_out), -pre.target)
+        _refuse_rounding_beyond(args, tolerance, layer, samples, np.eye(layer.d_out), -pre.target)
         results["samples"] = {
             "count": args.samples,
             "max_residual": residual,
@@ -277,7 +281,7 @@ def cmd_boundary(args) -> int:
         readout, scale = boundary.readout, 1.0 + abs(boundary.readout.bias)
         tolerance = 1e-8
         _refuse_rounding_beyond(
-            tolerance, args.radius, layer, drawn.points, readout.weights / scale, readout.bias / scale
+            args, tolerance, layer, drawn.points, readout.weights / scale, readout.bias / scale
         )
         residuals = drawn.residuals / scale
         results["samples"] = {
@@ -315,7 +319,7 @@ def cmd_deep_boundary(args) -> int:
     )
     # Pulled-back levels keep only points within --level-tol; the seed level is drawn unfiltered.
     _refuse_rounding_beyond(
-        args.level_tol, args.radius, layers[-1], levels[net.depth].points, output.weights, output.bias
+        args, args.level_tol, layers[-1], levels[net.depth].points, output.weights, output.bias
     )
     per_level = []
     for level in sorted(levels, reverse=True):

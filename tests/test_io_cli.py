@@ -343,7 +343,7 @@ RADII = ["1", "1e3", "1e5", "1e7", "1e9", "1e12", "1e200"]
 
 
 def radius_argv(command, layer, radius, tmp_path):
-    """A three-sample run of ``command`` at ``radius``: the preimage of (1, 0)
+    """A four-sample run of ``command`` at ``radius``: the preimage of (1, 0)
     under ``layer``, or the boundary of the readout RADIUS_READOUT behind one
     copy of ``layer`` (two for deep-boundary)."""
     spec, extra = {
@@ -352,7 +352,7 @@ def radius_argv(command, layer, radius, tmp_path):
         "deep-boundary": ({"layers": [layer, layer], "output": RADIUS_READOUT}, []),
     }[command]
     path = write_spec(tmp_path / "spec.json", spec)
-    return [command, "--input", path, "--samples", "3", "--radius", radius, *extra]
+    return [command, "--input", path, "--samples", "4", "--radius", radius, *extra]
 
 
 def stated_residuals(command, results):
@@ -388,6 +388,17 @@ class TestRadiusBeyondRounding:
         # was 1.0 against 2e-08 and the level-2 residual 3.4e+184 against 1e-07.
         assert main(radius_argv(command, GENERAL_LAYER, "1e200", tmp_path)) == 2
         assert_rounding_refusal("1e200", capsys)
+
+    @pytest.mark.parametrize("radius", ["0", "1"])
+    def test_level_tol_below_rounding_names_level_tol(self, radius, capsys):
+        # The seed level is drawn unfiltered; its residuals round to about
+        # 1e-16, so no radius meets --level-tol 0 and the refusal says so.
+        path = str(GOLDEN_NET3.parent / "deep.json")
+        code, body = run(capsys, ["deep-boundary", "--input", path, "--radius", radius, "--level-tol", "0"])
+        assert code == 2
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith(f"--radius {radius} with --level-tol 0: ")
+        assert "beyond the stated tolerance 0" in body["message"]
 
     @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
     @pytest.mark.parametrize("radius", RADII)
