@@ -310,44 +310,40 @@ def _draw_coefficients(t: np.ndarray, alphas: np.ndarray, lam: np.ndarray, radiu
 def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     """Count boundary pieces by constructing a witness point on each candidate.
 
-    For every index subset with a positive intersection value, builds an
-    explicit solution of the simplex constraint, verifies that the witness
-    really lies on the zero level of the network and carries the claimed
-    activation pattern, and counts it.  No piece-count formula is used, so
-    agreement with :func:`enumerate_pieces` is a genuine cross-check.
+    For every index subset J with a positive intersection value, builds an
+    explicit solution alpha of the simplex constraint sum_J alpha_j / t_j = 1
+    and its witness x = apex + alpha @ duals, runs the witness forward
+    through the layer and the readout, and counts J when x lies on the zero
+    level and carries exactly the activation pattern J.  All 2^d - 1
+    subsets are handled in one array pass (one row per subset, one matmul
+    for every forward pass), but every witness is still built and checked;
+    no piece-count formula and no enumeration is used, so agreement with
+    :func:`enumerate_pieces` is a genuine cross-check.
     Refused with EnumerationLimit above d = WITNESS_MAX_DIM.
     """
     d = layer.d_out
     if d > WITNESS_MAX_DIM:
         raise EnumerationLimit(f"refusing witness enumeration at d={d} (limit d={WITNESS_MAX_DIM})")
     norm, t, _ = _readout(layer, output)
-    tol = scaled(WITNESS_LEVEL_REL, abs(norm.bias))
-    count = 0
-    for mask in range(1, 1 << d):
-        indices = _indices_of(mask)
-        idx0 = [i - 1 for i in indices]
-        tj = t[idx0]
-        pos = np.flatnonzero(tj > 0.0)
-        if pos.size == 0:
-            continue
-        # Witness: tiny equal coefficients everywhere except one positive
-        # coordinate that absorbs the slack in the simplex constraint.
-        lead = pos[0]
-        inv_sum_pos = float(np.sum(1.0 / tj[pos[1:]])) if pos.size > 1 else 0.0
-        # eps * inv_sum_pos < 1/2 keeps the lead coefficient positive.
-        eps = 0.5 / (inv_sum_pos + 1.0)
-        alpha = np.full(len(indices), eps)
-        alpha[lead] = tj[lead] * (1.0 - float(np.sum(alpha / tj)) + alpha[lead] / tj[lead])
-        if alpha[lead] <= 0.0 or abs(float(np.sum(alpha / tj)) - 1.0) > 1e-9:
-            continue
-        x = layer.apex + alpha @ layer.duals[idx0]
-        level = float(norm.weights @ layer(x) + norm.bias)
-        rho = layer.affine(x)
-        pattern_tol = scaled(1e-9, float(np.max(np.abs(rho))))
-        pattern = tuple(i + 1 for i in range(d) if rho[i] > pattern_tol)
-        if abs(level) <= tol and pattern == indices:
-            count += 1
-    return count
+    member = (np.arange(1, 1 << d)[:, None] >> np.arange(d)) & 1 == 1
+    positive = member & (t > 0.0)
+    keep = positive.any(axis=1)
+    member, others = member[keep], positive[keep]
+    rows = np.arange(member.shape[0])
+    # Witness: tiny equal coefficients eps on J except the first positive
+    # index, the lead, which absorbs the slack in the simplex constraint.
+    lead = others.argmax(axis=1)
+    others[rows, lead] = False
+    # eps * sum_{others} 1/t_j < 1/2 keeps the lead coefficient positive.
+    eps = 0.5 / (np.where(others, 1.0 / t, 0.0).sum(axis=1) + 1.0)
+    alpha = np.where(member, eps[:, None], 0.0)
+    alpha[rows, lead] = t[lead] * (1.0 - (alpha / t).sum(axis=1) + eps / t[lead])
+    built = (alpha[rows, lead] > 0.0) & (np.abs((alpha / t).sum(axis=1) - 1.0) <= 1e-9)
+    rho = layer.affine(layer.apex + alpha @ layer.duals)
+    level = np.maximum(rho, 0.0) @ norm.weights + norm.bias
+    pattern = rho > scaled(1e-9, np.abs(rho).max(axis=1))[:, None]
+    on_level = np.abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias))
+    return int(np.count_nonzero(built & on_level & (pattern == member).all(axis=1)))
 
 
 def sample_boundary_patterns(

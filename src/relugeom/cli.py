@@ -19,6 +19,7 @@ field.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -208,6 +209,13 @@ def cmd_preimage(args) -> int:
         return EXIT_OK
     if not np.isfinite(pre.base).all():
         raise SchemaError(f"point {y.tolist()} has a preimage base point beyond the float range")
+    tolerance = 1e-8 * (1.0 + float(np.max(np.abs(pre.target))))
+    (swept,) = ((pre.target > tolerance) & (pre.target <= args.tol)).nonzero()
+    if swept.size:
+        raise SchemaError(
+            f"--tol {args.tol:g} sweeps target components {(swept + 1).tolist()} as zeros, "
+            f"but their values exceed the stated tolerance {tolerance:g}"
+        )
     results = {
         "empty": False,
         "target": pre.target,
@@ -224,7 +232,6 @@ def cmd_preimage(args) -> int:
             residual = float(np.max(np.abs(evaluate(layer, samples) - pre.target)))
         if not (np.isfinite(samples).all() and math.isfinite(residual)):
             raise SchemaError(f"--radius {args.radius:g} puts preimage samples beyond the float range")
-        tolerance = 1e-8 * (1.0 + float(np.max(np.abs(pre.target))))
         _refuse_rounding_beyond(args, tolerance, layer, samples, np.eye(layer.d_out), -pre.target)
         results["samples"] = {
             "count": args.samples,
@@ -393,14 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="dual frame, apex, conditioning, sector counts")
     add_common(p, seed=False)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="sector classification of points")
     add_common(p, seed=False)
     p.add_argument("--point", action="append", required=True, help="comma-separated coordinates")
     p.add_argument("--tol", type=float, default=None, help="zero band for coefficients")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("preimage", help="exact preimage of a codomain point")
     add_common(p)
@@ -409,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="sample the preimage set")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--csv", help="write samples to this CSV path")
-    p.set_defaults(func=cmd_preimage)
 
     p = sub.add_parser("boundary", help="exact decision boundary of a shallow network")
     add_common(p)
@@ -418,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write samples to this CSV path")
     p.add_argument("--obj", help="write a clipped mesh to this OBJ path (d=3)")
     p.add_argument("--box", type=_box_pair, default=(-5.0, 5.0), help="clip box 'lo,hi'")
-    p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("deep-boundary", help="sampled boundary recursion through all layers")
     add_common(p)
@@ -427,21 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fibers", type=int, default=16, help="max fiber samples per pulled point")
     p.add_argument("--level-tol", type=float, default=1e-7)
     p.add_argument("--csv", help="prefix for per-level CSV files")
-    p.set_defaults(func=cmd_deep_boundary)
 
     p = sub.add_parser("verify", help="run a brute-force oracle suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_arguments(args)
-        return args.func(args)
+        # Looked up now, not bound into the parser, so a replaced cmd_* runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GeometryError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code})
         return exc.exit_code

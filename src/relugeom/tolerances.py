@@ -4,6 +4,8 @@ All checks are relative to the magnitude of the data they inspect, with an
 absolute floor so that comparisons near zero stay meaningful.
 """
 
+import numpy as np
+
 DEFAULT_REL = 1e-9
 
 # Absolute floor added to relative tolerances.
@@ -30,10 +32,13 @@ PLANE_SIDE_TOL = 1e-12
 # Subset enumerations are refused above this index dimension (3^21 pairings).
 MAX_ENUM_DIM = 20
 
-# The witness oracle, one point per subset, is refused above this dimension.
+# The witness oracle builds and checks one point per index subset, 2^d - 1
+# rows of one array pass; it is refused above this dimension, where reports
+# carry no oracle block.
 WITNESS_MAX_DIM = 8
 
 
-def scaled(rel: float, magnitude: float) -> float:
-    """Tolerance proportional to ``magnitude`` with the absolute floor ABS_FLOOR."""
-    return max(rel * (1.0 + magnitude), ABS_FLOOR)
+def scaled(rel: float, magnitude):
+    """Tolerance proportional to ``magnitude`` with the absolute floor ABS_FLOOR;
+    an array of magnitudes gives one tolerance per entry."""
+    return np.maximum(rel * (1.0 + magnitude), ABS_FLOOR)

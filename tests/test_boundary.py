@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import relugeom.boundary as bd
 from relugeom import (
     AllNegative,
     DegenerateBias,
@@ -22,6 +25,7 @@ from relugeom.boundary import (
     sample_boundary_patterns,
 )
 from relugeom.layer import ReluLayer, evaluate
+from relugeom.tolerances import WITNESS_LEVEL_REL, scaled
 
 
 def random_layer(d, seed=0):
@@ -42,6 +46,55 @@ def random_output(d, seed=0):
         out = normalize_output_layer(OutputLayer(w, b))
         if np.any(out.weights > 0):
             return out
+
+
+def _tied(d, rng):
+    """Equal weights: every intersection value is the same positive number."""
+    return OutputLayer(np.full(d, rng.uniform(0.5, 2.0)), -1.0), 2**d - 1
+
+
+def _one_positive(d, rng):
+    """m = d - 1: one positive intersection value, the rest negative."""
+    weights = np.concatenate([[1.0], -rng.uniform(0.5, 2.0, d - 1)])
+    return OutputLayer(rng.permutation(weights), -1.0), 2**d - 2 ** (d - 1)
+
+
+def _positive_bias(d, rng):
+    """A positive bias, which normalization flips; m = d // 2 after the flip."""
+    weights = rng.uniform(0.5, 2.0, d) * np.where(np.arange(d) < d // 2, 1.0, -1.0)
+    return OutputLayer(weights, 1.5), 2**d - 2 ** (d // 2)
+
+
+EDGE_READOUTS = {"tied": _tied, "one positive value": _one_positive, "positive bias": _positive_bias}
+
+
+def reference_piece_count_oracle(layer, output):
+    """The witness oracle one subset at a time: the per-subset loop that
+    the batched ``piece_count_oracle`` replaced, kept as its reference."""
+    d = layer.d_out
+    norm, t, _ = bd._readout(layer, output)
+    count = 0
+    for mask in range(1, 1 << d):
+        indices = tuple(i + 1 for i in range(d) if mask >> i & 1)
+        idx0 = [i - 1 for i in indices]
+        tj = t[idx0]
+        pos = np.flatnonzero(tj > 0.0)
+        if pos.size == 0:
+            continue
+        lead = pos[0]
+        eps = 0.5 / (float(np.sum(1.0 / tj[pos[1:]])) + 1.0)
+        alpha = np.full(len(indices), eps)
+        alpha[lead] = tj[lead] * (1.0 - float(np.sum(alpha / tj)) + alpha[lead] / tj[lead])
+        if alpha[lead] <= 0.0 or abs(float(np.sum(alpha / tj)) - 1.0) > 1e-9:
+            continue
+        x = layer.apex + alpha @ layer.duals[idx0]
+        level = float(norm.weights @ layer(x) + norm.bias)
+        rho = layer.affine(x)
+        pattern_tol = scaled(1e-9, float(np.max(np.abs(rho))))
+        pattern = tuple(i + 1 for i in range(d) if rho[i] > pattern_tol)
+        if abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias)) and pattern == indices:
+            count += 1
+    return count
 
 
 class TestNormalize:
@@ -209,6 +262,64 @@ class TestPieceCountOracle:
         with pytest.raises(EnumerationLimit, match="limit d=8"):
             piece_count_oracle(layer, output)
         assert enumerate_pieces(layer, output).piece_count == 2**9 - 1
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_per_subset_reference(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(6):
+            layer = ReluLayer.build(rng.normal(size=(d, d)), rng.normal(size=d))
+            output = OutputLayer(rng.normal(size=d), rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
+            try:
+                expected = reference_piece_count_oracle(layer, output)
+            except AllNegative:
+                continue
+            assert piece_count_oracle(layer, output) == expected
+
+    def test_refused_before_any_array_work(self, monkeypatch):
+        # With numpy and the readout out of the module's reach, d = 9 still
+        # ends in EnumerationLimit: the guard runs before anything else.
+        layer, output = ReluLayer.canonical(9), OutputLayer(np.ones(9), -1.0)
+        monkeypatch.setattr(bd, "np", None)
+        monkeypatch.setattr(bd, "_readout", None)
+        with pytest.raises(EnumerationLimit, match="limit d=8"):
+            piece_count_oracle(layer, output)
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_READOUTS))
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_edge_readouts_match_enumeration(self, kind, d):
+        layer = random_layer(d, seed=100 + d)
+        output, expected = EDGE_READOUTS[kind](d, np.random.default_rng(d))
+        boundary = enumerate_pieces(layer, output)
+        assert boundary.piece_count == expected
+        assert piece_count_oracle(layer, output) == expected
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_not_vacuous_on_a_broken_frame(self, d):
+        # A frame whose duals or apex do not fit its affine map keeps every
+        # intersection value, so enumeration still counts 2^d - 2^m, but the
+        # witnesses built from it miss the zero level or their pattern.
+        layer = random_layer(d, seed=30 + d)
+        output = random_output(d, seed=60 + d)
+        count = enumerate_pieces(layer, output).piece_count
+        assert piece_count_oracle(layer, output) == count
+        duals = layer.duals.copy()
+        duals[d // 2] *= 1.0 + 1e-3
+        moved = layer.apex + 1e-3 * layer.duals.sum(axis=0)
+        for broken in (dataclasses.replace(layer, duals=duals), dataclasses.replace(layer, apex=moved)):
+            assert enumerate_pieces(broken, output).piece_count == count
+            assert piece_count_oracle(broken, output) < count
+
+    def test_not_vacuous_when_only_the_pattern_is_wrong(self):
+        # Bending a_1* by (e_2 / w_2 - e_3 / w_3) / 2 keeps every witness on
+        # the zero level (the two added terms of the readout cancel), but a
+        # witness with 1 in J and 2 or 3 outside it gains that index.
+        layer = ReluLayer.canonical(3)
+        output = OutputLayer([1.0, 1.0, -1.0], -1.0)
+        duals = np.eye(3)
+        duals[0] += 0.5 * np.array([0.0, 1.0, 1.0])
+        bent = dataclasses.replace(layer, duals=duals)
+        assert enumerate_pieces(bent, output).piece_count == 6
+        assert piece_count_oracle(bent, output) == 3
 
     def test_d1_single_piece(self):
         layer = ReluLayer.canonical(1)

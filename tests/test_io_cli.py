@@ -1,12 +1,16 @@
 import builtins
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relugeom.cli as cli
 import relugeom.errors as errors_module
 from relugeom import GeometryError, SchemaError, canonical_boundary, sample_piece
 from relugeom.cli import main
@@ -14,6 +18,7 @@ from relugeom.core import AffineMap
 from relugeom.io import canonical_json, parse_layer_spec, parse_network_spec
 
 GOLDEN_NET3 = Path(__file__).resolve().parent / "golden" / "net3.json"
+GOLDEN_LAYER3 = GOLDEN_NET3.with_name("layer3.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLISHED_DUAL_COLUMNS = np.array(
@@ -562,6 +567,23 @@ class TestPreimage:
         assert lines[0] == "label,x1,x2,x3"
         assert len(lines) == 26
 
+    @pytest.mark.parametrize("samples", [[], ["--samples", "4"]])
+    def test_tol_sweeping_a_positive_component_refused(self, samples, capsys):
+        # --tol 0.5 would make the component 0.3 a sweep direction while the
+        # target keeps it: the samples would miss the stated 2.5e-8 by 0.3.
+        argv = ["preimage", "--input", str(GOLDEN_LAYER3), "--point=1.5,0.3,-0.2", "--tol", "0.5"]
+        code, body = run(capsys, argv + samples)
+        assert code == 2
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith("--tol 0.5 sweeps target components [2] as zeros")
+
+    def test_wide_tol_without_positive_in_band_component(self, capsys):
+        argv = ["preimage", "--input", str(GOLDEN_LAYER3), "--point=1.5,0.7,-0.2", "--tol", "0.5"]
+        code, body = run(capsys, argv + ["--samples", "4"])
+        assert code == 0
+        samples = body["results"]["samples"]
+        assert samples["max_residual"] <= samples["tolerance"]
+
     def test_empty_preimage(self, tmp_path, capsys):
         path = write_spec(tmp_path / "id.json", identity_layer_spec())
         code, body = run(capsys, ["preimage", "--input", path, "--point", "1,-2,0"])
@@ -709,6 +731,53 @@ class TestParserErrors:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+def without_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time_ms": [^\n]*', "", text)
+
+
+class TestParserReuse:
+    """The parser is built once per process; each command still runs alone."""
+
+    ARGVS = [
+        ["boundary", "--input", str(GOLDEN_NET3), "--samples", "2"],
+        ["boundary", "--input", str(GOLDEN_NET3), "--samples", "x"],
+        ["classify", "--input", str(GOLDEN_LAYER3), "--point=1,0,-1", "--point=0.5,2,3"],
+    ]
+
+    def test_commands_in_one_process_match_fresh_processes(self, capsys):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        for argv in self.ARGVS:
+            code = main(argv)
+            out = capsys.readouterr().out
+            fresh = subprocess.run(
+                [sys.executable, "-m", "relugeom.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, without_wall_time(out)) == (fresh.returncode, without_wall_time(fresh.stdout))
+        assert json.loads(out)["command"] == "classify"
+        code, body = run(capsys, self.ARGVS[1])
+        assert code == 2
+        assert body["error"] == "SchemaError" and "invalid int value: 'x'" in body["message"]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in self.ARGVS:
+            main(argv)
+        capsys.readouterr()
+        assert builds == [1]
+
+    def test_command_looked_up_at_call_time(self, capsys, monkeypatch):
+        main(self.ARGVS[0])
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_boundary", lambda args: calls.append(args.samples) or 7)
+        assert main(self.ARGVS[0]) == 7
+        assert calls == [2]
 
 
 class TestDeepBoundaryCommand:
