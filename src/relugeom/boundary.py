@@ -31,13 +31,13 @@ from .errors import (
     InvalidM,
     RankDeficient,
 )
-from .partition import _graded_submasks, _indices_of, _mask_of
 from .tolerances import (
     DEGENERATE_DIRECTION_REL,
     MAX_ENUM_DIM,
     RCOND_MIN,
     WITNESS_LEVEL_REL,
     WITNESS_MAX_DIM,
+    WITNESS_PATTERN_ULPS,
     scaled,
 )
 
@@ -119,7 +119,7 @@ class BoundaryPiece:
 
     @property
     def is_empty(self) -> bool:
-        return len(self.indices) == 0 or not np.any(self.t > 0.0)
+        return len(self.indices) == 0 or not (self.t > 0.0).any()
 
     def label(self) -> str:
         return "-".join(str(i) for i in self.indices)
@@ -150,12 +150,15 @@ class DecisionBoundary:
     ``readout`` is the readout normalized to a negative bias; the
     intersection values ``t`` (t[i-1] puts apex + t_i a_i* on the
     boundary's hyperplane) and the piece structure refer to it.  ``m``
-    counts the negative values.
+    counts the negative values.  ``grades`` holds the pieces as arrays,
+    one (J, R) pair per |J| = 1..d in piece order: row r of J is the
+    0-based index set of one piece, row r of R its recession indices.
     """
 
     d: int
     readout: OutputLayer
     pieces: tuple[BoundaryPiece, ...]
+    grades: tuple[tuple[np.ndarray, np.ndarray], ...]
     t: np.ndarray
     m: int
     piece_count: int
@@ -216,22 +219,33 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
     norm, t, m = _readout(layer, output)
-    full = (1 << d) - 1
-    positive = _mask_of(np.flatnonzero(t > 0.0) + 1, d)
-    pieces = []
-    for mask in _graded_submasks(full):
-        if not mask & positive:
-            continue
-        indices = _indices_of(mask)
-        pieces.append(
-            BoundaryPiece(
-                indices=indices,
-                t=t[[i - 1 for i in indices]],
-                recession_indices=_indices_of(full & ~mask),
-                bounded=not mask & ~positive,
-                layer=layer,
+    positive = t > 0.0
+    # Graded order: by size, then by bitmask value (bit i-1 stands for i).
+    member = np.arange(1 << d)[:, None] & (1 << np.arange(d)) > 0
+    member = member[np.argsort(member.sum(axis=1), kind="stable")]
+    member = member[(member & positive).any(axis=1)]
+    size = member.sum(axis=1)
+    inside, outside = member.nonzero()[1], (~member).nonzero()[1]
+    inside.setflags(write=False)
+    outside.setflags(write=False)
+    t_inside = t[inside]
+    bounded = (~(member & ~positive).any(axis=1)).tolist()
+    grades, pieces, a, b = [], [], 0, 0
+    # every grade 1..d has pieces (P is not empty); no J of grade 0 meets P
+    for g, count in enumerate(np.bincount(size, minlength=d + 1).tolist()[1:], start=1):
+        indices = inside[a : a + count * g].reshape(count, g)
+        recession = outside[b : b + count * (d - g)].reshape(count, d - g)
+        grades.append((indices, recession))
+        pieces.extend(
+            BoundaryPiece(tuple(j), t_j, tuple(r), bounded_j, layer)
+            for j, t_j, r, bounded_j in zip(
+                (indices + 1).tolist(),
+                t_inside[a : a + count * g].reshape(count, g),
+                (recession + 1).tolist(),
+                bounded[len(pieces) : len(pieces) + count],
             )
         )
+        a, b = a + count * g, b + count * (d - g)
     expected = 2**d - 2**m
     if len(pieces) != expected:
         raise AssertionError(
@@ -250,6 +264,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
         d=d,
         readout=norm,
         pieces=tuple(pieces),
+        grades=tuple(grades),
         t=t,
         m=m,
         piece_count=len(pieces),
@@ -271,40 +286,119 @@ def sample_piece(
     positive-value coordinates, budgeted to absorb whatever the negative
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
+
+    Stream contract: two generator calls.  One ``standard_exponential``
+    call draws the n·k coefficients of the k negative coordinates (scaled
+    to Exponential(radius·max |t_neg|)) and then the n·(|J| − k) Gamma(1)
+    Dirichlet weights; one ``random`` call draws the n·|R| recession
+    coefficients (scaled to uniform on [0, radius]).  The values and the
+    generator state equal those of the former exponential, gamma(1.0) and
+    uniform(0, radius) calls, and :func:`sample_grade` draws the same
+    stream piece by piece.
     """
     if piece.is_empty:
         raise EmptyPiece(f"piece {piece.indices} has no points")
-    alphas = np.zeros((n, len(piece.indices)))
-    lam = np.empty((n, len(piece.recession_indices)))
-    _draw_coefficients(piece.t, alphas, lam, radius, rng)
-    duals = piece.layer.duals
-    points = piece.layer.apex + alphas @ duals[[i - 1 for i in piece.indices]]
-    if piece.recession_indices:
-        points = points + lam @ -duals[[i - 1 for i in piece.recession_indices]]
-    return points
-
-
-def _draw_coefficients(t: np.ndarray, alphas: np.ndarray, lam: np.ndarray, radius: float, rng):
-    """Fill one piece's coefficients in place: ``alphas`` (n, |J|) on the
-    dual vectors of J and ``lam`` (n, |R|) on the recession directions.
-
-    The RNG is drawn in a fixed order, exponential, gamma, uniform, so
-    pieces drawn one after another consume the stream identically whether
-    their points are then formed one piece at a time or stacked.
-    """
-    n = alphas.shape[0]
+    t = piece.t
     (pos,) = (t > 0.0).nonzero()
     (neg,) = (t < 0.0).nonzero()
+    draws = rng.standard_exponential(n * (neg.size + pos.size))
+    alphas = np.zeros((n, t.size))
     if neg.size:
-        alphas[:, neg] = rng.exponential(radius * float(np.abs(t[neg]).max()), size=(n, neg.size))
+        scale = radius * float(np.abs(t[neg]).max())
+        alphas[:, neg] = scale * draws[: n * neg.size].reshape(n, neg.size)
         budget = 1.0 - alphas[:, neg] @ (1.0 / t[neg])
-    weights = rng.gamma(1.0, size=(n, pos.size))
+    weights = draws[n * neg.size :].reshape(n, pos.size)
     weights /= weights.sum(axis=1, keepdims=True)
     if neg.size:
         weights *= budget[:, None]
     alphas[:, pos] = weights * t[pos]
-    if lam.shape[1]:
-        lam[...] = rng.uniform(0.0, radius, size=lam.shape)
+    duals = piece.layer.duals
+    points = piece.layer.apex + alphas @ duals[[i - 1 for i in piece.indices]]
+    if piece.recession_indices:
+        lam = radius * rng.random((n, len(piece.recession_indices)))
+        points = points + lam @ -duals[[i - 1 for i in piece.recession_indices]]
+    return points
+
+
+def sample_grade(
+    layer: ReluLayer,
+    t: np.ndarray,
+    indices: np.ndarray,
+    recession: np.ndarray,
+    n: int,
+    radius: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``n`` points of each piece of one grade, shape (pieces, n, d_in).
+
+    ``indices`` and ``recession`` are one (J, R) pair of
+    ``DecisionBoundary.grades`` and ``t`` the boundary's intersection
+    values.  Each piece makes the two generator calls of
+    :func:`sample_piece`, in piece order, into preallocated rows;
+    everything else runs in array passes over the pieces with equal
+    numbers k of negative values, with the per-piece operand layouts, so
+    the points equal those of :func:`sample_piece` on each piece bit for
+    bit.  The point products are stacked, one BLAS call per piece: one
+    plain product over all points would round differently from d = 8 on.
+    """
+    (p, g), h = indices.shape, recession.shape[1]
+    t_j = t[indices]
+    negative = t_j < 0.0
+    n_negative = negative.sum(axis=1)
+    # Pieces are handled sorted by k, so each k is one slice; the draws
+    # land in sorted rows, in piece order.
+    order = np.argsort(n_negative, kind="stable")
+    slot = np.argsort(order)
+    t_j, negative = t_j[order], negative[order]
+    draws = np.empty((p, n * g))
+    sweeps = np.empty((p, n * h))
+    exponentials, uniforms = list(draws), list(sweeps)
+    for r, s in enumerate(slot.tolist()):
+        rng.standard_exponential(out=exponentials[s])
+        if h:
+            rng.random(out=uniforms[r])
+    # each piece's coefficients as a (g, n) array, one row per index of J
+    columns = np.empty((p, g, n))
+    stop = 0
+    for k, count in enumerate(np.bincount(n_negative).tolist()):
+        if not count:
+            continue
+        start, stop = stop, stop + count
+        group, t_k, neg_k = draws[start:stop], t_j[start:stop], negative[start:stop]
+        weights = group[:, n * k :].reshape(count, n, g - k)
+        weights /= np.add.reduce(weights, axis=2, keepdims=True)
+        if not k:
+            weights *= t_k[:, None, :]
+            columns[start:stop] = weights.transpose(0, 2, 1)
+            continue
+        t_neg = t_k[neg_k].reshape(count, k)
+        scale = radius * np.maximum.reduce(np.abs(t_neg), axis=1)
+        tail = group[:, : n * k].reshape(count, n, k) * scale[:, None, None]
+        tail = np.ascontiguousarray(tail.transpose(0, 2, 1))
+        weights *= _budgets(tail, t_neg)[:, :, None]
+        weights *= t_k[~neg_k].reshape(count, 1, g - k)
+        piece_columns = columns[start:stop]
+        piece_columns[neg_k] = tail.reshape(count * k, n)
+        piece_columns[~neg_k] = weights.transpose(0, 2, 1).reshape(count * (g - k), n)
+    alphas = np.ascontiguousarray(columns[slot].transpose(0, 2, 1))
+    block = layer.apex + alphas @ layer.duals[indices]
+    if h:
+        lam = radius * sweeps.reshape(p, n, h)
+        block = block + lam @ -layer.duals[recession]
+    return block
+
+
+def _budgets(tail: np.ndarray, t_neg: np.ndarray) -> np.ndarray:
+    """1 - sum_i alpha_i / t_i over the negative coordinates, (pieces, n).
+
+    ``tail`` holds each piece's negative-coordinate coefficients as a
+    contiguous (k, n) array.  :func:`sample_piece` forms the budget as
+    ``alphas[:, neg] @ (1 / t[neg])``, a matrix-vector product on a
+    column-major copy, and BLAS rounds a row-major operand differently in
+    the last bits.  So each piece's (n, k) operand is handed over as the
+    transpose of its contiguous (k, n) array.
+    """
+    return 1.0 - (tail.transpose(0, 2, 1) @ (1.0 / t_neg)[:, :, None])[:, :, 0]
 
 
 def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
@@ -314,7 +408,9 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     explicit solution alpha of the simplex constraint sum_J alpha_j / t_j = 1
     and its witness x = apex + alpha @ duals, runs the witness forward
     through the layer and the readout, and counts J when x lies on the zero
-    level and carries exactly the activation pattern J.  All 2^d - 1
+    level and carries exactly the activation pattern J (coordinate j is
+    active above a rounding band on (|A| |x| + |b|)_j, see
+    WITNESS_PATTERN_ULPS).  All 2^d - 1
     subsets are handled in one array pass (one row per subset, one matmul
     for every forward pass), but every witness is still built and checked;
     no piece-count formula and no enumeration is used, so agreement with
@@ -339,9 +435,11 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     alpha = np.where(member, eps[:, None], 0.0)
     alpha[rows, lead] = t[lead] * (1.0 - (alpha / t).sum(axis=1) + eps / t[lead])
     built = (alpha[rows, lead] > 0.0) & (np.abs((alpha / t).sum(axis=1) - 1.0) <= 1e-9)
-    rho = layer.affine(layer.apex + alpha @ layer.duals)
+    affine, x = layer.affine, layer.apex + alpha @ layer.duals
+    rho = affine(x)
     level = np.maximum(rho, 0.0) @ norm.weights + norm.bias
-    pattern = rho > scaled(1e-9, np.abs(rho).max(axis=1))[:, None]
+    band = WITNESS_PATTERN_ULPS * np.finfo(float).eps / layer.conditioning
+    pattern = rho > band * (np.abs(x) @ np.abs(affine.matrix).T + np.abs(affine.offset))
     on_level = np.abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias))
     return int(np.count_nonzero(built & on_level & (pattern == member).all(axis=1)))
 

@@ -13,11 +13,10 @@ samples with their parent and fiber indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from .boundary import DecisionBoundary, OutputLayer, _draw_coefficients, enumerate_pieces, pull_back_hyperplane
+from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
 from .core import AffineMap, ReluLayer, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
 from .layer import evaluate, preimage_bases, project_with_frame
@@ -166,27 +165,16 @@ def sample_shallow_boundary(
     readout.  Raises SchemaError when the radius is so large that a point
     or a residual leaves the float range.
 
-    The points are exactly those of :func:`sample_piece` called piece by
-    piece on the same generator.  Coefficients are drawn piece by piece;
-    points and residuals are formed for each run of pieces with equal |J|
-    (consecutive in graded order) by stacked products, which call BLAS
-    once per piece and so round exactly like the per-piece products.  One
-    plain matrix product over all points would not: it differs in the last
-    bit from d = 8 on, which would change the boundary command's CSV bytes.
+    Stream contract: the points are exactly those of :func:`sample_piece`
+    called piece by piece on the same generator, and the generator ends in
+    the same state.  Each grade (the pieces with equal |J|, consecutive in
+    piece order) is drawn by :func:`sample_grade`: two generator calls per
+    piece, then array passes over the grade.
     """
-    n, d = samples_per_piece, boundary.d
     points, residuals = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        for grade, run in groupby(boundary.pieces, key=lambda piece: len(piece.indices)):
-            run = tuple(run)
-            alphas = np.zeros((len(run), n, grade))
-            lam = np.empty((len(run), n, d - grade))
-            for p, piece in enumerate(run):
-                _draw_coefficients(piece.t, alphas[p], lam[p], radius, rng)
-            block = layer.apex + alphas @ layer.duals[np.array([piece.indices for piece in run]) - 1]
-            if grade < d:
-                recession = np.array([piece.recession_indices for piece in run]) - 1
-                block = block + lam @ -layer.duals[recession]
+        for indices, recession in boundary.grades:
+            block = sample_grade(layer, boundary.t, indices, recession, samples_per_piece, radius, rng)
             points.append(block.reshape(-1, layer.d_in))
             residuals.append(np.abs(boundary.readout(evaluate(layer, block))).ravel())
     points = np.concatenate(points)

@@ -26,6 +26,15 @@ DEGENERATE_DIRECTION_REL = 1e-10
 # when |level| <= this * (1 + |c|).
 WITNESS_LEVEL_REL = 1e-7
 
+# A witness x of the piece-count oracle has active coordinate j when
+# rho_j = (A x + b)_j exceeds this many eps * kappa times (|A| |x| + |b|)_j,
+# the size of the terms summed into rho_j, with kappa the condition number
+# of A.  Rounding in the dual frame and in the products leaves an inactive
+# coordinate within about 10 eps * kappa of that size (measured for
+# kappa = 1..1e8, square and contracting); a band on max_j |rho_j| instead
+# swallowed small active coordinates next to a large one.
+WITNESS_PATTERN_ULPS = 64
+
 # Polygon vertices within this distance of a clipping plane count as on it.
 PLANE_SIDE_TOL = 1e-12
 

@@ -25,7 +25,8 @@ from relugeom.boundary import (
     sample_boundary_patterns,
 )
 from relugeom.layer import ReluLayer, evaluate
-from relugeom.tolerances import WITNESS_LEVEL_REL, scaled
+from relugeom.partition import _graded_submasks
+from relugeom.tolerances import WITNESS_LEVEL_REL, WITNESS_PATTERN_ULPS, scaled
 
 
 def random_layer(d, seed=0):
@@ -90,8 +91,9 @@ def reference_piece_count_oracle(layer, output):
         x = layer.apex + alpha @ layer.duals[idx0]
         level = float(norm.weights @ layer(x) + norm.bias)
         rho = layer.affine(x)
-        pattern_tol = scaled(1e-9, float(np.max(np.abs(rho))))
-        pattern = tuple(i + 1 for i in range(d) if rho[i] > pattern_tol)
+        size = np.abs(x) @ np.abs(layer.affine.matrix).T + np.abs(layer.affine.offset)
+        band = WITNESS_PATTERN_ULPS * np.finfo(float).eps / layer.conditioning * size
+        pattern = tuple(i + 1 for i in range(d) if rho[i] > band[i])
         if abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias)) and pattern == indices:
             count += 1
     return count
@@ -190,6 +192,32 @@ class TestEnumeratePieces:
             assert p.bounded == bool(np.all(p.t > 0))
             assert set(p.indices).isdisjoint(p.recession_indices)
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_per_subset_reference(self, d):
+        # the per-subset loop that the array passes replaced: graded
+        # submasks, one index tuple per mask, kept when J meets P
+        rng = np.random.default_rng(500 + d)
+        layer = random_layer(d, seed=500 + d)
+        for m in range(d):
+            weights = rng.uniform(0.5, 2.0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
+            boundary = enumerate_pieces(layer, OutputLayer(weights, -1.0))
+            t, full = boundary.t, (1 << d) - 1
+            expected = []
+            for mask in _graded_submasks(full):
+                indices = tuple(i + 1 for i in range(d) if mask >> i & 1)
+                if any(t[i - 1] > 0.0 for i in indices):
+                    rest = tuple(i + 1 for i in range(d) if not mask >> i & 1)
+                    expected.append((indices, rest, all(t[i - 1] > 0.0 for i in indices)))
+            assert [(p.indices, p.recession_indices, p.bounded) for p in boundary.pieces] == expected
+            for p in boundary.pieces:
+                assert np.array_equal(p.t, t[[i - 1 for i in p.indices]])
+            rows = [
+                (tuple(i + 1 for i in j), tuple(i + 1 for i in r))
+                for indices, recession in boundary.grades
+                for j, r in zip(indices.tolist(), recession.tolist())
+            ]
+            assert rows == [(p.indices, p.recession_indices) for p in boundary.pieces]
+
     def test_degenerate_direction_rejected(self):
         layer = random_layer(3, seed=9)
         with pytest.raises(DegenerateDirection, match=r"vanishes at indices \(2,\)"):
@@ -206,6 +234,8 @@ class TestEnumeratePieces:
         assert piece.is_empty
         with pytest.raises(EmptyPiece):
             sample_piece(piece, 5, rng=np.random.default_rng(0))
+        assert dataclasses.replace(piece, t=np.array([])).is_empty
+        assert not dataclasses.replace(piece, t=np.array([2.0])).is_empty
 
 
 class TestSamplePiece:
@@ -320,6 +350,27 @@ class TestPieceCountOracle:
         bent = dataclasses.replace(layer, duals=duals)
         assert enumerate_pieces(bent, output).piece_count == 6
         assert piece_count_oracle(bent, output) == 3
+
+    def test_small_active_coordinate_beside_a_large_one(self):
+        # t = (9.7e8, -1156): the witness of J = {1, 2} has rho = (9.7e8, 0.5),
+        # and a band on max |rho| (about 0.97) swallowed the active 0.5.
+        layer = ReluLayer.canonical(2)
+        output = OutputLayer([1.03e-9, -8.64972746e-4], -1.0)
+        assert enumerate_pieces(layer, output).piece_count == 2
+        assert piece_count_oracle(layer, output) == 2
+        assert reference_piece_count_oracle(layer, output) == 2
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_wide_span_readouts(self, d):
+        # weights spanning nine decades at every m, on the identity layer,
+        # where each witness is exact up to rounding of its own entries
+        rng = np.random.default_rng(700 + d)
+        layer = ReluLayer.canonical(d)
+        for m in range(d):
+            for _ in range(4):
+                weights = 10 ** rng.uniform(-9, 0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
+                output = OutputLayer(weights, -rng.uniform(0.5, 2.0))
+                assert piece_count_oracle(layer, output) == enumerate_pieces(layer, output).piece_count
 
     def test_d1_single_piece(self):
         layer = ReluLayer.canonical(1)

@@ -13,6 +13,7 @@ from relugeom import (
     evaluate_network,
     trace_boundary,
 )
+import relugeom.boundary as bd
 from relugeom.boundary import sample_piece
 from relugeom.layer import ReluLayer, evaluate
 from relugeom.layer import preimage_of_point
@@ -336,6 +337,79 @@ def reference_seed_samples(layer, boundary, samples_per_piece, radius, rng):
     )
 
 
+def three_call_sample_piece(piece, n, radius, rng):
+    """sample_piece as it drew before the two-call stream: exponential for
+    the negative coordinates, gamma(1) for the Dirichlet weights and
+    uniform(0, radius) for the recession coefficients."""
+    t = piece.t
+    (pos,) = (t > 0.0).nonzero()
+    (neg,) = (t < 0.0).nonzero()
+    alphas = np.zeros((n, len(piece.indices)))
+    if neg.size:
+        alphas[:, neg] = rng.exponential(radius * float(np.abs(t[neg]).max()), size=(n, neg.size))
+        budget = 1.0 - alphas[:, neg] @ (1.0 / t[neg])
+    weights = rng.gamma(1.0, size=(n, pos.size))
+    weights /= weights.sum(axis=1, keepdims=True)
+    if neg.size:
+        weights *= budget[:, None]
+    alphas[:, pos] = weights * t[pos]
+    duals = piece.layer.duals
+    points = piece.layer.apex + alphas @ duals[[i - 1 for i in piece.indices]]
+    if piece.recession_indices:
+        lam = rng.uniform(0.0, radius, size=(n, len(piece.recession_indices)))
+        points = points + lam @ -duals[[i - 1 for i in piece.recession_indices]]
+    return points
+
+
+def signed_readout(rng, d, m):
+    """Readout with bias -1 and m negative intersection values at random
+    indices, so one grade mixes pieces with different numbers of them."""
+    weights = rng.uniform(0.2, 3.0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
+    return OutputLayer(weights, -1.0)
+
+
+class TestSamplerStream:
+    """The generator identities that the two-call seed stream rests on.
+
+    A numpy release that breaks one of them fails here, by name, before it
+    changes the golden CSV bytes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (7, 5)])
+    def test_scaled_draws_equal_standard_draws(self, seed, shape):
+        scale = 3.7 * (seed + 1)
+        for scaled_draw, standard_draw in (
+            (lambda g: g.exponential(scale, size=shape), lambda g: scale * g.standard_exponential(shape)),
+            (lambda g: g.gamma(1.0, size=shape), lambda g: g.standard_exponential(shape)),
+            (lambda g: g.uniform(0.0, scale, size=shape), lambda g: scale * g.random(shape)),
+        ):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(scaled_draw(a), standard_draw(b))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_call_equals_consecutive_calls(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = np.empty((2, 12))
+        a.standard_exponential(out=rows[1])
+        assert np.array_equal(rows[1], np.concatenate([b.exponential(size=5), b.gamma(1.0, size=7)]))
+        a.random(out=rows[0])
+        assert np.array_equal(rows[0], b.uniform(size=12))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_sample_piece_keeps_the_three_call_stream(self, d):
+        rng = np.random.default_rng(40 + d)
+        layer = random_layer(rng, d)
+        for m in range(d):
+            boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
+            a, b = np.random.default_rng(m), np.random.default_rng(m)
+            for piece in boundary.pieces:
+                got = sample_piece(piece, 4, radius=1.5, rng=a)
+                assert np.array_equal(got, three_call_sample_piece(piece, 4, 1.5, b))
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 SEED_SAMPLER_SHAPES = [(d, d) for d in range(2, 13)] + [(2, 3), (3, 5), (6, 8)]
 SEED_SAMPLER_DRAWS = [(samples, radius) for samples in range(1, 7) for radius in (0.5, 1.0, 2.0)]
 
@@ -343,19 +417,29 @@ SEED_SAMPLER_DRAWS = [(samples, radius) for samples in range(1, 7) for radius in
 class TestBatchedSeedSamplerEquivalence:
     """The seed sampler, batched by grade, reproduces the per-piece loop bit for bit."""
 
+    def differs(self, layer, boundary, seed, draws):
+        """Whether any (samples, radius) draw differs from the per-piece loop."""
+        for samples, radius in draws:
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_shallow_boundary(layer, boundary, 1, samples, radius, rng)
+            points, residuals, parent, fiber = reference_seed_samples(
+                layer, boundary, samples, radius, reference_rng
+            )
+            if not (
+                np.array_equal(got.points, points)
+                and np.array_equal(got.residuals, residuals)
+                and np.array_equal(got.parent, parent)
+                and np.array_equal(got.fiber, fiber)
+                and rng.bit_generator.state == reference_rng.bit_generator.state
+            ):
+                return True
+        return False
+
     def assert_same(self, d_out, d_in, seed, draws):
         rng = np.random.default_rng(1000 * d_out + 10 * d_in + seed)
         layer = random_layer(rng, d_out, d_in)
         boundary = enumerate_pieces(layer, random_output_layer(rng, d_out))
-        for samples, radius in draws:
-            got = sample_shallow_boundary(layer, boundary, 1, samples, radius, np.random.default_rng(seed))
-            points, residuals, parent, fiber = reference_seed_samples(
-                layer, boundary, samples, radius, np.random.default_rng(seed)
-            )
-            assert np.array_equal(got.points, points)
-            assert np.array_equal(got.residuals, residuals)
-            assert np.array_equal(got.parent, parent)
-            assert np.array_equal(got.fiber, fiber)
+        assert not self.differs(layer, boundary, seed, draws)
 
     @pytest.mark.parametrize("d_out, d_in", SEED_SAMPLER_SHAPES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -364,6 +448,32 @@ class TestBatchedSeedSamplerEquivalence:
         # together cover every sample count and every radius
         draws = {0: [(1, 0.5), (4, 1.0)], 1: [(2, 1.0), (5, 2.0)], 2: [(3, 2.0), (6, 0.5)]}[seed]
         self.assert_same(d_out, d_in, seed, draws)
+
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_matches_per_piece_loop_at_every_m(self, d):
+        # random negative indices: a grade mixes pieces with different
+        # numbers k of negative values, which the sampler handles in
+        # separate passes
+        rng = np.random.default_rng(2000 + d)
+        layer = random_layer(rng, d)
+        for m in range(d):
+            boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
+            assert not self.differs(layer, boundary, m, [(0, 1.0), (1, 0.5), (3, 2.0), (5, 7.3)])
+
+    def test_not_vacuous_on_a_row_major_budget(self, monkeypatch):
+        # the budget product on row-major operands rounds differently in
+        # the last bit; the equivalence must notice
+        def row_major(tail, t_neg):
+            operand = np.ascontiguousarray(tail.transpose(0, 2, 1))
+            return 1.0 - (operand @ (1.0 / t_neg)[:, :, None])[:, :, 0]
+
+        rng = np.random.default_rng(2006)
+        layer = random_layer(rng, 6)
+        boundaries = [enumerate_pieces(layer, signed_readout(rng, 6, m)) for m in range(6)]
+        draws = [(5, 2.0)]
+        assert not any(self.differs(layer, boundary, m, draws) for m, boundary in enumerate(boundaries))
+        monkeypatch.setattr(bd, "_budgets", row_major)
+        assert any(self.differs(layer, boundary, m, draws) for m, boundary in enumerate(boundaries))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("d_out, d_in", SEED_SAMPLER_SHAPES)
