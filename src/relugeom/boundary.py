@@ -16,7 +16,8 @@ canonical boundary with the same m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,11 @@ class BoundaryPiece:
     exactly when all its t_j are positive; the recession directions make
     it unbounded whenever the index set is proper.  The apex and the dual
     vectors a_i* are those of ``layer``.
+
+    A piece from :func:`enumerate_pieces` refers to its grade and its row
+    there, where :func:`sample_piece` reads its operands.  The reference
+    is not an init field, so a piece built directly or copied by
+    ``dataclasses.replace`` has none and samples from a grade of its own.
     """
 
     indices: tuple[int, ...]
@@ -111,11 +117,15 @@ class BoundaryPiece:
     recession_indices: tuple[int, ...]
     bounded: bool
     layer: ReluLayer
+    _grade: tuple[BoundaryGrade, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        t = self.t
+        # the rows of an enumerated grade arrive as read-only float arrays
+        if type(t) is not np.ndarray or t.dtype != float or t.flags.writeable:
+            t = np.asarray(t, dtype=float)
+            t.setflags(write=False)
+            object.__setattr__(self, "t", t)
 
     @property
     def is_empty(self) -> bool:
@@ -123,6 +133,71 @@ class BoundaryPiece:
 
     def label(self) -> str:
         return "-".join(str(i) for i in self.indices)
+
+
+@dataclass(frozen=True, eq=False)
+class SamplingOperands:
+    """What :func:`sample_piece` reads of one grade, one row per piece.
+
+    ``sign_order`` lists each row's positions in J by sign: the negative
+    values first, then any zeros, then the positive values, each in
+    ascending position; ``t_signed`` and ``inverse`` hold t and 1 / t in
+    that order.  ``counts`` holds, per row, the number k of negative
+    values, the number q of positive ones and max |t| over the negative
+    ones (0 without).  ``duals`` holds each row's dual vectors a_j*, j in J, and
+    ``negated_recession`` minus those of its recession indices.  The
+    arrays are read-only.
+    """
+
+    sign_order: np.ndarray
+    t_signed: np.ndarray
+    inverse: np.ndarray
+    counts: tuple[tuple[int, int, float], ...]
+    duals: np.ndarray
+    negated_recession: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryGrade:
+    """The pieces with one index-set size |J| = g, as arrays in piece order.
+
+    Row r of ``indices`` is the 0-based index set J of one piece, row r
+    of ``recession`` its recession indices and row r of ``t`` the
+    intersection values on J, all read-only; ``layer`` holds the dual
+    frame.
+    """
+
+    indices: np.ndarray
+    recession: np.ndarray
+    t: np.ndarray
+    layer: ReluLayer
+
+    @classmethod
+    def of_piece(cls, piece: BoundaryPiece) -> BoundaryGrade:
+        """The one-row grade of a piece, from the piece's own fields."""
+        indices = np.array(piece.indices, dtype=np.intp).reshape(1, -1) - 1
+        recession = np.array(piece.recession_indices, dtype=np.intp).reshape(1, -1) - 1
+        indices.setflags(write=False)
+        recession.setflags(write=False)
+        return cls(indices, recession, piece.t.reshape(1, -1), piece.layer)
+
+    @cached_property
+    def operands(self) -> SamplingOperands:
+        """The grade's sampling operands, built by one array pass the first
+        time one of its pieces is sampled.  Enumerating, tracing or
+        exporting never builds them."""
+        t = self.t
+        negative, positive = t < 0.0, t > 0.0
+        sign_order = np.argsort(np.where(negative, -1.0, positive), axis=1, kind="stable")
+        t_signed = t[np.arange(t.shape[0])[:, None], sign_order]
+        with np.errstate(divide="ignore"):  # a zero value has no draw
+            inverse = 1.0 / t_signed
+        t_max = -np.fmin.reduce(t, axis=1, initial=0.0)
+        duals, negated_recession = self.layer.duals[self.indices], -self.layer.duals[self.recession]
+        for array in (sign_order, t_signed, inverse, duals, negated_recession):
+            array.setflags(write=False)
+        counts = zip(negative.sum(axis=1).tolist(), positive.sum(axis=1).tolist(), t_max.tolist())
+        return SamplingOperands(sign_order, t_signed, inverse, tuple(counts), duals, negated_recession)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +214,9 @@ class CanonicalReduction:
     scale: np.ndarray
     to_actual: AffineMap
 
+    def __post_init__(self):
+        self.scale.setflags(write=False)
+
     def map_indices(self, indices) -> tuple[int, ...]:
         return tuple(sorted(self.sigma[i - 1] for i in indices))
 
@@ -151,14 +229,16 @@ class DecisionBoundary:
     intersection values ``t`` (t[i-1] puts apex + t_i a_i* on the
     boundary's hyperplane) and the piece structure refer to it.  ``m``
     counts the negative values.  ``grades`` holds the pieces as arrays,
-    one (J, R) pair per |J| = 1..d in piece order: row r of J is the
-    0-based index set of one piece, row r of R its recession indices.
+    one :class:`BoundaryGrade` per |J| = 1..d in piece order.  Each grade
+    builds the operands that :func:`sample_piece` reads the first time
+    one of its pieces is sampled; :func:`sample_grade` draws a whole grade
+    from its arrays alone.
     """
 
     d: int
     readout: OutputLayer
     pieces: tuple[BoundaryPiece, ...]
-    grades: tuple[tuple[np.ndarray, np.ndarray], ...]
+    grades: tuple[BoundaryGrade, ...]
     t: np.ndarray
     m: int
     piece_count: int
@@ -226,25 +306,32 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     member = member[(member & positive).any(axis=1)]
     size = member.sum(axis=1)
     inside, outside = member.nonzero()[1], (~member).nonzero()[1]
-    inside.setflags(write=False)
-    outside.setflags(write=False)
     t_inside = t[inside]
+    for array in (inside, outside, t_inside):
+        array.setflags(write=False)
     bounded = (~(member & ~positive).any(axis=1)).tolist()
     grades, pieces, a, b = [], [], 0, 0
     # every grade 1..d has pieces (P is not empty); no J of grade 0 meets P
     for g, count in enumerate(np.bincount(size, minlength=d + 1).tolist()[1:], start=1):
-        indices = inside[a : a + count * g].reshape(count, g)
-        recession = outside[b : b + count * (d - g)].reshape(count, d - g)
-        grades.append((indices, recession))
-        pieces.extend(
-            BoundaryPiece(tuple(j), t_j, tuple(r), bounded_j, layer)
+        grade = BoundaryGrade(
+            inside[a : a + count * g].reshape(count, g),
+            outside[b : b + count * (d - g)].reshape(count, d - g),
+            t_inside[a : a + count * g].reshape(count, g),
+            layer,
+        )
+        grades.append(grade)
+        graded = [
+            BoundaryPiece(j, t_j, r, bounded_j, layer)
             for j, t_j, r, bounded_j in zip(
-                (indices + 1).tolist(),
-                t_inside[a : a + count * g].reshape(count, g),
-                (recession + 1).tolist(),
+                map(tuple, (grade.indices + 1).tolist()),
+                grade.t,
+                map(tuple, (grade.recession + 1).tolist()),
                 bounded[len(pieces) : len(pieces) + count],
             )
-        )
+        ]
+        for row, piece in enumerate(graded):
+            object.__setattr__(piece, "_grade", (grade, row))
+        pieces.extend(graded)
         a, b = a + count * g, b + count * (d - g)
     expected = 2**d - 2**m
     if len(pieces) != expected:
@@ -287,69 +374,72 @@ def sample_piece(
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
 
-    Stream contract: two generator calls.  One ``standard_exponential``
-    call draws the n·k coefficients of the k negative coordinates (scaled
-    to Exponential(radius·max |t_neg|)) and then the n·(|J| − k) Gamma(1)
-    Dirichlet weights; one ``random`` call draws the n·|R| recession
-    coefficients (scaled to uniform on [0, radius]).  The values and the
-    generator state equal those of the former exponential, gamma(1.0) and
-    uniform(0, radius) calls, and :func:`sample_grade` draws the same
-    stream piece by piece.
+    The piece's sign structure (which coordinates of J are negative and
+    which positive, 1 / t and max |t| on the negative ones, t on the
+    positive ones) is read from the :class:`SamplingOperands` of its
+    grade, built once per grade; a piece without a grade gets a one-row
+    grade of its own fields.  Each call makes only the generator calls,
+    the arithmetic on the draws and the point products.
+
+    Stream contract, unchanged by the operands: two generator calls.  One
+    ``standard_exponential`` call draws the n·k coefficients of the k
+    negative coordinates (scaled to Exponential(radius·max |t_neg|)) and
+    then the n·(|J| − k) Gamma(1) Dirichlet weights; one ``random`` call
+    draws the n·|R| recession coefficients (scaled to uniform on
+    [0, radius]).  The values and the generator state equal those of the
+    former exponential, gamma(1.0) and uniform(0, radius) calls, and
+    :func:`sample_grade` draws the same stream piece by piece.
     """
-    if piece.is_empty:
+    if getattr(piece, "_grade", None) is None:
+        object.__setattr__(piece, "_grade", (BoundaryGrade.of_piece(piece), 0))
+    grade, row = piece._grade
+    operands = grade.operands
+    k, q, t_max = operands.counts[row]
+    if not q:
         raise EmptyPiece(f"piece {piece.indices} has no points")
-    t = piece.t
-    (pos,) = (t > 0.0).nonzero()
-    (neg,) = (t < 0.0).nonzero()
-    draws = rng.standard_exponential(n * (neg.size + pos.size))
-    alphas = np.zeros((n, t.size))
-    if neg.size:
-        scale = radius * float(np.abs(t[neg]).max())
-        alphas[:, neg] = scale * draws[: n * neg.size].reshape(n, neg.size)
-        budget = 1.0 - alphas[:, neg] @ (1.0 / t[neg])
-    weights = draws[n * neg.size :].reshape(n, pos.size)
-    weights /= weights.sum(axis=1, keepdims=True)
-    if neg.size:
+    sign_order, t_signed = operands.sign_order[row], operands.t_signed[row]
+    g = sign_order.size
+    draws = rng.standard_exponential(n * (k + q))
+    alphas = np.zeros((n, g))
+    if k:
+        neg = sign_order[:k]
+        alphas[:, neg] = radius * t_max * draws[: n * k].reshape(n, k)
+        budget = 1.0 - alphas[:, neg] @ operands.inverse[row, :k]
+    weights = draws[n * k :].reshape(n, q)
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    if k:
         weights *= budget[:, None]
-    alphas[:, pos] = weights * t[pos]
-    duals = piece.layer.duals
-    points = piece.layer.apex + alphas @ duals[[i - 1 for i in piece.indices]]
-    if piece.recession_indices:
-        lam = radius * rng.random((n, len(piece.recession_indices)))
-        points = points + lam @ -duals[[i - 1 for i in piece.recession_indices]]
+    alphas[:, sign_order[g - q :]] = weights * t_signed[g - q :]
+    points = grade.layer.apex + alphas @ operands.duals[row]
+    h = grade.recession.shape[1]
+    if h:
+        lam = radius * rng.random((n, h))
+        points = points + lam @ operands.negated_recession[row]
     return points
 
 
-def sample_grade(
-    layer: ReluLayer,
-    t: np.ndarray,
-    indices: np.ndarray,
-    recession: np.ndarray,
-    n: int,
-    radius: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def sample_grade(grade: BoundaryGrade, n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """``n`` points of each piece of one grade, shape (pieces, n, d_in).
 
-    ``indices`` and ``recession`` are one (J, R) pair of
-    ``DecisionBoundary.grades`` and ``t`` the boundary's intersection
-    values.  Each piece makes the two generator calls of
-    :func:`sample_piece`, in piece order, into preallocated rows;
-    everything else runs in array passes over the pieces with equal
-    numbers k of negative values, with the per-piece operand layouts, so
-    the points equal those of :func:`sample_piece` on each piece bit for
-    bit.  The point products are stacked, one BLAS call per piece: one
-    plain product over all points would round differently from d = 8 on.
+    Each piece makes the two generator calls of :func:`sample_piece`, in
+    piece order, into preallocated rows; everything else runs in array
+    passes over the pieces with equal numbers k of negative values, with
+    the per-piece operand layouts, so the points equal those of
+    :func:`sample_piece` on each piece bit for bit.  The point products
+    are stacked, one BLAS call per piece: one plain product over all
+    points would round differently from d = 8 on.  The sign structure
+    comes from the grade's ``t`` in the same pass, not from
+    :attr:`BoundaryGrade.operands`: the grade is drawn once, so filling
+    the per-piece record would cost more than it saves.
     """
-    (p, g), h = indices.shape, recession.shape[1]
-    t_j = t[indices]
-    negative = t_j < 0.0
+    (p, g), h = grade.indices.shape, grade.recession.shape[1]
+    negative = grade.t < 0.0
     n_negative = negative.sum(axis=1)
     # Pieces are handled sorted by k, so each k is one slice; the draws
     # land in sorted rows, in piece order.
     order = np.argsort(n_negative, kind="stable")
     slot = np.argsort(order)
-    t_j, negative = t_j[order], negative[order]
+    t_j, negative = grade.t[order], negative[order]
     draws = np.empty((p, n * g))
     sweeps = np.empty((p, n * h))
     exponentials, uniforms = list(draws), list(sweeps)
@@ -381,10 +471,10 @@ def sample_grade(
         piece_columns[neg_k] = tail.reshape(count * k, n)
         piece_columns[~neg_k] = weights.transpose(0, 2, 1).reshape(count * (g - k), n)
     alphas = np.ascontiguousarray(columns[slot].transpose(0, 2, 1))
-    block = layer.apex + alphas @ layer.duals[indices]
+    block = grade.layer.apex + alphas @ grade.layer.duals[grade.indices]
     if h:
         lam = radius * sweeps.reshape(p, n, h)
-        block = block + lam @ -layer.duals[recession]
+        block = block + lam @ -grade.layer.duals[grade.recession]
     return block
 
 
@@ -408,13 +498,15 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     explicit solution alpha of the simplex constraint sum_J alpha_j / t_j = 1
     and its witness x = apex + alpha @ duals, runs the witness forward
     through the layer and the readout, and counts J when x lies on the zero
-    level and carries exactly the activation pattern J (coordinate j is
-    active above a rounding band on (|A| |x| + |b|)_j, see
-    WITNESS_PATTERN_ULPS).  All 2^d - 1
-    subsets are handled in one array pass (one row per subset, one matmul
-    for every forward pass), but every witness is still built and checked;
-    no piece-count formula and no enumeration is used, so agreement with
-    :func:`enumerate_pieces` is a genuine cross-check.
+    level and carries exactly the activation pattern J.  Coordinate j is
+    active above its rounding band r_j on (|A| |x| + |b|)_j (see
+    WITNESS_PATTERN_ULPS), and the level band is WITNESS_LEVEL_REL
+    (1 + |c|) plus sum_j |w_j| r_j, the rounding the rho_j carry into the
+    level.  All 2^d - 1 subsets are handled in one array pass (one row
+    per subset, one matmul for every forward pass), but every witness is
+    still built and checked; no piece-count formula and no enumeration is
+    used, so agreement with :func:`enumerate_pieces` is a genuine
+    cross-check.
     Refused with EnumerationLimit above d = WITNESS_MAX_DIM.
     """
     d = layer.d_out
@@ -439,8 +531,10 @@ def piece_count_oracle(layer: ReluLayer, output: OutputLayer) -> int:
     rho = affine(x)
     level = np.maximum(rho, 0.0) @ norm.weights + norm.bias
     band = WITNESS_PATTERN_ULPS * np.finfo(float).eps / layer.conditioning
-    pattern = rho > band * (np.abs(x) @ np.abs(affine.matrix).T + np.abs(affine.offset))
-    on_level = np.abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias))
+    rounding = band * (np.abs(x) @ np.abs(affine.matrix).T + np.abs(affine.offset))
+    pattern = rho > rounding
+    # the level carries the rounding of each rho_j, weighted by |w_j|
+    on_level = np.abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias)) + rounding @ np.abs(norm.weights)
     return int(np.count_nonzero(built & on_level & (pattern == member).all(axis=1)))
 
 

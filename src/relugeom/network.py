@@ -173,8 +173,8 @@ def sample_shallow_boundary(
     """
     points, residuals = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        for indices, recession in boundary.grades:
-            block = sample_grade(layer, boundary.t, indices, recession, samples_per_piece, radius, rng)
+        for grade in boundary.grades:
+            block = sample_grade(grade, samples_per_piece, radius, rng)
             points.append(block.reshape(-1, layer.d_in))
             residuals.append(np.abs(boundary.readout(evaluate(layer, block))).ravel())
     points = np.concatenate(points)

@@ -22,8 +22,11 @@ ZERO_COMPONENT_TOL = 1e-9
 # degenerate directions.
 DEGENERATE_DIRECTION_REL = 1e-10
 
-# A witness point counts as on the zero level of a readout with bias c
-# when |level| <= this * (1 + |c|).
+# A witness point counts as on the zero level of a readout with weights w
+# and bias c when |level| <= this * (1 + |c|) + sum_j |w_j| r_j, with r_j
+# the rounding band of rho_j (WITNESS_PATTERN_ULPS): a witness with a lead
+# coefficient near 1e9 carries rounding near 1e-6 in every rho_j, which a
+# band on |c| alone rejected.
 WITNESS_LEVEL_REL = 1e-7
 
 # A witness x of the piece-count oracle has active coordinate j when

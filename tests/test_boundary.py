@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import relugeom.boundary as bd
+from relugeom import verify
 from relugeom import (
     AllNegative,
     DegenerateBias,
@@ -28,25 +29,7 @@ from relugeom.layer import ReluLayer, evaluate
 from relugeom.partition import _graded_submasks
 from relugeom.tolerances import WITNESS_LEVEL_REL, WITNESS_PATTERN_ULPS, scaled
 
-
-def random_layer(d, seed=0):
-    rng = np.random.default_rng(seed)
-    while True:
-        a = rng.normal(size=(d, d))
-        if np.linalg.cond(a) < 1e4:
-            return ReluLayer.build(a, rng.normal(size=d))
-
-
-def random_output(d, seed=0):
-    rng = np.random.default_rng(seed)
-    while True:
-        w = rng.normal(size=d)
-        b = rng.normal() * 1.5
-        if np.abs(w).min() < 0.15 * np.abs(w).max() or abs(b) < 0.2:
-            continue
-        out = normalize_output_layer(OutputLayer(w, b))
-        if np.any(out.weights > 0):
-            return out
+from factories import random_output, random_square_layer
 
 
 def _tied(d, rng):
@@ -64,6 +47,14 @@ def _positive_bias(d, rng):
     """A positive bias, which normalization flips; m = d // 2 after the flip."""
     weights = rng.uniform(0.5, 2.0, d) * np.where(np.arange(d) < d // 2, 1.0, -1.0)
     return OutputLayer(weights, 1.5), 2**d - 2 ** (d // 2)
+
+
+def wide_span_instance(rng, d):
+    """A ``verify.random_layer`` frame with readout weights over nine decades."""
+    layer = verify.random_layer(rng, d)
+    m = int(rng.integers(d))
+    weights = 10 ** rng.uniform(-9, 0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
+    return layer, OutputLayer(weights, -float(rng.uniform(0.5, 2.0)))
 
 
 EDGE_READOUTS = {"tied": _tied, "one positive value": _one_positive, "positive bias": _positive_bias}
@@ -94,7 +85,8 @@ def reference_piece_count_oracle(layer, output):
         size = np.abs(x) @ np.abs(layer.affine.matrix).T + np.abs(layer.affine.offset)
         band = WITNESS_PATTERN_ULPS * np.finfo(float).eps / layer.conditioning * size
         pattern = tuple(i + 1 for i in range(d) if rho[i] > band[i])
-        if abs(level) <= scaled(WITNESS_LEVEL_REL, abs(norm.bias)) and pattern == indices:
+        level_band = scaled(WITNESS_LEVEL_REL, abs(norm.bias)) + band @ np.abs(norm.weights)
+        if abs(level) <= level_band and pattern == indices:
             count += 1
     return count
 
@@ -136,7 +128,7 @@ class TestIntersectionValues:
     def test_geometric_cross_check(self):
         # Independent route: solve the line-hyperplane equations against
         # the pulled-back hyperplane and compare with the formula.
-        layer = random_layer(4, seed=1)
+        layer = random_square_layer(4, seed=1)
         output = random_output(4, seed=2)
         t = enumerate_pieces(layer, output).t
         pulled = pull_back_hyperplane(layer.affine, output)
@@ -154,7 +146,7 @@ class TestIntersectionValues:
         np.testing.assert_array_equal(np.sign(t), np.sign(output.weights))
 
     def test_pulled_back_normal_duality(self):
-        layer = random_layer(3, seed=4)
+        layer = random_square_layer(3, seed=4)
         output = random_output(3, seed=5)
         pulled = pull_back_hyperplane(layer.affine, output)
         np.testing.assert_allclose(
@@ -173,14 +165,14 @@ class TestEnumeratePieces:
 
     def test_random_counts_match_formula_and_oracle(self):
         for d in (2, 3, 4, 5, 6):
-            layer = random_layer(d, seed=d)
+            layer = random_square_layer(d, seed=d)
             output = random_output(d, seed=d + 50)
             boundary = enumerate_pieces(layer, output)
             assert boundary.piece_count == 2**d - 2**boundary.m
             assert piece_count_oracle(layer, output) == boundary.piece_count
 
     def test_pieces_nonempty_and_ordered(self):
-        boundary = enumerate_pieces(random_layer(4, seed=7), random_output(4, seed=8))
+        boundary = enumerate_pieces(random_square_layer(4, seed=7), random_output(4, seed=8))
         keys = [
             (len(p.indices), sum(1 << (i - 1) for i in p.indices))
             for p in boundary.pieces
@@ -197,7 +189,7 @@ class TestEnumeratePieces:
         # the per-subset loop that the array passes replaced: graded
         # submasks, one index tuple per mask, kept when J meets P
         rng = np.random.default_rng(500 + d)
-        layer = random_layer(d, seed=500 + d)
+        layer = random_square_layer(d, seed=500 + d)
         for m in range(d):
             weights = rng.uniform(0.5, 2.0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
             boundary = enumerate_pieces(layer, OutputLayer(weights, -1.0))
@@ -213,13 +205,29 @@ class TestEnumeratePieces:
                 assert np.array_equal(p.t, t[[i - 1 for i in p.indices]])
             rows = [
                 (tuple(i + 1 for i in j), tuple(i + 1 for i in r))
-                for indices, recession in boundary.grades
-                for j, r in zip(indices.tolist(), recession.tolist())
+                for grade in boundary.grades
+                for j, r in zip(grade.indices.tolist(), grade.recession.tolist())
             ]
             assert rows == [(p.indices, p.recession_indices) for p in boundary.pieces]
 
+    def test_every_array_is_read_only(self):
+        layer = random_square_layer(4, seed=8)
+        boundary = enumerate_pieces(layer, OutputLayer([1.0, -0.5, 2.0, 1.5], -1.0))
+        sample_piece(boundary.pieces[-1], 2, rng=np.random.default_rng(0))
+        arrays = [boundary.t, boundary.canonical.scale, *(piece.t for piece in boundary.pieces)]
+        arrays += [boundary.canonical.to_actual.matrix, boundary.canonical.to_actual.offset]
+        for grade in boundary.grades:
+            arrays += [grade.indices, grade.recession, grade.t]
+            operands = grade.operands
+            arrays += [getattr(operands, f.name) for f in dataclasses.fields(operands)]
+        arrays = [array for array in arrays if isinstance(array, np.ndarray)]
+        assert len(arrays) == 2 + boundary.piece_count + 2 + 4 * 8
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
     def test_degenerate_direction_rejected(self):
-        layer = random_layer(3, seed=9)
+        layer = random_square_layer(3, seed=9)
         with pytest.raises(DegenerateDirection, match=r"vanishes at indices \(2,\)"):
             enumerate_pieces(layer, OutputLayer([1.0, 0.0, 1.0], -1.0))
 
@@ -240,7 +248,7 @@ class TestEnumeratePieces:
 
 class TestSamplePiece:
     def test_central_piece_lies_on_pulled_back_hyperplane(self):
-        layer = random_layer(3, seed=10)
+        layer = random_square_layer(3, seed=10)
         output = random_output(3, seed=11)
         boundary = enumerate_pieces(layer, output)
         central = [p for p in boundary.pieces if p.indices == (1, 2, 3)]
@@ -263,7 +271,7 @@ class TestSamplePiece:
     def test_all_pieces_on_zero_level(self):
         for seed in range(5):
             d = 2 + seed % 3
-            layer = random_layer(d, seed=20 + seed)
+            layer = random_square_layer(d, seed=20 + seed)
             output = random_output(d, seed=40 + seed)
             boundary = enumerate_pieces(layer, output)
             rng = np.random.default_rng(60 + seed)
@@ -273,7 +281,7 @@ class TestSamplePiece:
                 assert level.max() < 1e-8 * (1 + abs(output.bias))
 
     def test_pieces_have_affine_dimension_d_minus_1(self):
-        layer = random_layer(4, seed=80)
+        layer = random_square_layer(4, seed=80)
         output = random_output(4, seed=81)
         boundary = enumerate_pieces(layer, output)
         rng = np.random.default_rng(82)
@@ -317,7 +325,7 @@ class TestPieceCountOracle:
     @pytest.mark.parametrize("kind", sorted(EDGE_READOUTS))
     @pytest.mark.parametrize("d", range(1, 9))
     def test_edge_readouts_match_enumeration(self, kind, d):
-        layer = random_layer(d, seed=100 + d)
+        layer = random_square_layer(d, seed=100 + d)
         output, expected = EDGE_READOUTS[kind](d, np.random.default_rng(d))
         boundary = enumerate_pieces(layer, output)
         assert boundary.piece_count == expected
@@ -328,7 +336,7 @@ class TestPieceCountOracle:
         # A frame whose duals or apex do not fit its affine map keeps every
         # intersection value, so enumeration still counts 2^d - 2^m, but the
         # witnesses built from it miss the zero level or their pattern.
-        layer = random_layer(d, seed=30 + d)
+        layer = random_square_layer(d, seed=30 + d)
         output = random_output(d, seed=60 + d)
         count = enumerate_pieces(layer, output).piece_count
         assert piece_count_oracle(layer, output) == count
@@ -372,6 +380,33 @@ class TestPieceCountOracle:
                 output = OutputLayer(weights, -rng.uniform(0.5, 2.0))
                 assert piece_count_oracle(layer, output) == enumerate_pieces(layer, output).piece_count
 
+    @pytest.mark.parametrize("d, seed", [(3, 2199), (3, 2759), (4, 252), (4, 948)])
+    def test_level_band_carries_the_rounding_of_rho(self, d, seed):
+        # Wide-span readouts on verify.random_layer frames: some witnesses
+        # have a lead coefficient near 1e9, whose rounding in every rho_j,
+        # times |w_j|, left the level outside a band on |c| alone.
+        rng = np.random.default_rng(seed)
+        layer, output = wide_span_instance(rng, d)
+        count = enumerate_pieces(layer, output).piece_count
+        assert piece_count_oracle(layer, output) == count
+        assert reference_piece_count_oracle(layer, output) == count
+
+    @pytest.mark.parametrize("d, seed", [(3, 2199), (4, 948)])
+    def test_not_vacuous_on_an_off_level_witness(self, d, seed, monkeypatch):
+        # Witnesses built for the readout but checked against its bias
+        # moved by 1e-3 (1 + |c|) lie off the level by that much, far
+        # outside the rounding band: the widened band still rejects them.
+        layer, output = wide_span_instance(np.random.default_rng(seed), d)
+        readout = bd._readout
+
+        def moved_bias(layer, output):
+            norm, t, m = readout(layer, output)
+            return OutputLayer(norm.weights, norm.bias - 1e-3 * (1.0 + abs(norm.bias))), t, m
+
+        assert piece_count_oracle(layer, output) == enumerate_pieces(layer, output).piece_count
+        monkeypatch.setattr(bd, "_readout", moved_bias)
+        assert piece_count_oracle(layer, output) == 0
+
     def test_d1_single_piece(self):
         layer = ReluLayer.canonical(1)
         output = OutputLayer([1.0], -1.0)
@@ -379,7 +414,7 @@ class TestPieceCountOracle:
         assert enumerate_pieces(layer, output).piece_count == 1
 
     def test_d2_m1_two_pieces_by_sampling(self):
-        layer = random_layer(2, seed=14)
+        layer = random_square_layer(2, seed=14)
         output = normalize_output_layer(OutputLayer([-1.0, 2.0], -1.0))
         boundary = enumerate_pieces(layer, output)
         assert boundary.m == 1
@@ -392,7 +427,7 @@ class TestPieceCountOracle:
     def test_sampled_patterns_subset_random(self):
         for seed in range(4):
             d = 2 + seed % 2
-            layer = random_layer(d, seed=70 + seed)
+            layer = random_square_layer(d, seed=70 + seed)
             output = random_output(d, seed=90 + seed)
             boundary = enumerate_pieces(layer, output)
             patterns = sample_boundary_patterns(
@@ -468,7 +503,7 @@ class TestCanonicalReduction:
     def test_mapped_samples_land_on_boundary(self):
         rng = np.random.default_rng(17)
         for seed in range(10):
-            layer = random_layer(4, seed=100 + seed)
+            layer = random_square_layer(4, seed=100 + seed)
             output = random_output(4, seed=130 + seed)
             boundary = enumerate_pieces(layer, output)
             reduction = boundary.canonical
@@ -482,7 +517,7 @@ class TestCanonicalReduction:
                 assert residual.max() < 1e-7 * (1 + abs(output.bias))
 
     def test_map_is_invertible(self):
-        layer = random_layer(3, seed=18)
+        layer = random_square_layer(3, seed=18)
         output = random_output(3, seed=19)
         reduction = enumerate_pieces(layer, output).canonical
         assert np.linalg.cond(reduction.to_actual.matrix) < 1e12
@@ -493,7 +528,7 @@ class TestConvexityDichotomy:
     def test_m0_samples_lie_on_their_hull(self, d):
         rng = np.random.default_rng(23)
         for seed in range(3):
-            layer = random_layer(d, seed=200 + seed)
+            layer = random_square_layer(d, seed=200 + seed)
             while True:
                 output = random_output(d, seed=230 + seed * 7)
                 if enumerate_pieces(ReluLayer.canonical(d), output).m == 0:

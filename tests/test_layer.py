@@ -14,13 +14,7 @@ from relugeom.layer import (
 )
 from relugeom.partition import SectorIndex, sample_sector
 
-
-def random_relu_layer(d, seed=0):
-    rng = np.random.default_rng(seed)
-    while True:
-        a = rng.normal(size=(d, d))
-        if np.linalg.cond(a) < 1e4:
-            return ReluLayer.build(a, rng.normal(size=d))
+from factories import random_square_layer
 
 
 class TestEvaluate:
@@ -29,37 +23,37 @@ class TestEvaluate:
         np.testing.assert_allclose(evaluate(layer, [-1.0, 2.0]), [0.0, 2.0])
 
     def test_sector_points_map_to_plus_coefficients(self):
-        layer = random_relu_layer(3, seed=1)
+        layer = random_square_layer(3, seed=1)
         alpha = np.array([0.8, 1.7])
         x = layer.apex + alpha[0] * layer.duals[0] - alpha[1] * layer.duals[2]
         expected = np.array([alpha[0], 0.0, 0.0])
         np.testing.assert_allclose(evaluate(layer, x), expected, atol=1e-10)
 
     def test_apex_maps_to_zero(self):
-        layer = random_relu_layer(4, seed=2)
+        layer = random_square_layer(4, seed=2)
         np.testing.assert_allclose(evaluate(layer, layer.apex), np.zeros(4), atol=1e-10)
 
 
 class TestConeProjection:
     def test_fixes_cone_points(self):
-        layer = random_relu_layer(3, seed=4)
+        layer = random_square_layer(3, seed=4)
         x = layer.apex + 0.5 * layer.duals[0] + 2.0 * layer.duals[2]
         np.testing.assert_allclose(project_with_frame(layer, x), x, atol=1e-10)
 
     def test_truncates_negative_coefficients(self):
-        layer = random_relu_layer(2, seed=5)
+        layer = random_square_layer(2, seed=5)
         x = layer.apex + layer.duals[0] - layer.duals[1]
         np.testing.assert_allclose(
             project_with_frame(layer, x), layer.apex + layer.duals[0], atol=1e-10
         )
 
     def test_opposite_sector_collapses_to_apex(self):
-        layer = random_relu_layer(3, seed=6)
+        layer = random_square_layer(3, seed=6)
         x = layer.apex - layer.duals.sum(axis=0)
         np.testing.assert_allclose(project_with_frame(layer, x), layer.apex, atol=1e-10)
 
     def test_idempotent(self):
-        layer = random_relu_layer(4, seed=7)
+        layer = random_square_layer(4, seed=7)
         xs = np.random.default_rng(8).normal(size=(200, 4)) * 3.0
         once = project_with_frame(layer, xs)
         twice = project_with_frame(layer, once)
@@ -69,12 +63,12 @@ class TestConeProjection:
 class TestDecomposition:
     def test_bulk_residual(self):
         rng = np.random.default_rng(9)
-        layer = random_relu_layer(4, seed=10)
+        layer = random_square_layer(4, seed=10)
         xs = rng.normal(size=(10000, 4)) * 3.0
         assert decompose_check(layer, xs) < 1e-9
 
     def test_apex_residual(self):
-        layer = random_relu_layer(3, seed=11)
+        layer = random_square_layer(3, seed=11)
         assert decompose_check(layer, layer.apex) < 1e-12
 
     def test_canonical_layer_exact(self):
@@ -85,22 +79,22 @@ class TestDecomposition:
 
 class TestImageOfSector:
     def test_minus_set_is_forgotten(self):
-        layer = random_relu_layer(3, seed=13)
+        layer = random_square_layer(3, seed=13)
         s = SectorIndex.of(3, plus=[1, 2], minus=[3])
         assert image_of_sector(layer, s) == SectorIndex.of(3, plus=[1, 2])
 
     def test_affine_sector_fixed(self):
-        layer = random_relu_layer(3, seed=14)
+        layer = random_square_layer(3, seed=14)
         s = SectorIndex.of(3, plus=[1, 2, 3])
         assert image_of_sector(layer, s) == s
 
     def test_all_minus_collapses(self):
-        layer = random_relu_layer(2, seed=15)
+        layer = random_square_layer(2, seed=15)
         s = SectorIndex.of(2, minus=[1, 2])
         assert image_of_sector(layer, s) == SectorIndex.of(2)
 
     def test_image_law_sampled(self):
-        layer = random_relu_layer(3, seed=16)
+        layer = random_square_layer(3, seed=16)
         canonical = ReluLayer.canonical(3)
         rng = np.random.default_rng(17)
         from relugeom.partition import classify, enumerate_sectors
@@ -113,7 +107,7 @@ class TestImageOfSector:
 
 class TestPreimageOfPoint:
     def test_positive_target_is_single_point(self):
-        layer = random_relu_layer(3, seed=18)
+        layer = random_square_layer(3, seed=18)
         y = np.array([1.0, 2.0, 0.5])
         pre = preimage_of_point(layer, y)
         assert pre.generator_indices == ()
@@ -123,23 +117,23 @@ class TestPreimageOfPoint:
         assert pre.source_sector == SectorIndex.of(3, plus=[1, 2, 3])
 
     def test_origin_gives_full_reversed_cone(self):
-        layer = random_relu_layer(3, seed=19)
+        layer = random_square_layer(3, seed=19)
         pre = preimage_of_point(layer, np.zeros(3))
         assert pre.generator_indices == (1, 2, 3)
         np.testing.assert_allclose(pre.base, layer.apex, atol=1e-10)
 
     def test_one_zero_component_gives_ray(self):
-        layer = random_relu_layer(3, seed=20)
+        layer = random_square_layer(3, seed=20)
         pre = preimage_of_point(layer, np.array([2.0, 0.0, 1.0]))
         assert pre.generator_indices == (2,)
         assert pre.dimension() == 1
 
     def test_negative_component_empty(self):
-        layer = random_relu_layer(2, seed=21)
+        layer = random_square_layer(2, seed=21)
         assert preimage_of_point(layer, np.array([1.0, -0.5])) is None
 
     def test_dimension_equals_zero_count(self):
-        layer = random_relu_layer(4, seed=22)
+        layer = random_square_layer(4, seed=22)
         rng = np.random.default_rng(23)
         for _ in range(50):
             x = rng.normal(size=4) * 2.0
@@ -148,7 +142,7 @@ class TestPreimageOfPoint:
             assert len(pre.generator_indices) == int(np.sum(y <= 1e-9))
 
     def test_samples_map_to_target(self):
-        layer = random_relu_layer(3, seed=24)
+        layer = random_square_layer(3, seed=24)
         y = evaluate(layer, np.array([0.3, -2.0, 0.7]))
         pre = preimage_of_point(layer, y)
         samples = pre.sample(200, radius=2.0, rng=np.random.default_rng(25))
@@ -173,7 +167,7 @@ class TestPreimageBases:
             assert np.array_equal(zero[i], row <= 1e-9)
 
     def test_single_row_matches_preimage_of_point(self):
-        layer = random_relu_layer(3, seed=31)
+        layer = random_square_layer(3, seed=31)
         y = np.array([1.5, 0.0, -1e-12])
         _, bases, zero = preimage_bases(layer, y[None, :])
         pre = preimage_of_point(layer, y)
@@ -183,7 +177,7 @@ class TestPreimageBases:
 
 class TestPreimageOfSector:
     def test_d2_single_index(self):
-        layer = random_relu_layer(2, seed=26)
+        layer = random_square_layer(2, seed=26)
         got = preimage_of_sector(layer, [1])
         assert set(got) == {
             SectorIndex.of(2, plus=[1]),
@@ -191,17 +185,17 @@ class TestPreimageOfSector:
         }
 
     def test_full_index_set_is_affine_sector_only(self):
-        layer = random_relu_layer(3, seed=27)
+        layer = random_square_layer(3, seed=27)
         assert preimage_of_sector(layer, [1, 2, 3]) == [SectorIndex.of(3, plus=[1, 2, 3])]
 
     def test_empty_index_set_gives_all_minus_sectors(self):
-        layer = random_relu_layer(3, seed=28)
+        layer = random_square_layer(3, seed=28)
         got = preimage_of_sector(layer, [])
         assert len(got) == 8
         assert all(s.plus == () for s in got)
 
     def test_counts(self):
-        layer = random_relu_layer(4, seed=29)
+        layer = random_square_layer(4, seed=29)
         for j in ([], [2], [1, 3], [1, 2, 3, 4]):
             assert len(preimage_of_sector(layer, j)) == 2 ** (4 - len(j))
 
@@ -219,7 +213,7 @@ class TestPreimageOfSector:
 
         from relugeom.partition import enumerate_sectors
 
-        layer = random_relu_layer(3, seed=50)
+        layer = random_square_layer(3, seed=50)
         seen = []
         for k in range(4):
             for j in combinations(range(1, 4), k):
@@ -234,7 +228,7 @@ class TestPreimageOfSector:
 
         from relugeom.partition import enumerate_sectors, leq
 
-        layer = random_relu_layer(3, seed=51)
+        layer = random_square_layer(3, seed=51)
         full = {1, 2, 3}
         for j_size in range(4):
             for j in combinations(sorted(full), j_size):
@@ -252,7 +246,7 @@ class TestPreimageOfSector:
 
 class TestMembershipOracle:
     def layer_and_pre(self, seed=30):
-        layer = random_relu_layer(3, seed=seed)
+        layer = random_square_layer(3, seed=seed)
         y = evaluate(layer, np.array([1.0, -0.5, 0.2]))
         return layer, preimage_of_point(layer, y)
 
@@ -277,7 +271,7 @@ class TestMembershipOracle:
         assert not membership_mask(layer, pre, x)
 
     def test_oracle_agrees_with_direct_check_on_grid(self):
-        layer = random_relu_layer(2, seed=31)
+        layer = random_square_layer(2, seed=31)
         axis = np.arange(-5.0, 5.0 + 0.05, 0.1)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,21 +27,7 @@ from relugeom.network import (
 )
 from relugeom.verify import random_layer, random_output_layer
 
-
-def random_net(depth, d, seed=0, offset_scale=0.5):
-    rng = np.random.default_rng(seed)
-    while True:
-        mats = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(depth)]
-        offs = [rng.normal(size=d) * offset_scale for _ in range(depth)]
-        composed = np.eye(d)
-        ok = True
-        for m in mats:
-            composed = m @ composed
-            if np.linalg.cond(composed) > 1e6:
-                ok = False
-                break
-        if ok:
-            return ReluNetwork.from_arrays(mats, offs, rng.normal(size=d), rng.normal() * 1.5)
+from factories import random_net
 
 
 class TestEvaluate:
@@ -397,17 +385,69 @@ class TestSamplerStream:
         assert np.array_equal(rows[0], b.uniform(size=12))
         assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("d", [3, 6])
+    def assert_same_stream(self, piece, n, radius, seed):
+        """sample_piece and the three-call reference give the same bytes
+        and leave their generators in the same state."""
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_piece(piece, n, radius=radius, rng=a)
+        expected = three_call_sample_piece(piece, n, radius, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("d", range(2, 9))
     def test_sample_piece_keeps_the_three_call_stream(self, d):
         rng = np.random.default_rng(40 + d)
         layer = random_layer(rng, d)
         for m in range(d):
             boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
-            a, b = np.random.default_rng(m), np.random.default_rng(m)
-            for piece in boundary.pieces:
-                got = sample_piece(piece, 4, radius=1.5, rng=a)
-                assert np.array_equal(got, three_call_sample_piece(piece, 4, 1.5, b))
-            assert a.bit_generator.state == b.bit_generator.state
+            for n in (0, 1, 4):
+                a, b = np.random.default_rng(m), np.random.default_rng(m)
+                got = b"".join(sample_piece(piece, n, radius=1.5, rng=a).tobytes() for piece in boundary.pieces)
+                expected = b"".join(
+                    three_call_sample_piece(piece, n, 1.5, b).tobytes() for piece in boundary.pieces
+                )
+                assert got == expected
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_directly_built_piece_with_a_zero_value(self):
+        # a zero value gets no draw and a zero coefficient
+        layer = random_layer(np.random.default_rng(50), 4)
+        piece = bd.BoundaryPiece((1, 2, 4), np.array([2.0, 0.0, -1.5]), (3,), False, layer)
+        points = self.assert_same_stream(piece, 5, 1.5, seed=51)
+        assert points.shape == (5, 4)
+
+    def test_replaced_piece_samples_from_its_new_values(self):
+        rng = np.random.default_rng(52)
+        layer = random_layer(rng, 5)
+        boundary = enumerate_pieces(layer, signed_readout(rng, 5, 2))
+        for piece in boundary.pieces[::5]:
+            copy = dataclasses.replace(piece, t=piece.t * 1.5)
+            got = self.assert_same_stream(copy, 4, 2.0, seed=53)
+            original = sample_piece(piece, 4, radius=2.0, rng=np.random.default_rng(53))
+            assert got.tobytes() != original.tobytes()
+
+    def test_not_vacuous_on_swapped_sign_operands(self, monkeypatch):
+        # Handing each piece's positive positions to its negative operands
+        # and the other way round must change the bytes.
+        rng = np.random.default_rng(54)
+        layer = random_layer(rng, 5)
+        boundary = enumerate_pieces(layer, signed_readout(rng, 5, 2))
+        for piece in boundary.pieces:
+            self.assert_same_stream(piece, 3, 1.5, seed=55)
+        for grade in boundary.grades:
+            operands = grade.operands
+            swapped = np.array(
+                [np.roll(order, -k) for order, (k, _, _) in zip(operands.sign_order, operands.counts)]
+            ).reshape(operands.sign_order.shape)
+            monkeypatch.setitem(grade.__dict__, "operands", dataclasses.replace(operands, sign_order=swapped))
+        differs = 0
+        for piece in boundary.pieces:
+            a, b = np.random.default_rng(55), np.random.default_rng(55)
+            got = sample_piece(piece, 3, radius=1.5, rng=a)
+            differs += got.tobytes() != three_call_sample_piece(piece, 3, 1.5, b).tobytes()
+        assert differs > 0
 
 
 SEED_SAMPLER_SHAPES = [(d, d) for d in range(2, 13)] + [(2, 3), (3, 5), (6, 8)]

@@ -17,13 +17,7 @@ from relugeom.partition import (
     split_by_zero_band,
 )
 
-
-def random_frame(d, seed=0):
-    rng = np.random.default_rng(seed)
-    while True:
-        a = rng.normal(size=(d, d))
-        if np.linalg.cond(a) < 1e4:
-            return build_dual_frame(AffineMap(a, rng.normal(size=d)))
+from factories import random_square_layer
 
 
 class TestSectorIndex:
@@ -50,20 +44,20 @@ class TestSectorIndex:
 
 class TestExpand:
     def test_apex_has_zero_coefficients(self):
-        frame = random_frame(3, seed=1)
+        frame = random_square_layer(3, seed=1)
         np.testing.assert_allclose(
             frame.affine(frame.apex), np.zeros(3), atol=1e-12
         )
 
     def test_single_dual_direction(self):
-        frame = random_frame(4, seed=2)
+        frame = random_square_layer(4, seed=2)
         x = frame.apex + 3.0 * frame.duals[1]
         np.testing.assert_allclose(
             frame.affine(x), [0.0, 3.0, 0.0, 0.0], atol=1e-12
         )
 
     def test_matches_independent_solve_and_affine_image(self):
-        frame = random_frame(5, seed=3)
+        frame = random_square_layer(5, seed=3)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.normal(size=5) * 3.0
@@ -76,11 +70,11 @@ class TestExpand:
 
 class TestClassify:
     def test_apex_is_zero_sector(self):
-        frame = random_frame(3, seed=6)
+        frame = random_square_layer(3, seed=6)
         assert classify(frame, frame.apex) == SectorIndex.of(3)
 
     def test_constructed_signs(self):
-        frame = random_frame(2, seed=7)
+        frame = random_square_layer(2, seed=7)
         x = frame.apex + 2.0 * frame.duals[0] - 3.0 * frame.duals[1]
         assert classify(frame, x) == SectorIndex.of(2, plus=[1], minus=[2])
 
@@ -190,7 +184,7 @@ class TestClosure:
     def test_closure_equals_leq_filter(self):
         # The limits of a sector's points, reached by sending any subset of
         # their coefficients to zero, classify into exactly the sectors below it.
-        frame = random_frame(3, seed=4)
+        frame = random_square_layer(3, seed=4)
         s = SectorIndex.of(3, plus=[1], minus=[2, 3])
         lam = frame.affine(sample_sector(frame, s, 1, np.random.default_rng(5))[0])
         limits = {
@@ -204,7 +198,7 @@ class TestPartitionProperty:
     def test_round_trip_random_points(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 5, 8):
-            frame = random_frame(d, seed=d)
+            frame = random_square_layer(d, seed=d)
             xs = rng.normal(size=(200, d)) * 3.0
             for x in xs:
                 sector = classify(frame, x)
@@ -215,7 +209,7 @@ class TestPartitionProperty:
 
     def test_interior_samples_classify_to_their_sector(self):
         rng = np.random.default_rng(12)
-        frame = random_frame(4, seed=13)
+        frame = random_square_layer(4, seed=13)
         for sector in enumerate_sectors(4):
             xs = sample_sector(frame, sector, 5, rng)
             for x in xs:
@@ -223,7 +217,7 @@ class TestPartitionProperty:
 
     def test_boundary_stability_smoke(self):
         rng = np.random.default_rng(14)
-        frame = random_frame(3, seed=15)
+        frame = random_square_layer(3, seed=15)
         sector = SectorIndex.of(3, plus=[2], minus=[3])
         x = sample_sector(frame, sector, 1, rng)[0]
         lam = frame.affine(x)
