@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import AffineMap, ReluLayer
+from .core import AffineMap, ReluLayer, read_only_floats
 from .errors import (
     AllNegative,
     DegenerateBias,
@@ -121,11 +121,9 @@ class BoundaryPiece:
 
     def __post_init__(self):
         t = self.t
-        # the rows of an enumerated grade arrive as read-only float arrays
+        # the rows of an enumerated grade arrive read-only and skip the call
         if type(t) is not np.ndarray or t.dtype != float or t.flags.writeable:
-            t = np.asarray(t, dtype=float)
-            t.setflags(write=False)
-            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "t", read_only_floats(t))
 
     @property
     def is_empty(self) -> bool:
@@ -215,7 +213,7 @@ class CanonicalReduction:
     to_actual: AffineMap
 
     def __post_init__(self):
-        self.scale.setflags(write=False)
+        object.__setattr__(self, "scale", read_only_floats(self.scale))
 
     def map_indices(self, indices) -> tuple[int, ...]:
         return tuple(sorted(self.sigma[i - 1] for i in indices))

@@ -41,6 +41,20 @@ def _as_vector(values) -> np.ndarray:
     return v
 
 
+def read_only_floats(values) -> np.ndarray:
+    """``values`` as a float array that nobody can write to.
+
+    A read-only float ndarray is kept as it is; anything else, a caller's
+    writable array included, is copied before it is frozen, so freezing
+    never reaches an array the caller still owns.
+    """
+    if type(values) is np.ndarray and values.dtype == float and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """The map ``x -> matrix @ x + offset``.
@@ -102,9 +116,7 @@ class ReluLayer:
         for name in ("apex", "duals", "row_span_basis", "complement_basis"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, read_only_floats(arr))
 
     @classmethod
     def build(cls, matrix, offset=None) -> "ReluLayer":

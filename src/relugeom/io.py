@@ -18,7 +18,11 @@ field is the one documented exception).
 CSV files use one dialect: comma separators, CRLF line ends and no
 quoting, with every float written as ``%.17g``.  No field ever needs
 quotes: labels are piece index sets such as ``1-3-4``, or ``preimage``,
-and the other fields are numbers.
+and the other fields are numbers.  The bytes are those of Python's
+``'%.17g' % v``: an exact array formatter writes each chunk of a large
+table in one pass, and ``%`` itself writes small tables and every value
+the formatter cannot decide: non-finite values, nonzero magnitudes
+outside [2^-320, 2^56) and the near ties of its inexact range.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from typing import Any
 
 import numpy as np
@@ -181,20 +186,220 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_CHUNK_ROWS = 1024  # CSV rows formatted per write
+# CSV floats formatted per write: the arrays of a larger chunk leave the
+# allocator's reused memory and page-fault on every write.
+_CHUNK_FLOATS = 4096
+# A chunk with fewer floats is formatted row by row with ``%``, whose
+# per-call cost is lower; at or above it the array formatter is faster.
+# The formatter lays its words out little-endian, so elsewhere every
+# chunk takes ``%``.
+_ARRAY_MIN_FLOATS = 256 if sys.byteorder == "little" else math.inf
+
+# The array formatter for ``%.17g``.  A finite |x| in [2^-320, 2^56) has a
+# decimal exponent k in [-97, 16], and its 17 significant digits are the
+# integer D nearest to v = |x| * 10^(16 - k), ties to even as in Python's
+# dtoa.  v is formed as h + l by Dekker's two-product of |x| with the
+# double-double 10^p = hi + lo, p = 16 - k.  For p <= 22, 10^p is a double
+# (lo = 0), so h + l = v exactly; h is then an even integer (v > 2^53), so
+# D = h + rint(l) and rint's ties to even fix D's parity.  For larger p,
+# h + l is within 1e-14 of v, which decides D unless v's fraction lies
+# within 2^-30 of 1/2.  Such near ties, and every value outside the range
+# except zero, are formatted by ``%``.
+_G17_K_MIN, _G17_K_MAX = -97, 16
+_G17_MIN, _G17_MAX = 2.0**-320, 2.0**56  # 10^-97 < 2^-320, 2^56 < 10^17
+_EXACT_K_MIN = 16 - 22  # 10^22 is the largest power of ten that is a double
+_CODE_K_MIN = -5  # every smaller k is written like k = -5, in scientific notation
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp's split into two 26-bit halves
 
 
-def _write_csv(path: str, header: list[str], row_format: str, columns: list):
-    """Write ``header`` and one line per row of ``columns`` (equal-length
-    lists or 1-D arrays), each line from the one ``%`` format ``row_format``.
-    Rows go out ``_CHUNK_ROWS`` at a time, so no text the size of the file
-    is ever built."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [column[start : start + _CHUNK_ROWS] for column in columns]
-            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
-            fh.writelines(map(row_format.__mod__, rows))
+def _split(a):
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+def _g17_powers():
+    """(hi, hi's split halves, lo) of 10^(16 - k), indexed by k - K_MIN."""
+    powers = [10 ** (16 - k) for k in range(_G17_K_MIN, _G17_K_MAX + 1)]
+    high = np.array([float(p) for p in powers])
+    low = np.array([float(p - int(h)) for p, h in zip(powers, high.tolist())])
+    return (high, *_split(high), low)
+
+
+_POW10 = _g17_powers()
+
+
+def _scaled(a, ki):
+    """(h, l) with h = fl(v), v = a * 10^(16 - k) and ki = k - K_MIN:
+    h + l = v exactly for k >= _EXACT_K_MIN, within 1e-14 below."""
+    high, hh, hl, low = (np.take(table, ki) for table in _POW10)
+    h = a * high
+    ah, al = _split(a)
+    return h, ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * low
+
+
+def _out_of_decade(h, l):
+    """h + l outside [1e16, 1e17): the exponent k is off by one."""
+    return (h < 1e16) | ((h == 1e16) & (l < 0)) | (h > 1e17) | ((h == 1e17) & (l >= 0))
+
+
+def _g17_tables():
+    """Lookup tables of the array formatter; see :func:`_g17_fields`.
+
+    ``chunk[t]`` holds the four ASCII digits of t in the low 32 bits of a
+    little-endian word, ``chunk_high[t]`` in the high 32.  ``last[t]`` is
+    twice the position of t's last nonzero digit (1..4), -24 for t = 0.
+    ``fields`` holds the two digit masks and the fixed text of each code
+    (k clipped to _CODE_K_MIN..16, significant digits, sign), then of +0,
+    -0 and the ``%`` fallback.  ``exponent[k - K_MIN]`` holds "e-XX" in bytes
+    1..4 of the field's last word for k < -4.
+    """
+    t = np.arange(10000, dtype=np.int16)
+    digits = (t[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    chunk = digits.view("<u4")[:, 0].astype(np.uint64)
+    nonzero = digits != ord("0")
+    last = np.where(t > 0, 2 * (4 - np.argmax(nonzero[:, ::-1], axis=1)), -24).astype(np.int8)
+
+    grid = np.meshgrid(np.arange(_CODE_K_MIN, _G17_K_MAX + 1), np.arange(1, 18), [0, 1], indexing="ij")
+    # then three more codes: +0, -0 and the fallback
+    k, n, neg = (np.append(v.ravel(), extra) for v, extra in zip(grid, ([0, 0, 0], [1, 1, 1], [0, 1, 0])))
+    regular = np.arange(len(k)) < len(k) - 3
+    shown = np.where(k >= 0, np.maximum(n, k + 1), n) * regular  # digits written
+    point = np.where(k >= 0, k + 1, np.where(k >= -4, 17, 1))  # digits before the point
+    has_point = point < shown
+    lead = np.where((k < 0) & (k >= -4), 1 - k, 0)  # length of "0.000"
+    slot = np.arange(32)
+    before = (slot >= 7) & (slot < 7 + np.minimum(point, shown)[:, None])
+    after = has_point[:, None] & (slot >= 8 + point[:, None]) & (slot < 8 + shown[:, None])
+    text = np.zeros((len(k), 32), np.uint8)
+    text[:, 0] = ord(",")
+    text[:, 1] = neg * ord("-")
+    text[(slot >= 7 - lead[:, None]) & (slot < 7)] = ord("0")
+    text[(slot == 8 - lead[:, None]) & (lead[:, None] > 0)] = ord(".")
+    text[has_point[:, None] & (slot == 7 + point[:, None])] = ord(".")
+    text[~regular, 7] = [ord("0"), ord("0"), 0]
+    fields = tuple((m * np.uint8(255)).view(np.uint64) for m in (before, after))
+
+    e = -np.arange(_G17_K_MIN, _G17_K_MAX + 1)  # minus the exponent
+    scientific = e > 4
+    exponent = np.zeros((len(e), 8), np.uint8)
+    exponent[scientific, 1] = ord("e")
+    exponent[scientific, 2] = ord("-")
+    exponent[scientific, 3] = e[scientific] // 10 + ord("0")
+    exponent[scientific, 4] = e[scientific] % 10 + ord("0")
+    return chunk, chunk << np.uint64(32), last, (*fields, text.view(np.uint64)), exponent.view(np.uint64)[:, 0]
+
+
+_CHUNK, _CHUNK_HIGH, _LAST, _FIELDS, _EXPONENT = _g17_tables()
+_ZERO_CODE = len(_FIELDS[0]) - 3
+_FALLBACK_CODE = _ZERO_CODE + 2
+# added to 2 x the last nonzero digit of t1, t3 and t2, t4 (digits 1-4, 9-12, 5-8, 13-16)
+_LAST_OFFSETS = np.array([[0], [16]]), np.array([[8], [24]])
+
+
+def _g17_fields(x: np.ndarray) -> np.ndarray:
+    """``',' + '%.17g' % v`` for each v of the 1-D float array ``x``, as
+    (n, 32) bytes with NUL in every unused slot.
+
+    Slots: 0 the comma, 1 the sign, 2..6 the "0." and zeros of
+    1e-4 <= |v| < 1, 7..24 the digits with the point inserted, 25..28
+    the exponent.  S1 holds D's digit j at byte 7 + j and S2 one byte
+    on, so (S1 & before) | (S2 & after) | text writes the digits around
+    the point; the three come from ``_FIELDS`` by the code of
+    (k, significant digits, sign), the exponent from ``_EXPONENT`` by k.
+    """
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= _G17_MIN) & (a < _G17_MAX)
+    a = np.where(fast, a, 1.0)
+    ki = np.floor(np.log10(a)).astype(np.intp) - _G17_K_MIN
+    h, l = _scaled(a, ki)
+    edge = ((h <= 1e16) | (h >= 1e17)).nonzero()[0]
+    if len(edge):  # log10 rounded across a power of ten, or v is near one
+        edge = edge[_out_of_decade(h[edge], l[edge])]
+        ki[edge] = np.clip(ki[edge] + np.where(h[edge] > 1e16, 1, -1), 0, _G17_K_MAX - _G17_K_MIN)
+        h[edge], l[edge] = _scaled(a[edge], ki[edge])
+        fast[edge[_out_of_decade(h[edge], l[edge])]] = False
+    r = np.rint(l)
+    near = np.abs(l - r) >= 0.5 - 2.0**-30
+    if near.any():
+        fast[near & (ki < _EXACT_K_MIN - _G17_K_MIN)] = False
+    d = h.astype(np.int64) + r.astype(np.int64)
+    carry = d == 10**17  # 9.99...95 x 10^k rounds up to 10^(k + 1)
+    if carry.any():
+        d[carry] = 10**16
+        ki += carry
+    # D's digits in chunks: t0 (one digit), then (t1, t3) and (t2, t4)
+    upper, lower = np.divmod(d, 10**8)
+    t0, upper = np.divmod(upper, 10**8)
+    high, low = np.divmod(np.stack([upper, lower]), 10**4)
+    s1 = np.zeros((n, 4), np.uint64)
+    s1[:, 0] = np.take(_CHUNK_HIGH, t0)
+    s1[:, 1:3] = (np.take(_CHUNK, high) | np.take(_CHUNK_HIGH, low)).T
+    last = np.maximum(np.take(_LAST, high) + _LAST_OFFSETS[0], np.take(_LAST, low) + _LAST_OFFSETS[1])
+    # 34 codes per k: 17 counts of significant digits, two signs
+    code = np.maximum(ki - (_CODE_K_MIN - _G17_K_MIN), 0) * 34 + last.max(axis=0) + np.signbit(x)
+    rest = (~fast).nonzero()[0]
+    code[rest] = np.where(x[rest] == 0, _ZERO_CODE + np.signbit(x[rest]), _FALLBACK_CODE)
+    s2 = s1.ravel() << np.uint64(8)
+    s2[1:] |= s1.ravel()[:-1] >> np.uint64(56)
+    before, after, text = (np.take(table, code, axis=0) for table in _FIELDS)
+    before &= s1
+    after &= s2.reshape(n, 4)
+    text |= before
+    text |= after
+    text[:, 3] |= np.take(_EXPONENT, ki)
+    fields = text.view(np.uint8)
+    rest = rest[x[rest] != 0]
+    if len(rest):
+        slow = np.array([("%.17g" % v).encode() for v in x[rest].tolist()], dtype="S31")
+        fields[rest, 1:] = slow.view(np.uint8).reshape(len(rest), 31)
+    return fields
+
+
+def _text_bytes(column) -> np.ndarray:
+    """(rows, width) bytes of a column of str or int, NUL-padded."""
+    text = np.array(column, dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+
+def _csv_rows(labels, table: np.ndarray, last) -> bytes:
+    """The CSV lines of one chunk, every float from :func:`_g17_fields`.
+
+    Each line is laid out in fixed slots, NUL where unused, and the NULs
+    are dropped in one pass: no field ever holds a NUL.
+    """
+    rows, cols = table.shape
+    parts = [_text_bytes(labels), _g17_fields(table.ravel()).reshape(rows, 32 * cols)]
+    if last is not None:
+        parts += [np.full((rows, 1), ord(","), np.uint8), _text_bytes(last)]
+    parts.append(np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (rows, 2)))
+    block = np.concatenate(parts, axis=1).ravel()
+    return block[block != 0].tobytes()
+
+
+def _write_csv(path: str, header: list[str], labels, table: np.ndarray, last=None):
+    """Write ``header``, then per row ``labels[i]``, the floats of
+    ``table[i]`` as ``%.17g`` and, if given, ``last[i]``.
+
+    Rows go out about ``_CHUNK_FLOATS`` floats at a time, so no text the
+    size of the file is ever built.  Labels and ``last`` are ASCII str or
+    int.
+    """
+    row_format = "%s" + ",%.17g" * table.shape[1] + ("" if last is None else ",%s") + "\r\n"
+    step = max(1, _CHUNK_FLOATS // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(table), step):
+            rows = slice(start, start + step)
+            chunk, chunk_last = table[rows], None if last is None else last[rows]
+            if chunk.size >= _ARRAY_MIN_FLOATS:
+                fh.write(_csv_rows(labels[rows], chunk, chunk_last))
+                continue
+            columns = [labels[rows], *chunk.T.tolist()]
+            if chunk_last is not None:
+                columns.append(np.asarray(chunk_last).tolist())
+            fh.write("".join(map(row_format.__mod__, zip(*columns))).encode())
 
 
 def write_point_csv(path: str, labels, points, extra_columns: dict | None = None):
@@ -203,8 +408,7 @@ def write_point_csv(path: str, labels, points, extra_columns: dict | None = None
     extra = extra_columns or {}
     header = ["label"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + list(extra)
     table = np.column_stack([points, *(np.asarray(column, dtype=float) for column in extra.values())])
-    row_format = "%s," + ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    _write_csv(path, header, row_format, [labels, *table.T])
+    _write_csv(path, header, labels, table)
 
 
 def write_level_csv(path: str, sample_set):
@@ -212,5 +416,4 @@ def write_level_csv(path: str, sample_set):
     points = sample_set.points
     header = ["level"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + ["residual", "fiber"]
     table = np.column_stack([points, sample_set.residuals])
-    row_format = "%d," + ",".join(["%.17g"] * table.shape[1]) + ",%d\r\n"
-    _write_csv(path, header, row_format, [[sample_set.level] * len(points), *table.T, sample_set.fiber])
+    _write_csv(path, header, [sample_set.level] * len(points), table, sample_set.fiber)

@@ -21,6 +21,7 @@ from relugeom import (
 )
 from relugeom.boundary import (
     BoundaryPiece,
+    CanonicalReduction,
     normalize_output_layer,
     pull_back_hyperplane,
     sample_boundary_patterns,
@@ -225,6 +226,24 @@ class TestEnumeratePieces:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+    def test_constructors_copy_the_callers_arrays(self):
+        layer = ReluLayer.canonical(3)
+        t, scale, apex, duals = np.array([1.0, 2.0]), np.array([3.0, 1.0, 2.0]), np.zeros(3), np.eye(3)
+        piece = BoundaryPiece((1, 2), t, (3,), True, layer)
+        reduction = CanonicalReduction((2, 3, 1), scale, layer.affine)
+        frame = ReluLayer(layer.affine, apex, duals, 1.0)
+        for owned, kept in ((t, piece.t), (scale, reduction.scale), (apex, frame.apex), (duals, frame.duals)):
+            before = owned.copy()
+            owned[...] = 7.0  # the caller's array stays writable ...
+            assert np.array_equal(kept, before)  # ... and is not the object's
+            with pytest.raises(ValueError, match="read-only"):
+                kept[...] = 0
+
+    def test_enumerated_pieces_keep_their_grade_rows(self):
+        boundary = enumerate_pieces(random_square_layer(4, seed=8), OutputLayer([1.0, -0.5, 2.0, 1.5], -1.0))
+        grade_of = {len(grade.t[0]): grade for grade in boundary.grades}
+        assert all(np.shares_memory(piece.t, grade_of[len(piece.t)].t) for piece in boundary.pieces)
 
     def test_degenerate_direction_rejected(self):
         layer = random_square_layer(3, seed=9)

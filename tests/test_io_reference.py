@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relugeom.cli import main
-from relugeom.io import canonical_json, write_level_csv, write_point_csv
+from relugeom.io import _ARRAY_MIN_FLOATS, _CHUNK_FLOATS, canonical_json, write_level_csv, write_point_csv
 from relugeom.network import BoundarySampleSet
 
 
@@ -225,3 +225,42 @@ class TestCanonicalJsonMatchesTwoPassReference:
             assert len(flat) == width
             for doc in (obj, {"k": obj}, [obj, [obj]], (obj,)):
                 assert canonical_json(doc, indent) == reference_canonical_json(doc, indent)
+
+
+MIXED_LABELS = ["1", "12", "1-2-3", "1-2-3-4-5-6-7-8-9-10-11-12", "preimage", "3-11"]
+
+
+def rows_around_chunks(cols: int) -> list[int]:
+    """Row counts on either side of the array-formatter cutover and of the
+    first chunk boundaries for ``cols`` float columns, and 1023..2049."""
+    cut = -(-_ARRAY_MIN_FLOATS // cols)  # fewest rows formatted by the array path
+    step = _CHUNK_FLOATS // cols  # rows per chunk
+    return sorted({1, cut - 1, cut, cut + 1, step - 1, step, step + 1, 2 * step + 1, 1023, 1024, 1025, 2049} - {0})
+
+
+class TestCsvChunksAndCutover:
+    @pytest.mark.parametrize("d, extra, labels", [(1, False, "mixed"), (3, True, "preimage"), (12, True, "mixed")])
+    def test_point_csv(self, d, extra, labels, tmp_path):
+        rng = np.random.default_rng(d)
+        for rows in rows_around_chunks(d + extra):
+            points = hostile_table(rng, rows, d)
+            names = ["preimage"] * rows if labels == "preimage" else [MIXED_LABELS[i % 6] for i in range(rows)]
+            columns = {"residual": np.abs(hostile_table(rng, rows, 1)[:, 0])} if extra else None
+            write_point_csv(tmp_path / "got.csv", names, points, columns)
+            reference_write_point_csv(tmp_path / "want.csv", names, points, columns)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), rows
+
+    @pytest.mark.parametrize("d", [2, 11])
+    def test_level_csv(self, d, tmp_path):
+        rng = np.random.default_rng(50 + d)
+        for rows in rows_around_chunks(d + 1):
+            sample_set = BoundarySampleSet(
+                level=d % 4 + 1,
+                points=hostile_table(rng, rows, d),
+                residuals=np.abs(hostile_table(rng, rows, 1)[:, 0]),
+                parent=np.zeros(rows, dtype=int),
+                fiber=rng.integers(0, 10 ** rng.integers(1, 7, size=rows)),
+            )
+            write_level_csv(tmp_path / "got.csv", sample_set)
+            reference_write_level_csv(tmp_path / "want.csv", sample_set)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), rows
