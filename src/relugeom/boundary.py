@@ -106,10 +106,12 @@ class BoundaryPiece:
     it unbounded whenever the index set is proper.  The apex and the dual
     vectors a_i* are those of ``layer``.
 
-    A piece from :func:`enumerate_pieces` refers to its grade and its row
-    there, where :func:`sample_piece` reads its operands.  The reference
-    is not an init field, so a piece built directly or copied by
-    ``dataclasses.replace`` has none and samples from a grade of its own.
+    The pieces of :attr:`DecisionBoundary.pieces` are built from the
+    grades on first access; each refers to its grade and its row there,
+    where :func:`sample_piece` reads its operands, and its ``t`` is a
+    read-only view of that row.  The reference is not an init field, so a
+    piece built directly or copied by ``dataclasses.replace`` has none and
+    samples from a grade of its own.
     """
 
     indices: tuple[int, ...]
@@ -130,7 +132,14 @@ class BoundaryPiece:
         return len(self.indices) == 0 or not (self.t > 0.0).any()
 
     def label(self) -> str:
-        return "-".join(str(i) for i in self.indices)
+        """The index set joined by ``-``, such as ``1-3-4``, as
+        :meth:`BoundaryGrade.labels` writes it."""
+        return _label_template(len(self.indices)) % tuple(self.indices)
+
+
+def _label_template(g: int) -> str:
+    """The ``%`` template of the label of a piece with |J| = g."""
+    return "-".join(["%d"] * g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +171,8 @@ class BoundaryGrade:
     Row r of ``indices`` is the 0-based index set J of one piece, row r
     of ``recession`` its recession indices and row r of ``t`` the
     intersection values on J, all read-only; ``layer`` holds the dual
-    frame.
+    frame.  Reports, CSV labels and the seed sampler read these arrays;
+    no piece object is needed for them.
     """
 
     indices: np.ndarray
@@ -178,6 +188,31 @@ class BoundaryGrade:
         indices.setflags(write=False)
         recession.setflags(write=False)
         return cls(indices, recession, piece.t.reshape(1, -1), piece.layer)
+
+    @property
+    def bounded(self) -> np.ndarray:
+        """Per piece, whether J lies inside P = {i : t_i > 0}."""
+        return (self.t > 0.0).all(axis=1)
+
+    def labels(self) -> list[str]:
+        """Each piece's 1-based index set joined by ``-``, in piece order."""
+        template = _label_template(self.indices.shape[1])
+        return [template % row for row in map(tuple, (self.indices + 1).tolist())]
+
+    def pieces(self) -> list[BoundaryPiece]:
+        """One :class:`BoundaryPiece` per row, each referring to its row."""
+        pieces = [
+            BoundaryPiece(j, t_j, r, bounded, self.layer)
+            for j, t_j, r, bounded in zip(
+                map(tuple, (self.indices + 1).tolist()),
+                self.t,
+                map(tuple, (self.recession + 1).tolist()),
+                self.bounded.tolist(),
+            )
+        ]
+        for row, piece in enumerate(pieces):
+            object.__setattr__(piece, "_grade", (self, row))
+        return pieces
 
     @cached_property
     def operands(self) -> SamplingOperands:
@@ -227,21 +262,30 @@ class DecisionBoundary:
     intersection values ``t`` (t[i-1] puts apex + t_i a_i* on the
     boundary's hyperplane) and the piece structure refer to it.  ``m``
     counts the negative values.  ``grades`` holds the pieces as arrays,
-    one :class:`BoundaryGrade` per |J| = 1..d in piece order.  Each grade
+    one :class:`BoundaryGrade` per |J| = 1..d in piece order, and
+    ``piece_count`` their total row count.  The report, the CSV labels and
+    :func:`sample_grade` read the grades alone; ``pieces`` builds one
+    :class:`BoundaryPiece` per row the first time it is read.  Each grade
     builds the operands that :func:`sample_piece` reads the first time
-    one of its pieces is sampled; :func:`sample_grade` draws a whole grade
-    from its arrays alone.
+    one of its pieces is sampled.
     """
 
     d: int
     readout: OutputLayer
-    pieces: tuple[BoundaryPiece, ...]
     grades: tuple[BoundaryGrade, ...]
     t: np.ndarray
     m: int
     piece_count: int
     curvature: str
     canonical: CanonicalReduction
+
+    @cached_property
+    def pieces(self) -> tuple[BoundaryPiece, ...]:
+        """Every piece in piece order, built from the grades on first access."""
+        pieces = []
+        for grade in self.grades:
+            pieces += grade.pieces()
+        return tuple(pieces)
 
 
 def _readout(layer: ReluLayer, output: OutputLayer) -> tuple[OutputLayer, np.ndarray, int]:
@@ -307,8 +351,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     t_inside = t[inside]
     for array in (inside, outside, t_inside):
         array.setflags(write=False)
-    bounded = (~(member & ~positive).any(axis=1)).tolist()
-    grades, pieces, a, b = [], [], 0, 0
+    grades, a, b = [], 0, 0
     # every grade 1..d has pieces (P is not empty); no J of grade 0 meets P
     for g, count in enumerate(np.bincount(size, minlength=d + 1).tolist()[1:], start=1):
         grade = BoundaryGrade(
@@ -318,23 +361,11 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
             layer,
         )
         grades.append(grade)
-        graded = [
-            BoundaryPiece(j, t_j, r, bounded_j, layer)
-            for j, t_j, r, bounded_j in zip(
-                map(tuple, (grade.indices + 1).tolist()),
-                grade.t,
-                map(tuple, (grade.recession + 1).tolist()),
-                bounded[len(pieces) : len(pieces) + count],
-            )
-        ]
-        for row, piece in enumerate(graded):
-            object.__setattr__(piece, "_grade", (grade, row))
-        pieces.extend(graded)
         a, b = a + count * g, b + count * (d - g)
-    expected = 2**d - 2**m
-    if len(pieces) != expected:
+    piece_count, expected = sum(grade.t.shape[0] for grade in grades), 2**d - 2**m
+    if piece_count != expected:
         raise AssertionError(
-            f"piece enumeration produced {len(pieces)} pieces, expected {expected}"
+            f"piece enumeration produced {piece_count} pieces, expected {expected}"
         )
     order = np.argsort(t, kind="stable")
     scale = np.abs(t)
@@ -348,11 +379,10 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     return DecisionBoundary(
         d=d,
         readout=norm,
-        pieces=tuple(pieces),
         grades=tuple(grades),
         t=t,
         m=m,
-        piece_count=len(pieces),
+        piece_count=piece_count,
         curvature="convex" if m == 0 else "saddle",
         canonical=CanonicalReduction(
             sigma=tuple(int(i) + 1 for i in order),

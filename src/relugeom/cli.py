@@ -35,6 +35,7 @@ from .io import (
     load_json,
     parse_layer_spec,
     parse_network_spec,
+    piece_records,
     write_level_csv,
     write_point_csv,
 )
@@ -259,14 +260,7 @@ def cmd_boundary(args) -> int:
         "m": boundary.m,
         "piece_count": boundary.piece_count,
         "curvature": boundary.curvature,
-        "pieces": [
-            {
-                "J": list(p.indices),
-                "bounded": p.bounded,
-                "recession_indices": list(p.recession_indices),
-            }
-            for p in boundary.pieces
-        ],
+        "pieces": functools.partial(piece_records, boundary.grades),
         "canonical": {
             "m": boundary.m,
             "sigma": list(boundary.canonical.sigma),
@@ -297,7 +291,7 @@ def cmd_boundary(args) -> int:
             "tolerance": tolerance,
         }
         if args.csv:
-            labels = [label for piece in boundary.pieces for label in [piece.label()] * args.samples]
+            labels = [label for grade in boundary.grades for label in grade.labels() for _ in range(args.samples)]
             write_point_csv(args.csv, labels, drawn.points, {"residual": residuals})
             results["samples"]["csv"] = args.csv
     if args.obj:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import sys
 from typing import Any
 
@@ -147,6 +148,11 @@ def canonical_json(obj, indent: int = 0) -> str:
     characters; otherwise it puts one item per line.  An item's text
     depends on its indent only when it spans lines, so the items are
     serialized once, at the deeper indent, for both forms.
+
+    A callable value stands for text that its owner writes itself: it is
+    emitted as ``value(indent)``, which must return the value's
+    serialization at that indent (see :func:`piece_records`).  The check
+    comes last, so other values pay nothing for it.
     """
     if obj is None:
         return "null"
@@ -183,7 +189,31 @@ def canonical_json(obj, indent: int = 0) -> str:
                 return flat
         pad = "  " * (indent + 1)
         return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * indent + "]"
+    if callable(obj):
+        return obj(indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def piece_records(grades, indent: int) -> str:
+    """The :func:`canonical_json` text, at ``indent``, of the list of one
+    ``{"J", "bounded", "recession_indices"}`` object per boundary piece,
+    with 1-based indices, in piece order.
+
+    Each grade's records come from one ``%`` template applied to its rows.
+    The objects always span lines and their index lists never do: at
+    MAX_ENUM_DIM = 20 the longest list has 71 characters, within the flat
+    limit of 100.
+    """
+    pad, inner = "  " * (indent + 1), "  " * (indent + 2)
+    records = []
+    for grade in grades:
+        g, h = grade.indices.shape[1], grade.recession.shape[1]
+        head = f'{pad}{{\n{inner}"J": [{", ".join(["%d"] * g)}],\n{inner}"bounded": '
+        tail = f',\n{inner}"recession_indices": [{", ".join(["%d"] * h)}]\n{pad}}}'
+        templates = (head + "false" + tail, head + "true" + tail)
+        rows = (np.column_stack([grade.indices, grade.recession]) + 1).tolist()
+        records += map(operator.mod, map(templates.__getitem__, grade.bounded.tolist()), map(tuple, rows))
+    return "[\n" + ",\n".join(records) + "\n" + "  " * indent + "]"
 
 
 # CSV floats formatted per write: the arrays of a larger chunk leave the

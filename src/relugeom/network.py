@@ -181,7 +181,7 @@ def sample_shallow_boundary(
     residuals = np.concatenate(residuals)
     if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
         raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
-    n_pieces = len(boundary.pieces)
+    n_pieces = boundary.piece_count
     return BoundarySampleSet(
         level=level,
         points=points,

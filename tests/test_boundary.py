@@ -1,10 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 import relugeom.boundary as bd
+import relugeom.cli as cli
+import relugeom.network as nw
 from relugeom import verify
 from relugeom import (
     AllNegative,
@@ -263,6 +266,81 @@ class TestEnumeratePieces:
             sample_piece(piece, 5, rng=np.random.default_rng(0))
         assert dataclasses.replace(piece, t=np.array([])).is_empty
         assert not dataclasses.replace(piece, t=np.array([2.0])).is_empty
+
+
+def eager_pieces(boundary):
+    """The pieces as enumerate_pieces built them eagerly, one per grade row,
+    bounded exactly when J lies inside P = {i : t_i > 0}."""
+    positive = boundary.t > 0.0
+    pieces = []
+    for grade in boundary.grades:
+        rows = zip(map(tuple, (grade.indices + 1).tolist()), grade.t, map(tuple, (grade.recession + 1).tolist()))
+        for row, (j, t_j, r) in enumerate(rows):
+            piece = BoundaryPiece(j, t_j, r, bool(positive[grade.indices[row]].all()), grade.layer)
+            object.__setattr__(piece, "_grade", (grade, row))
+            pieces.append(piece)
+    return pieces
+
+
+def recording(monkeypatch, module):
+    """Record every boundary that ``module`` enumerates."""
+    seen, enumerate_pieces = [], module.enumerate_pieces
+    monkeypatch.setattr(module, "enumerate_pieces", lambda *a: seen.append(enumerate_pieces(*a)) or seen[-1])
+    return seen
+
+
+class TestLazyPieces:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_equal_the_eager_pieces(self, d):
+        rng = np.random.default_rng(600 + d)
+        layer = random_square_layer(d, seed=600 + d)
+        for m in range(d):
+            weights = rng.uniform(0.5, 2.0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
+            boundary = enumerate_pieces(layer, OutputLayer(weights, -1.0))
+            assert "pieces" not in boundary.__dict__
+            expected = eager_pieces(boundary)
+            assert len(boundary.pieces) == len(expected) == boundary.piece_count == 2**d - 2**m
+            assert boundary.__dict__["pieces"] is boundary.pieces  # built once
+            for got, want in zip(boundary.pieces, expected):
+                assert (got.indices, got.recession_indices, got.bounded) == (
+                    want.indices, want.recession_indices, want.bounded
+                )
+                assert got.t.tobytes() == want.t.tobytes() and not got.t.flags.writeable
+                (grade, row), (want_grade, want_row) = got._grade, want._grade
+                assert grade is want_grade and row == want_row
+                assert np.shares_memory(got.t, grade.t[row]) and got.layer is layer
+
+    def test_sample_piece_draws_as_from_an_eager_piece(self):
+        layer = random_square_layer(5, seed=610)
+        output = OutputLayer([1.0, -0.5, 2.0, -1.5, 0.7], -1.0)
+        lazy, eager = enumerate_pieces(layer, output), enumerate_pieces(layer, output)
+        a, b, c = (np.random.default_rng(611) for _ in range(3))
+        for got, want in zip(lazy.pieces, eager_pieces(eager)):
+            alone = dataclasses.replace(want)  # no grade: samples from its own
+            drawn = sample_piece(got, 3, radius=1.5, rng=a).tobytes()
+            assert drawn == sample_piece(want, 3, radius=1.5, rng=b).tobytes()
+            assert drawn == sample_piece(alone, 3, radius=1.5, rng=c).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    def test_trace_boundary_builds_no_piece(self, monkeypatch):
+        seen = recording(monkeypatch, nw)
+        layers = (ReluLayer.canonical(3), ReluLayer.canonical(3))
+        net = nw.ReluNetwork(layers, OutputLayer(np.array([1.0, -0.5, 0.8]), -1.0))
+        levels = nw.trace_boundary(net, samples_per_piece=4, rng=np.random.default_rng(0))
+        assert sorted(levels) == [1, 2] and len(levels[2]) == 4 * seen[0].piece_count == 24
+        assert len(seen) == 1 and "pieces" not in seen[0].__dict__
+
+    def test_boundary_csv_export_builds_no_piece(self, monkeypatch, tmp_path, capsys):
+        seen = recording(monkeypatch, cli)
+        spec = {
+            "layers": [{"matrix": np.eye(4).tolist(), "offset": [0.1, -0.2, 0.3, 0.0]}],
+            "output": {"weights": [1.0, -0.5, 2.0, 1.5], "bias": -1.0},
+        }
+        (tmp_path / "net.json").write_text(json.dumps(spec))
+        argv = ["boundary", "--input", str(tmp_path / "net.json"), "--samples", "4", "--csv", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["piece_count"] == seen[0].piece_count == 14
+        assert len(seen) == 1 and "pieces" not in seen[0].__dict__
 
 
 class TestSamplePiece:

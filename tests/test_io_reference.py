@@ -1,9 +1,10 @@
 """The array-speed writers of ``relugeom.io`` against their reference versions.
 
 ``reference_canonical_json`` (a list serialized twice, once flat and once
-one item per line) and the ``csv.writer`` versions of both CSV writers are
-the earlier implementations, kept here as the definition of the bytes the
-library must reproduce.
+one item per line), the ``csv.writer`` versions of both CSV writers and
+the boundary report's piece list as one dict per piece are the earlier
+implementations, kept here as the definition of the bytes the library
+must reproduce.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relugeom.cli as cli
+from relugeom.boundary import BoundaryGrade
 from relugeom.cli import main
-from relugeom.io import _ARRAY_MIN_FLOATS, _CHUNK_FLOATS, canonical_json, write_level_csv, write_point_csv
+from relugeom.core import ReluLayer
+from relugeom.io import _ARRAY_MIN_FLOATS, _CHUNK_FLOATS, canonical_json, piece_records, write_level_csv, write_point_csv
 from relugeom.network import BoundarySampleSet
+from relugeom.tolerances import MAX_ENUM_DIM
 
 
 def reference_format_float(x: float) -> str:
@@ -264,3 +269,103 @@ class TestCsvChunksAndCutover:
             write_level_csv(tmp_path / "got.csv", sample_set)
             reference_write_level_csv(tmp_path / "want.csv", sample_set)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), rows
+
+
+def reference_piece_dicts(t) -> list[dict]:
+    """The report's piece list as the per-piece path built it: one dict per
+    index set J meeting P = {i : t_i > 0}, subsets by size, then by bitmask."""
+    d = len(t)
+    pieces = []
+    for mask in sorted(range(1, 1 << d), key=lambda mask: bin(mask).count("1")):
+        inside = [i + 1 for i in range(d) if mask >> i & 1]
+        if any(t[i - 1] > 0.0 for i in inside):
+            outside = [i + 1 for i in range(d) if not mask >> i & 1]
+            pieces.append({"J": inside, "bounded": all(t[i - 1] > 0.0 for i in inside), "recession_indices": outside})
+    return pieces
+
+
+def reference_label(indices) -> str:
+    return "-".join(str(i) for i in indices)
+
+
+def boundary_spec(d_in, d_out, m, seed):
+    """A layer d_in -> d_out and a readout with exactly m negative intersection values."""
+    rng = np.random.default_rng(seed)
+    matrix = np.eye(d_out, d_in) + 0.3 * rng.normal(size=(d_out, d_in))
+    weights = rng.uniform(0.5, 2.0, d_out) * np.where(rng.permutation(d_out) < m, -1.0, 1.0)
+    return {
+        "layers": [{"matrix": matrix.tolist(), "offset": rng.normal(size=d_out).tolist()}],
+        "output": {"weights": weights.tolist(), "bias": -1.0},
+    }
+
+
+def run_boundary(spec, argv, tmp_path, monkeypatch, capsys):
+    """The stdout of ``boundary`` on ``spec``, the report it serialized and the boundary."""
+    seen = {}
+    enumerate_pieces, emit = cli.enumerate_pieces, cli._emit
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "enumerate_pieces", lambda *a: seen.setdefault("boundary", enumerate_pieces(*a)))
+        patch.setattr(cli, "_emit", lambda report: emit(seen.setdefault("report", report)))
+        assert main(["boundary", "--input", str(path), *argv]) == 0
+    return capsys.readouterr().out, seen["report"], seen["boundary"]
+
+
+def assert_report_matches_piece_dicts(spec, tmp_path, monkeypatch, capsys):
+    out, report, boundary = run_boundary(spec, [], tmp_path, monkeypatch, capsys)
+    assert callable(report["results"]["pieces"])  # the records are written from the grades
+    m = int(np.count_nonzero(boundary.t < 0.0))
+    reference = {**report, "results": {**report["results"], "pieces": reference_piece_dicts(boundary.t.tolist())}}
+    assert len(reference["results"]["pieces"]) == 2**boundary.d - 2**m == boundary.piece_count
+    assert out.encode() == (reference_canonical_json(reference) + "\n").encode()
+
+
+class TestBoundaryReportMatchesPieceDicts:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_square_layers_every_m(self, d, tmp_path, monkeypatch, capsys):
+        for m in range(d):
+            assert_report_matches_piece_dicts(boundary_spec(d, d, m, 700 + d), tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("d_in, d_out", [(3, 2), (5, 3), (8, 6)])
+    def test_contracting_layers_every_m(self, d_in, d_out, tmp_path, monkeypatch, capsys):
+        for m in range(d_out):
+            spec = boundary_spec(d_in, d_out, m, 800 + d_in)
+            assert_report_matches_piece_dicts(spec, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.slow
+    def test_d16(self, tmp_path, monkeypatch, capsys):
+        assert_report_matches_piece_dicts(boundary_spec(16, 16, 5, 716), tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("indent", [0, 1, 4])
+    def test_index_lists_stay_flat_at_the_enumeration_limit(self, indent):
+        # the longest index list, 1..MAX_ENUM_DIM, fits the flat form, so no
+        # record of an enumerable boundary ever puts its indices one per line
+        longest = list(range(1, MAX_ENUM_DIM + 1))
+        assert len(json.dumps(longest)) <= 100
+        d, layer = MAX_ENUM_DIM, ReluLayer.canonical(MAX_ENUM_DIM)
+        full, everything = np.arange(d)[None], np.ones((1, d))
+        grades = [
+            BoundaryGrade(np.array([[0], [d - 1]]), np.array([range(1, d), range(d - 1)]), np.array([[1.0], [-1.0]]), layer),
+            BoundaryGrade(full[:, : d // 2], full[:, d // 2 :], everything[:, : d // 2], layer),
+            BoundaryGrade(full, full[:, :0], -everything, layer),
+        ]
+        dicts = [
+            {"J": (j + 1).tolist(), "bounded": bool((t > 0.0).all()), "recession_indices": (r + 1).tolist()}
+            for grade in grades
+            for j, r, t in zip(grade.indices, grade.recession, grade.t)
+        ]
+        assert piece_records(grades, indent) == reference_canonical_json(dicts, indent)
+        assert any(piece["J"] == longest for piece in dicts)
+
+
+class TestCsvLabelsArePieceLabels:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_every_row(self, d, tmp_path, monkeypatch, capsys):
+        for m in sorted({0, d // 2, d - 1}):
+            csv_path = tmp_path / "out.csv"
+            argv = ["--samples", "2", "--csv", str(csv_path)]
+            _, _, boundary = run_boundary(boundary_spec(d, d, m, 900 + d), argv, tmp_path, monkeypatch, capsys)
+            labels = [piece.label() for piece in boundary.pieces for _ in range(2)]
+            assert csv_labels(csv_path) == labels
+            assert labels[::2] == [reference_label(piece.indices) for piece in boundary.pieces]
