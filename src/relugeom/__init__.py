@@ -43,7 +43,7 @@ from .network import (
     evaluate_network,
     trace_boundary,
 )
-from .partition import classify
+from .partition import classify, classify_many
 
 __all__ = [
     "AllNegative",
@@ -65,6 +65,7 @@ __all__ = [
     "canonical_boundary",
     "canonical_structure",
     "classify",
+    "classify_many",
     "enumerate_pieces",
     "evaluate_canonical",
     "evaluate_network",

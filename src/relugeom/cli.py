@@ -23,6 +23,7 @@ import functools
 import math
 import sys
 import time
+from itertools import compress
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .io import (
 from .layer import evaluate, preimage_of_point
 from .mesh import piece_polygons, write_obj
 from .network import ReluNetwork, sample_shallow_boundary, trace_boundary
-from .partition import sector_counts, split_by_zero_band
+from .partition import classify_many, sector_counts
 from .tolerances import RCOND_MIN, WITNESS_MAX_DIM, ZERO_COMPONENT_TOL
 from .verify import SUITES, run_suite
 
@@ -161,24 +162,30 @@ def cmd_classify(args) -> int:
     layer = build_dual_frame(affine)
     points = _parse_points(args.point, affine.d_in)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        coefficients = [layer.affine(x) for x in points]
+        coefficients, plus, minus, zero = classify_many(layer, points, args.tol)
     overflowing = ~np.isfinite(coefficients).all(axis=1)
     if overflowing.any():
         raise SchemaError(
             f"point {points[overflowing][0].tolist()} has expansion coefficients beyond the float range"
         )
-    rows = []
-    for x, lam in zip(points, coefficients):
-        sector, boundary_flags = split_by_zero_band(lam, args.tol)
-        rows.append(
-            {
-                "point": x,
-                "sector": sector.to_json(),
-                "dimension": sector.dimension(),
-                "coefficients": lam,
-                "on_boundary_of": list(boundary_flags),
-            }
+    indices = range(1, layer.d_out + 1)
+    rows = [
+        {
+            "point": x,
+            "sector": {"plus": list(compress(indices, p)), "minus": list(compress(indices, m))},
+            "dimension": dimension,
+            "coefficients": lam,
+            "on_boundary_of": list(compress(indices, z)),
+        }
+        for x, lam, p, m, z, dimension in zip(
+            points.tolist(),
+            coefficients.tolist(),
+            plus.tolist(),
+            minus.tolist(),
+            zero.tolist(),
+            np.count_nonzero(plus | minus, axis=1).tolist(),
         )
+    ]
     results = {"points": rows, "zero_tolerance": args.tol if args.tol is not None else "relative 1e-9"}
     if args.format == "csv":
         for row in rows:

@@ -124,6 +124,7 @@ def load_json(path: str) -> tuple[Any, str]:
 
 
 _NUMBERS = (int, float, np.integer, np.floating)
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _format_float(x: float) -> str:
@@ -149,49 +150,62 @@ def canonical_json(obj, indent: int = 0) -> str:
     depends on its indent only when it spans lines, so the items are
     serialized once, at the deeper indent, for both forms.
 
+    Values of exact type ``float``, ``str`` and ``int`` are written at
+    once, and exact ``dict``, ``list`` and ``tuple`` go straight to the
+    container code; strings and keys are quoted by the C encoder that
+    ``json.dumps`` uses for a ``str``.  Every other value (None, bools,
+    numpy scalars and arrays, subclasses) goes through ``isinstance``
+    conversions first.  The bytes are those of the two-pass
+    ``reference_canonical_json`` of ``tests/test_io_reference.py``.
+
     A callable value stands for text that its owner writes itself: it is
     emitted as ``value(indent)``, which must return the value's
     serialization at that indent (see :func:`piece_records`).  The check
     comes last, so other values pay nothing for it.
     """
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, _NUMBERS):
-        return _format_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return canonical_json(obj.tolist(), indent)
+    cls = type(obj)
+    if cls is float:
+        return _format_float(obj)
+    if cls is str:
+        return _quote(obj)
+    if cls is int:
+        return str(obj)
+    if cls is not dict and cls is not list and cls is not tuple:
+        if isinstance(obj, np.ndarray):
+            return canonical_json(obj.tolist(), indent)
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, _NUMBERS):
+            return _format_number(obj)
+        if isinstance(obj, str):
+            return _quote(obj)
+        if not isinstance(obj, (dict, list, tuple)):
+            if callable(obj):
+                return obj(indent)
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         pad = "  " * (indent + 1)
-        items = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {canonical_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + "  " * indent + "}"
-    if isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        numeric = all(issubclass(kind, _NUMBERS) and kind is not bool for kind in kinds)
-        if kinds == {int}:
-            items = list(map(str, obj))
-        elif kinds == {float}:
-            items = list(map(_format_float, obj))
-        elif numeric:
-            items = list(map(_format_number, obj))
-        else:
-            items = [canonical_json(v, indent + 1) for v in obj]
-        if numeric or not any("\n" in item for item in items):
-            flat = "[" + ", ".join(items) + "]"
-            if len(flat) <= 100:
-                return flat
-        pad = "  " * (indent + 1)
-        return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * indent + "]"
-    if callable(obj):
-        return obj(indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        items = [f"{pad}{_quote(str(k))}: {canonical_json(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        items, numeric = list(map(_format_float, obj)), True
+    elif kinds == {int}:
+        items, numeric = list(map(str, obj)), True
+    elif all(issubclass(kind, _NUMBERS) and kind is not bool for kind in kinds):
+        items, numeric = list(map(_format_number, obj)), True
+    else:
+        items, numeric = [canonical_json(v, indent + 1) for v in obj], False
+    if numeric or not any("\n" in item for item in items):
+        flat = "[" + ", ".join(items) + "]"
+        if len(flat) <= 100:
+            return flat
+    pad = "  " * (indent + 1)
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * indent + "]"
 
 
 def piece_records(grades, indent: int) -> str:

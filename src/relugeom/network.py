@@ -100,12 +100,11 @@ def canonical_structure(net: ReluNetwork) -> ComposedAffine:
     Each composed affine map must admit a dual frame; failure reports the
     depth at which the composition loses rank.
     """
-    frames: list[ReluLayer] = []
+    frames = [net.layers[0]]  # the first composed map is layer 1's affine part, so layer 1 is its frame
     composed = net.layers[0].affine
-    for k, layer in enumerate(net.layers, start=1):
-        if k > 1:
-            a = layer.affine
-            composed = AffineMap(a.matrix @ composed.matrix, a.matrix @ composed.offset + a.offset)
+    for k, layer in enumerate(net.layers[1:], start=2):
+        a = layer.affine
+        composed = AffineMap(a.matrix @ composed.matrix, a.matrix @ composed.offset + a.offset)
         try:
             frames.append(build_dual_frame(composed))
         except RankDeficient as exc:

@@ -10,6 +10,7 @@ sectors without any further geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 
 import numpy as np
@@ -86,28 +87,25 @@ class SectorIndex:
         return f"SectorIndex(d={self.d}, plus={set(self.plus) or '{}'}, minus={set(self.minus) or '{}'})"
 
 
-def split_by_zero_band(lam: np.ndarray, zero_tol: float | None) -> tuple[SectorIndex, tuple[int, ...]]:
-    """Sector of the expansion coefficients ``lam`` and the indices in the zero band.
+def classify_many(layer: ReluLayer, X, zero_tol: float | None = None) -> tuple[np.ndarray, ...]:
+    """Expansion coefficients of the points ``X`` (one per row) and their
+    plus, minus and zero-band masks, each of shape (n, d_out).
 
-    Coefficients within ``zero_tol`` of zero are assigned to neither index
-    set, which places the point in the closed-form lower-dimensional
-    sector; their 1-based indices are returned as well, so a nonempty
-    second value means the point is numerically on a sector boundary.
-    With ``zero_tol`` None the band is relative to the largest coefficient.
+    Coefficients within ``zero_tol`` of zero are in neither sign set,
+    which places the point in the closed-form lower-dimensional sector;
+    a row with a zero-band entry is numerically on a sector boundary.
+    With ``zero_tol`` None each row's band is relative to its largest
+    coefficient.  The stacked product gives each row the bits of
+    ``layer.affine(x)``; a plain ``X @ A.T`` may round differently.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != layer.d_in:
+        raise DimensionMismatch(f"points of shape {X.shape}, layer expects (n, {layer.d_in})")
+    lam = (X[:, None, :] @ layer.affine.matrix.T)[:, 0, :] + layer.affine.offset
+    magnitude = np.abs(lam)
     if zero_tol is None:
-        zero_tol = DEFAULT_REL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    plus_mask = 0
-    minus_mask = 0
-    near_zero = []
-    for i, value in enumerate(lam):
-        if value > zero_tol:
-            plus_mask |= 1 << i
-        elif value < -zero_tol:
-            minus_mask |= 1 << i
-        if abs(value) <= zero_tol:
-            near_zero.append(i + 1)
-    return SectorIndex(len(lam), plus_mask, minus_mask), tuple(near_zero)
+        zero_tol = DEFAULT_REL * (1.0 + magnitude.max(axis=1, initial=0.0, keepdims=True))
+    return lam, lam > zero_tol, lam < -zero_tol, magnitude <= zero_tol
 
 
 def classify(layer: ReluLayer, x, zero_tol: float | None = None) -> SectorIndex:
@@ -116,12 +114,14 @@ def classify(layer: ReluLayer, x, zero_tol: float | None = None) -> SectorIndex:
     Duality makes the row functionals the coordinate functionals: the
     expansion coefficients of ``x`` in the dual basis are exactly the
     affine image ``A x + b``.  The zero band is that of
-    :func:`split_by_zero_band`.
+    :func:`classify_many`, of which this is the one-point case.
     """
-    lam = layer.affine(x)
-    if lam.ndim != 1:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
         raise DimensionMismatch("classify expects a single point")
-    return split_by_zero_band(lam, zero_tol)[0]
+    _, plus, minus, _ = classify_many(layer, x[None], zero_tol)
+    indices = range(1, layer.d_out + 1)
+    return SectorIndex.of(layer.d_out, compress(indices, plus[0].tolist()), compress(indices, minus[0].tolist()))
 
 
 def _graded_key(sector: SectorIndex):

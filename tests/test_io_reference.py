@@ -25,7 +25,9 @@ from relugeom.cli import main
 from relugeom.core import ReluLayer
 from relugeom.io import _ARRAY_MIN_FLOATS, _CHUNK_FLOATS, canonical_json, piece_records, write_level_csv, write_point_csv
 from relugeom.network import BoundarySampleSet
+from relugeom.partition import SectorIndex, classify
 from relugeom.tolerances import MAX_ENUM_DIM
+from relugeom.verify import random_layer
 
 
 def reference_format_float(x: float) -> str:
@@ -175,6 +177,23 @@ def test_csv_labels_never_need_quoting(argv, spec, tmp_path, monkeypatch, capsys
     assert labels and all(LABEL.match(label) for label in labels)
 
 
+# Subclasses of types that canonical_json dispatches on by exact type
+class Str(str):
+    pass
+
+
+class Int(int):
+    pass
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e15 + 0.5, 2.0, -7.0]),
@@ -192,9 +211,31 @@ scalars = st.one_of(
     st.booleans().map(np.bool_),
     st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
     st.sampled_from(['say "hi"', "naïve", "∂x/∂y", "back\\slash", "new\nline"]),
+    st.text(max_size=6).map(Str),
+    st.integers(-(10**20), 10**20).map(Int),
 )
+
+
+def exact_width_list(width: int):
+    """A list of ints or floats whose flat form has exactly ``width``
+    characters, completed by a number or a string of the missing length."""
+
+    def flat(items):
+        return "[" + ", ".join(map(reference_canonical_json, items)) + "]"
+
+    def complete(head, as_string):
+        missing = width - len(flat(head)) - (2 if head else 0)
+        out = [*head, "x" * (missing - 2) if as_string else int("9" * missing)]
+        assert len(flat(out)) == width
+        return out
+
+    head = st.lists(st.one_of(st.integers(-999, 999), st.floats(-1e3, 1e3)), max_size=3)
+    return st.builds(complete, head, st.booleans())
+
+
 arrays = st.one_of(
     st.lists(floats, max_size=12).map(np.array),
+    st.lists(st.booleans(), max_size=12).map(np.array),
     st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(
         lambda shape: st.lists(floats, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
             lambda values: np.array(values, dtype=float).reshape(shape)
@@ -202,19 +243,23 @@ arrays = st.one_of(
     ),
     st.lists(st.integers(-1000, 1000), max_size=10).map(lambda v: np.array(v, dtype=np.int64)),
 )
+keys = st.one_of(st.text(max_size=6), st.text(max_size=6).map(Str), st.integers(-5, 5), st.floats(), st.booleans(),
+                st.none())
 documents = st.recursive(
-    st.one_of(scalars, arrays),
+    st.one_of(scalars, arrays, exact_width_list(100), exact_width_list(101)),
     lambda children: st.one_of(
         st.lists(children, max_size=8),
         st.lists(children, max_size=8).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=6),
+        st.lists(children, max_size=8).map(List),
+        st.dictionaries(keys, children, max_size=6),
+        st.dictionaries(keys, children, max_size=6).map(Dict),
     ),
     max_leaves=30,
 )
 
 
 class TestCanonicalJsonMatchesTwoPassReference:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(documents)
     def test_bytes(self, obj):
         assert canonical_json(obj) == reference_canonical_json(obj)
@@ -369,3 +414,106 @@ class TestCsvLabelsArePieceLabels:
             labels = [piece.label() for piece in boundary.pieces for _ in range(2)]
             assert csv_labels(csv_path) == labels
             assert labels[::2] == [reference_label(piece.indices) for piece in boundary.pieces]
+
+
+def reference_split_by_zero_band(lam, zero_tol):
+    """The sector of one point's coefficients and the 1-based indices in the zero band, one coefficient at a time."""
+    if zero_tol is None:
+        zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+    plus_mask = minus_mask = 0
+    near_zero = []
+    for i, value in enumerate(lam):
+        if value > zero_tol:
+            plus_mask |= 1 << i
+        elif value < -zero_tol:
+            minus_mask |= 1 << i
+        if abs(value) <= zero_tol:
+            near_zero.append(i + 1)
+    return SectorIndex(len(lam), plus_mask, minus_mask), near_zero
+
+
+def reference_classify_rows(layer, points, zero_tol):
+    rows = []
+    for x in points:
+        lam = layer.affine(x)
+        sector, near_zero = reference_split_by_zero_band(lam, zero_tol)
+        rows.append(
+            {"point": x, "sector": sector.to_json(), "dimension": sector.dimension(), "coefficients": lam,
+             "on_boundary_of": near_zero}
+        )
+    return rows
+
+
+def face_points(layer, rng, n=16):
+    """Points near the apex, every fourth moved onto sector faces by zeroing some of its coefficients."""
+    a = layer.affine.matrix
+    x = layer.apex + rng.normal(scale=2.0, size=(n, layer.d_in))
+    faces = (rng.random((n, layer.d_out)) < 0.4) & (np.arange(n) % 4 == 0)[:, None]
+    return x - np.where(faces, layer.affine(x), 0.0) @ np.linalg.pinv(a).T
+
+
+def band_points(layer, rng, n=8):
+    """Points of a layer whose coefficients A x (no offset, A a scaled permutation, zero-padded) are exact,
+    each with coefficients at exactly plus and minus its default zero band."""
+    lam = rng.normal(size=(n, layer.d_out))
+    band = 1e-9 * (1.0 + np.max(np.abs(lam), axis=1, keepdims=True))
+    on_band = (rng.random(lam.shape) < 0.5) & (np.abs(lam) < np.max(np.abs(lam), axis=1, keepdims=True))
+    lam = np.where(on_band, np.sign(lam) * band, lam)
+    x = np.zeros((n, layer.d_in))
+    x[:, : layer.d_out] = lam @ np.linalg.inv(layer.affine.matrix[:, : layer.d_out]).T
+    assert (layer.affine(x) == lam).all()
+    return x
+
+
+def run_classify(layer, points, argv, tmp_path, monkeypatch, capsys):
+    """The stdout of ``classify`` on ``layer`` and ``points``, and the report it serialized."""
+    seen = {}
+    emit = cli._emit
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps({"matrix": layer.affine.matrix.tolist(), "offset": layer.affine.offset.tolist()}))
+    point_flags = ["--point=" + ",".join(map(repr, x)) for x in points.tolist()]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda report: emit(seen.setdefault("report", report)))
+        assert main(["classify", "--input", str(path), *point_flags, *argv]) == 0
+    return capsys.readouterr().out, seen.get("report")
+
+
+def assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, capsys):
+    """``classify`` JSON and CSV against the per-point loop, with the default band, --tol 0 and a --tol equal
+    to a coefficient's magnitude, which puts that coefficient exactly on the band."""
+    lam = np.array([layer.affine(x) for x in points])
+    for tol in (None, 0.0, float(np.abs(lam[len(points) // 2, 0]))):
+        rows = reference_classify_rows(layer, points, tol)
+        assert [classify(layer, x, tol).to_json() for x in points] == [row["sector"] for row in rows]
+        argv = [] if tol is None else ["--tol", repr(tol)]
+        out, report = run_classify(layer, points, argv, tmp_path, monkeypatch, capsys)
+        reference = {**report, "results": {"points": rows, "zero_tolerance": "relative 1e-9" if tol is None else tol}}
+        assert out.encode() == (reference_canonical_json(reference) + "\n").encode()
+        out, _ = run_classify(layer, points, ["--format", "csv", *argv], tmp_path, monkeypatch, capsys)
+        lines = [
+            ",".join(["|".join(map(str, row["sector"]["plus"])), "|".join(map(str, row["sector"]["minus"]))]
+                     + [f"{v:.17g}" for v in row["point"]]) + "\n"
+            for row in rows
+        ]
+        assert out == "".join(lines)
+
+
+CLASSIFY_SHAPES = [(d, d) for d in range(1, 13)] + [(2, 4), (3, 6), (5, 8)]  # (d_out, d_in)
+
+
+class TestClassifyReportMatchesPointLoop:
+    @pytest.mark.parametrize("d_out, d_in", CLASSIFY_SHAPES)
+    def test_face_points(self, d_out, d_in, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(1000 + 16 * d_out + d_in)
+        layer = random_layer(rng, d_out, d_in)
+        points = face_points(layer, rng)
+        assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("d_out, d_in", [shape for shape in CLASSIFY_SHAPES if shape[0] > 1])
+    def test_points_on_the_band(self, d_out, d_in, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(1100 + 16 * d_out + d_in)
+        matrix = np.zeros((d_out, d_in))
+        matrix[np.arange(d_out), rng.permutation(d_out)] = 2.0 ** rng.integers(-1, 2, size=d_out)
+        layer = ReluLayer.build(matrix, np.zeros(d_out))
+        points = band_points(layer, rng)
+        assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, capsys)

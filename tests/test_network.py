@@ -17,6 +17,7 @@ from relugeom import (
 )
 import relugeom.boundary as bd
 from relugeom.boundary import sample_piece
+from relugeom.core import build_dual_frame
 from relugeom.layer import ReluLayer, evaluate
 from relugeom.layer import preimage_of_point
 from relugeom.network import (
@@ -107,6 +108,20 @@ class TestCanonicalStructure:
                 net.layers[2].affine(net.layers[1].affine(net.layers[0].affine(x))),
                 atol=1e-10,
             )
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+    def test_first_frame_is_the_first_layer(self, depth, shape):
+        # the first composed map is layer 1's own affine map, whose frame that layer already is
+        rng = np.random.default_rng(depth)
+        d_out, d_in = shape
+        layers = (random_layer(rng, d_out, d_in),) + tuple(random_layer(rng, d_out) for _ in range(depth - 1))
+        net = ReluNetwork(layers, random_output_layer(rng, d_out))
+        structure = canonical_structure(net)
+        assert structure.frames[0] is net.layers[0]
+        rebuilt = dataclasses.replace(structure, frames=(build_dual_frame(layers[0].affine),) + structure.frames[1:])
+        xs = rng.normal(size=(64, d_in)) * 2.0
+        assert evaluate_canonical(structure, xs).tobytes() == evaluate_canonical(rebuilt, xs).tobytes()
 
     def test_singular_composition_names_depth(self):
         # each factor passes the rank gate but the product does not

@@ -10,12 +10,14 @@ from relugeom import DimensionMismatch, EnumerationLimit, classify
 from relugeom.core import AffineMap, build_dual_frame
 from relugeom.partition import (
     SectorIndex,
+    classify_many,
     enumerate_sectors,
     leq,
     sample_sector,
     sector_counts,
-    split_by_zero_band,
 )
+
+from relugeom.verify import random_layer
 
 from factories import random_square_layer
 
@@ -84,8 +86,25 @@ class TestClassify:
 
     def test_zero_band_flags(self):
         frame = build_dual_frame(AffineMap(np.eye(2), np.zeros(2)))
-        assert split_by_zero_band(frame.affine([1.0, 1e-12]), None)[1] == (2,)
-        assert split_by_zero_band(frame.affine([1.0, 1.0]), None)[1] == ()
+        assert classify_many(frame, [[1.0, 1e-12]])[3].tolist() == [[False, True]]
+        assert classify_many(frame, [[1.0, 1.0]])[3].tolist() == [[False, False]]
+
+
+class TestClassifyMany:
+    @pytest.mark.parametrize("d_out", range(1, 21))
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_coefficients_are_those_of_the_affine_map_bit_for_bit(self, d_out, extra):
+        # the stacked product rounds each row as a single-point product does
+        rng = np.random.default_rng(d_out * 8 + extra)
+        layer = random_layer(rng, d_out, d_out + extra)
+        points = rng.normal(scale=3.0, size=(33, d_out + extra))
+        lam, plus, minus, zero = classify_many(layer, points)
+        assert lam.tobytes() == np.array([layer.affine(x) for x in points]).tobytes()
+        assert (plus | minus | zero).all() and not (plus & minus).any()
+
+    def test_rejects_a_single_point(self):
+        with pytest.raises(DimensionMismatch):
+            classify_many(random_square_layer(3, seed=1), np.zeros(3))
 
 
 class TestEnumeration:
