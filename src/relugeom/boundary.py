@@ -17,7 +17,7 @@ canonical boundary with the same m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class BoundaryPiece:
         # the rows of an enumerated grade arrive read-only and skip the call
         if type(t) is not np.ndarray or t.dtype != float or t.flags.writeable:
             object.__setattr__(self, "t", read_only_floats(t))
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.indices) == 0 or not (self.t > 0.0).any()
 
     def label(self) -> str:
         """The index set joined by ``-``, such as ``1-3-4``, as
@@ -407,7 +403,8 @@ def sample_piece(
     positive ones) is read from the :class:`SamplingOperands` of its
     grade, built once per grade; a piece without a grade gets a one-row
     grade of its own fields.  Each call makes only the generator calls,
-    the arithmetic on the draws and the point products.
+    the arithmetic on the draws and the point products; an all-positive
+    piece scales its weights in place, and a unit radius skips its multiply.
 
     Stream contract, unchanged by the operands: two generator calls.  One
     ``standard_exponential`` call draws the n·k coefficients of the k
@@ -425,24 +422,29 @@ def sample_piece(
     k, q, t_max = operands.counts[row]
     if not q:
         raise EmptyPiece(f"piece {piece.indices} has no points")
-    sign_order, t_signed = operands.sign_order[row], operands.t_signed[row]
-    g = sign_order.size
+    g = grade.t.shape[1]
     draws = rng.standard_exponential(n * (k + q))
-    alphas = np.zeros((n, g))
-    if k:
-        neg = sign_order[:k]
-        alphas[:, neg] = radius * t_max * draws[: n * k].reshape(n, k)
-        budget = 1.0 - alphas[:, neg] @ operands.inverse[row, :k]
-    weights = draws[n * k :].reshape(n, q)
-    weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    if k:
-        weights *= budget[:, None]
-    alphas[:, sign_order[g - q :]] = weights * t_signed[g - q :]
+    if q == g:  # every value positive: the sign order is the identity
+        alphas = draws.reshape(n, q)
+        alphas /= np.add.reduce(alphas, axis=1, keepdims=True)
+        alphas *= operands.t_signed[row]
+    else:
+        sign_order, t_signed = operands.sign_order[row], operands.t_signed[row]
+        alphas = np.zeros((n, g))
+        if k:
+            neg = sign_order[:k]
+            alphas[:, neg] = radius * t_max * draws[: n * k].reshape(n, k)
+            budget = 1.0 - alphas[:, neg] @ operands.inverse[row, :k]
+        weights = draws[n * k :].reshape(n, q)
+        weights /= np.add.reduce(weights, axis=1, keepdims=True)
+        if k:
+            weights *= budget[:, None]
+        alphas[:, sign_order[g - q :]] = weights * t_signed[g - q :]
     points = grade.layer.apex + alphas @ operands.duals[row]
     h = grade.recession.shape[1]
     if h:
-        lam = radius * rng.random((n, h))
-        points = points + lam @ operands.negated_recession[row]
+        lam = rng.random((n, h)) if radius == 1.0 else radius * rng.random((n, h))
+        points += lam @ operands.negated_recession[row]
     return points
 
 
@@ -589,12 +591,31 @@ def sample_boundary_patterns(
     norm, t, _ = _readout(layer, output)
     d = layer.d_out
     radius = 3.0 * max(float(np.max(np.abs(t))), 1.0)
-
-    def level(points):
-        return norm(layer(points))
-
     lo = layer.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ layer.duals
     hi = layer.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ layer.duals
+    rho = layer.affine(_bisect_to_level(layer, norm, lo, hi))
+    band = scaled(1e-6, float(np.max(np.abs(rho), initial=0.0)))
+    clear = rho[np.all(np.abs(rho) > band, axis=1)]
+    return {tuple(int(i) + 1 for i in np.flatnonzero(row)) for row in np.unique(clear > 0.0, axis=0)}
+
+
+def _bisect_to_level(layer: ReluLayer, readout: OutputLayer, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row r of ``lo`` and ``hi`` holds the ends of segment r; of each one whose
+    ends evaluate with opposite signs, the midpoint after 80 bisections toward
+    the zero level.  The level has the bits of ``readout(layer(x))`` without
+    their checks; the offset is tiled and the rows are selected with full-row
+    masks, as a broadcast over a short last axis costs more than the sums.
+    """
+    matrix, weights, bias = layer.affine.matrix.T, readout.weights, readout.bias
+    offset = np.tile(layer.affine.offset, (lo.shape[0], 1))
+
+    def level(points):
+        y = points @ matrix
+        y += offset[: len(y)]
+        f = np.maximum(y, 0.0, out=y) @ weights
+        f += bias
+        return f
+
     f_lo, f_hi = level(lo), level(hi)
     crossing = (f_lo * f_hi) < 0.0
     lo, hi, f_lo = lo[crossing], hi[crossing], f_lo[crossing]
@@ -602,13 +623,11 @@ def sample_boundary_patterns(
         mid = 0.5 * (lo + hi)
         f_mid = level(mid)
         toward_hi = (f_lo * f_mid) > 0.0
-        lo = np.where(toward_hi[:, None], mid, lo)
+        rows = np.repeat(toward_hi, lo.shape[1]).reshape(lo.shape)
+        lo = np.where(rows, mid, lo)
         f_lo = np.where(toward_hi, f_mid, f_lo)
-        hi = np.where(toward_hi[:, None], hi, mid)
-    rho = layer.affine(0.5 * (lo + hi))
-    band = scaled(1e-6, float(np.max(np.abs(rho), initial=0.0)))
-    clear = rho[np.all(np.abs(rho) > band, axis=1)]
-    return {tuple(int(i) + 1 for i in np.flatnonzero(row)) for row in np.unique(clear > 0.0, axis=0)}
+        hi = np.where(rows, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def canonical_boundary(d: int, m: int) -> DecisionBoundary:
@@ -616,11 +635,17 @@ def canonical_boundary(d: int, m: int) -> DecisionBoundary:
 
     Identity layer, readout with bias -1 and weights -1 on the first m
     coordinates and +1 on the rest, so the intersection values follow the
-    canonical sign pattern exactly.
+    canonical sign pattern exactly.  Up to d = WITNESS_MAX_DIM every call
+    returns one shared boundary, built on the first call and immutable
+    (frozen dataclasses, read-only arrays); above, each call builds its own.
     """
     if not 0 <= m <= d - 1:
         raise InvalidM(f"canonical class index {m} outside 0..{d - 1}")
+    return (_canonical_boundary if d <= WITNESS_MAX_DIM else _canonical_boundary.__wrapped__)(d, m)
+
+
+@lru_cache(maxsize=None)
+def _canonical_boundary(d: int, m: int) -> DecisionBoundary:
     weights = np.ones(d)
     weights[:m] = -1.0
     return enumerate_pieces(ReluLayer.canonical(d), OutputLayer(weights, -1.0))
-

@@ -282,21 +282,21 @@ def run_image(seed: int) -> SuiteResult:
     forgets = result.declare("image_forgets_minus_set", 1)
     for d in (1, 2, 3, 4):
         canonical = ly.ReluLayer.canonical(d)
+        bits = 1 << np.arange(d)
         for _ in range(3):
             layer = random_layer(rng, d)
             for sector in pt.enumerate_sectors(d):
                 xs = pt.sample_sector(layer, sector, 100, rng)
                 ys = ly.evaluate(layer, xs)
-                predicted = ly.image_of_sector(layer, sector)
-                for y in ys:
-                    got = pt.classify(canonical, y)
-                    wrong = got != predicted
-                    forgets.count(
-                        wrong,
-                        {"d": d, "sector": sector.to_json(), "got": got.to_json(), "y": y.tolist()}
-                        if wrong
-                        else None,
-                    )
+                want = ly.image_of_sector(layer, sector)
+                _, plus, minus, _ = pt.classify_many(canonical, ys)
+                wrong = np.flatnonzero((plus @ bits != want.plus_mask) | (minus @ bits != want.minus_mask))
+                counterexample = None
+                if wrong.size:
+                    y = ys[wrong[0]]
+                    got = pt.classify(canonical, y).to_json()
+                    counterexample = {"d": d, "sector": sector.to_json(), "got": got, "y": y.tolist()}
+                forgets.count(wrong.size, counterexample, checks=len(ys))
     return result
 
 

@@ -183,8 +183,7 @@ class TestEnumeratePieces:
         ]
         assert keys == sorted(keys)
         for p in boundary.pieces:
-            assert not p.is_empty
-            assert np.any(p.t > 0)
+            assert (p.t > 0).any()
             assert p.bounded == bool(np.all(p.t > 0))
             assert set(p.indices).isdisjoint(p.recession_indices)
 
@@ -261,11 +260,13 @@ class TestEnumeratePieces:
             bounded=False,
             layer=ReluLayer.canonical(2),
         )
-        assert piece.is_empty
+        assert not (piece.t > 0).any()
         with pytest.raises(EmptyPiece):
             sample_piece(piece, 5, rng=np.random.default_rng(0))
-        assert dataclasses.replace(piece, t=np.array([])).is_empty
-        assert not dataclasses.replace(piece, t=np.array([2.0])).is_empty
+        assert not (dataclasses.replace(piece, t=np.array([])).t > 0).any()
+        positive = dataclasses.replace(piece, t=np.array([2.0]))
+        assert (positive.t > 0).any()
+        assert sample_piece(positive, 5, rng=np.random.default_rng(0)).shape == (5, 2)
 
 
 def eager_pieces(boundary):
@@ -536,11 +537,7 @@ class TestPieceCountOracle:
     def test_sampled_patterns_on_ill_conditioned_layer(self):
         # rcond ~ 1.0e-3 with dual norms ~ 357 and 470: segments drawn in
         # an input-space box around the apex never cross this boundary.
-        layer = ReluLayer.build(
-            [[-0.20675410893103727, -1.3178943953329878], [-0.15903656250538148, -1.000007825061416]],
-            [0.189974110681755, -0.9149976072077862],
-        )
-        output = OutputLayer([-1.6759454624610572, 0.35507929392213744], -0.38401350958416036)
+        layer, output = ILL_CONDITIONED
         assert layer.conditioning < 2e-3
         enumerated = {p.indices for p in enumerate_pieces(layer, output).pieces}
         for seed in range(10):
@@ -549,6 +546,90 @@ class TestPieceCountOracle:
             )
             assert patterns
             assert patterns <= enumerated
+
+
+def reference_bisection(layer, readout, lo, hi):
+    """The 80-pass loop of sample_boundary_patterns as it was first written:
+    the level through the checked layer and readout calls, the rows
+    selected with a broadcast mask."""
+
+    def level(points):
+        return readout(layer(points))
+
+    f_lo, f_hi = level(lo), level(hi)
+    crossing = (f_lo * f_hi) < 0.0
+    lo, hi, f_lo = lo[crossing], hi[crossing], f_lo[crossing]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid = level(mid)
+        toward_hi = (f_lo * f_mid) > 0.0
+        lo = np.where(toward_hi[:, None], mid, lo)
+        f_lo = np.where(toward_hi, f_mid, f_lo)
+        hi = np.where(toward_hi[:, None], hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def reference_segments(layer, t, rng, n_segments):
+    """The segment ends that sample_boundary_patterns draws, lo then hi."""
+    radius = 3.0 * max(float(np.max(np.abs(t))), 1.0)
+    draw = rng.uniform
+    return [layer.apex + draw(-radius, radius, size=(n_segments, layer.d_out)) @ layer.duals for _ in range(2)]
+
+
+def reference_boundary_patterns(layer, output, rng, n_segments):
+    """sample_boundary_patterns on the reference loop."""
+    norm, t, _ = bd._readout(layer, output)
+    rho = layer.affine(reference_bisection(layer, norm, *reference_segments(layer, t, rng, n_segments)))
+    band = scaled(1e-6, float(np.max(np.abs(rho), initial=0.0)))
+    clear = rho[np.all(np.abs(rho) > band, axis=1)]
+    return {tuple(int(i) + 1 for i in np.flatnonzero(row)) for row in np.unique(clear > 0.0, axis=0)}
+
+
+ILL_CONDITIONED = (
+    ReluLayer.build(
+        [[-0.20675410893103727, -1.3178943953329878], [-0.15903656250538148, -1.000007825061416]],
+        [0.189974110681755, -0.9149976072077862],
+    ),
+    OutputLayer([-1.6759454624610572, 0.35507929392213744], -0.38401350958416036),
+)
+
+
+def bisection_instances():
+    """(name, layer, readout): square and contracting layers at d = 1..4,
+    readouts with and without negative values, and the ill-conditioned
+    layer of test_sampled_patterns_on_ill_conditioned_layer."""
+    rng = np.random.default_rng(700)
+    for d in range(1, 5):
+        for d_in in (d, d + 2):
+            layer = verify.random_layer(rng, d, d_in)
+            for m in sorted({0, d - 1}):
+                weights = rng.uniform(0.5, 2.0, d) * np.where(np.arange(d) < m, -1.0, 1.0)
+                yield f"d={d} d_in={d_in} m={m}", layer, OutputLayer(weights, -1.0)
+    yield "ill-conditioned", *ILL_CONDITIONED
+
+
+class TestPatternBisection:
+    """The inlined bisection reproduces the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("n_segments", [1, 3000, 4000])
+    def test_patterns_and_stream_match_the_reference(self, n_segments):
+        for seed, (name, layer, output) in enumerate(bisection_instances()):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_boundary_patterns(layer, output, a, n_segments=n_segments)
+            assert got == reference_boundary_patterns(layer, output, b, n_segments), name
+            assert a.bit_generator.state == b.bit_generator.state, name
+
+    @pytest.mark.parametrize("n_segments", [1, 3000, 4000])
+    def test_bisected_points_match_the_reference(self, n_segments):
+        crossings = 0
+        for seed, (name, layer, output) in enumerate(bisection_instances()):
+            norm, t, _ = bd._readout(layer, output)
+            lo, hi = reference_segments(layer, t, np.random.default_rng(seed), n_segments)
+            got = bd._bisect_to_level(layer, norm, lo, hi)
+            expected = reference_bisection(layer, norm, lo, hi)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+            crossings += len(got)
+        assert crossings >= n_segments  # not vacuous: segments do cross
 
 
 class TestCanonicalBoundary:
@@ -570,10 +651,58 @@ class TestCanonicalBoundary:
         np.testing.assert_allclose(xs, np.ones((10, 1)), atol=1e-12)
 
     def test_invalid_m(self):
-        with pytest.raises(InvalidM):
-            canonical_boundary(3, 3)
-        with pytest.raises(InvalidM):
-            canonical_boundary(3, -1)
+        for _ in range(2):  # a refusal is not kept: every call raises
+            for d, m in ((3, 3), (3, -1), (8, 8), (9, 9)):
+                with pytest.raises(InvalidM):
+                    canonical_boundary(d, m)
+
+    def test_shared_up_to_the_witness_limit(self):
+        for d in range(1, 9):
+            for m in range(d):
+                assert canonical_boundary(d, m) is canonical_boundary(d, m)
+        assert canonical_boundary(9, 0) is not canonical_boundary(9, 0)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_shared_equals_a_fresh_enumeration(self, d):
+        for m in range(d):
+            shared = canonical_boundary(d, m)
+            readout = OutputLayer(np.where(np.arange(d) < m, -1.0, 1.0), -1.0)
+            fresh = enumerate_pieces(ReluLayer.canonical(d), readout)
+            assert (shared.d, shared.m, shared.piece_count, shared.curvature) == (
+                fresh.d, fresh.m, fresh.piece_count, fresh.curvature
+            )
+            assert shared.t.tobytes() == fresh.t.tobytes()
+            assert shared.readout.weights.tobytes() == fresh.readout.weights.tobytes()
+            assert shared.readout.bias == fresh.readout.bias
+            assert len(shared.grades) == len(fresh.grades) == d
+            for got, want in zip(shared.grades, fresh.grades):
+                for name in ("indices", "recession", "t"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert shared.canonical.sigma == fresh.canonical.sigma
+            assert shared.canonical.scale.tobytes() == fresh.canonical.scale.tobytes()
+            assert shared.canonical.to_actual.matrix.tobytes() == fresh.canonical.to_actual.matrix.tobytes()
+            assert [(p.indices, p.recession_indices, p.bounded, p.t.tobytes()) for p in shared.pieces] == [
+                (p.indices, p.recession_indices, p.bounded, p.t.tobytes()) for p in fresh.pieces
+            ]
+
+    def test_shared_arrays_are_read_only(self):
+        boundary = canonical_boundary(4, 2)
+        sample_piece(boundary.pieces[-1], 2, rng=np.random.default_rng(0))  # builds its grade's operands
+        arrays = [boundary.t, boundary.readout.weights, boundary.canonical.scale]
+        arrays += [boundary.canonical.to_actual.matrix, boundary.canonical.to_actual.offset]
+        arrays += [piece.t for piece in boundary.pieces]
+        layer = boundary.grades[0].layer
+        arrays += [layer.apex, layer.duals, layer.affine.matrix, layer.affine.offset]
+        for grade in boundary.grades:
+            arrays += [grade.indices, grade.recession, grade.t]
+        operands = boundary.grades[-1].operands
+        arrays += [getattr(operands, f.name) for f in dataclasses.fields(operands)]
+        arrays = [array for array in arrays if isinstance(array, np.ndarray)]
+        assert len(arrays) == 5 + boundary.piece_count + 4 + 3 * 4 + 5
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestCanonicalReduction:

@@ -411,20 +411,35 @@ class TestSamplerStream:
         assert a.bit_generator.state == b.bit_generator.state
         return got
 
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_sample_piece_keeps_the_three_call_stream(self, d):
+    def test_sample_piece_keeps_the_three_call_stream(self, d, radius):
+        # m = 0 samples every piece on the all-positive path; a signed
+        # readout mixes it with pieces that have negative values.  The
+        # census samples at the default radius 1.0, which skips a multiply.
         rng = np.random.default_rng(40 + d)
         layer = random_layer(rng, d)
         for m in range(d):
             boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
             for n in (0, 1, 4):
                 a, b = np.random.default_rng(m), np.random.default_rng(m)
-                got = b"".join(sample_piece(piece, n, radius=1.5, rng=a).tobytes() for piece in boundary.pieces)
+                got = b"".join(
+                    sample_piece(piece, n, radius=radius, rng=a).tobytes() for piece in boundary.pieces
+                )
                 expected = b"".join(
-                    three_call_sample_piece(piece, n, 1.5, b).tobytes() for piece in boundary.pieces
+                    three_call_sample_piece(piece, n, radius, b).tobytes() for piece in boundary.pieces
                 )
                 assert got == expected
                 assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_shared_canonical_boundary_keeps_the_three_call_stream(self, d):
+        # canonical_boundary returns one object per (d, m), so its grades'
+        # operands are read by every caller: sample it twice
+        for m in range(d):
+            for _ in range(2):
+                for piece in bd.canonical_boundary(d, m).pieces:
+                    self.assert_same_stream(piece, 1, 1.0, seed=m)
 
     def test_directly_built_piece_with_a_zero_value(self):
         # a zero value gets no draw and a zero coefficient

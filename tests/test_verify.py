@@ -15,8 +15,18 @@ import relugeom.boundary as bd
 import relugeom.core as core
 import relugeom.layer as ly
 import relugeom.network as nw
+import relugeom.partition as pt
 from relugeom.io import canonical_json
-from relugeom.verify import run_canonical, run_count, run_decomposition, run_deep, run_duality
+from relugeom.verify import (
+    SuiteResult,
+    random_layer,
+    run_canonical,
+    run_count,
+    run_decomposition,
+    run_deep,
+    run_duality,
+    run_image,
+)
 
 
 def failing(suite) -> dict:
@@ -45,6 +55,10 @@ def test_duality_checks_contracting_duals(monkeypatch):
 def test_count_properties_keep_their_own_counterexamples(monkeypatch):
     # Every enumeration reports 0 pieces and the witness oracle finds 1; the
     # oracle is a constant so that the suite runs in about a second.
+    # canonical_boundary keeps the boundaries it builds up to d = 8: build
+    # the suite's d = 3 ones first, so that none is built by the stub and kept.
+    for m in range(3):
+        bd.canonical_boundary(3, m)
     monkeypatch.setattr(
         bd, "enumerate_pieces", lambda layer, output: types.SimpleNamespace(m=0, piece_count=0, pieces=())
     )
@@ -62,6 +76,57 @@ def test_canonical_properties_keep_their_own_counterexamples(monkeypatch):
     failed = failing(run_canonical(0))
     assert set(failed["canonical_samples_map_onto_boundary"]) == {"m", "piece", "residual"}
     assert set(failed["piece_index_bijection"]) == {"m", "mapped"}
+
+
+def test_canonical_boundary_replacement_reaches_the_count_figure(monkeypatch):
+    # canonical_boundary keeps its boundaries, but a replaced module
+    # attribute is still what the suite calls
+    canonical = bd.canonical_boundary
+    monkeypatch.setattr(bd, "canonical_boundary", lambda d, m: canonical(d, (m + 1) % d))
+    assert list(failing(run_count(0))) == ["canonical_d3_counts_7_6_4"]
+
+
+def reference_run_image(seed):
+    """The image suite as it classified before: one classify call per point."""
+    rng = np.random.default_rng(seed)
+    result = SuiteResult("image", seed)
+    forgets = result.declare("image_forgets_minus_set", 1)
+    for d in (1, 2, 3, 4):
+        canonical = ly.ReluLayer.canonical(d)
+        for _ in range(3):
+            layer = random_layer(rng, d)
+            for sector in pt.enumerate_sectors(d):
+                xs = pt.sample_sector(layer, sector, 100, rng)
+                ys = ly.evaluate(layer, xs)
+                predicted = ly.image_of_sector(layer, sector)
+                for y in ys:
+                    got = pt.classify(canonical, y)
+                    wrong = got != predicted
+                    forgets.count(
+                        wrong,
+                        {"d": d, "sector": sector.to_json(), "got": got.to_json(), "y": y.tolist()}
+                        if wrong
+                        else None,
+                    )
+    return result
+
+
+def test_image_suite_counts_as_the_per_point_loop(monkeypatch):
+    # Every seventh image, from the fourth on, gets its own negative first
+    # coordinate, so each batch has several violations, none at its first
+    # point.  The golden report covers the passing suite.
+    evaluate = ly.evaluate
+
+    def moved(layer, xs):
+        ys = evaluate(layer, xs)
+        ys[3::7, 0] = -1.0 - np.arange(len(ys[3::7]))
+        return ys
+
+    monkeypatch.setattr(ly, "evaluate", moved)
+    suite = run_image(0)
+    assert not suite.passed
+    assert canonical_json(suite.to_json()) == canonical_json(reference_run_image(0).to_json())
+    assert failing(suite)["image_forgets_minus_set"]["y"][0] == -1.0
 
 
 def test_nan_decomposition_residual_fails(monkeypatch):
