@@ -32,9 +32,9 @@ from .errors import (
     InvalidM,
     RankDeficient,
 )
+from .partition import graded_subsets
 from .tolerances import (
     DEGENERATE_DIRECTION_REL,
-    MAX_ENUM_DIM,
     RCOND_MIN,
     WITNESS_LEVEL_REL,
     WITNESS_MAX_DIM,
@@ -334,14 +334,10 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     the apex; the complement directions add freely.
     """
     d = layer.d_out
-    if d > MAX_ENUM_DIM:
-        raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
+    # every subset J, in the graded order that partition.graded_subsets defines
+    member = graded_subsets(d)
     norm, t, m = _readout(layer, output)
-    positive = t > 0.0
-    # Graded order: by size, then by bitmask value (bit i-1 stands for i).
-    member = np.arange(1 << d)[:, None] & (1 << np.arange(d)) > 0
-    member = member[np.argsort(member.sum(axis=1), kind="stable")]
-    member = member[(member & positive).any(axis=1)]
+    member = member[(member & (t > 0.0)).any(axis=1)]
     size = member.sum(axis=1)
     inside, outside = member.nonzero()[1], (~member).nonzero()[1]
     t_inside = t[inside]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReluLayer
-from .errors import DimensionMismatch, EnumerationLimit
-from .partition import SectorIndex, _graded_submasks, _mask_of
-from .tolerances import MAX_ENUM_DIM, ZERO_COMPONENT_TOL, scaled
+from .errors import DimensionMismatch
+from .partition import SectorIndex, graded_subsets
+from .tolerances import ZERO_COMPONENT_TOL, scaled
 
 
 # The functional spelling of ``layer(x)``: T(x) = componentwise max(A x + b, 0).
@@ -151,13 +151,12 @@ def preimage_of_sector(layer: ReluLayer, j) -> list[SectorIndex]:
     """Domain sectors whose union is the preimage of codomain sector (J, {}).
 
     Returns the 2^(d-|J|) pairings (J, K) over subsets K of the complement,
-    in graded lexicographic order.
+    in the graded order of :func:`~relugeom.partition.graded_subsets`.
     """
     d = layer.d_out
-    if d > MAX_ENUM_DIM:
-        raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
-    j_mask = _mask_of(j, d)
-    return [SectorIndex(d, j_mask, k) for k in _graded_submasks(((1 << d) - 1) & ~j_mask)]
+    masks = graded_subsets(d) @ (1 << np.arange(d))
+    j_mask = SectorIndex.of(d, j).plus_mask
+    return [SectorIndex(d, j_mask, k) for k in masks[masks & j_mask == 0].tolist()]
 
 
 def membership_mask(layer: ReluLayer, pre: PreimageSet, points, tol: float | None = None) -> np.ndarray:

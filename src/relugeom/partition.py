@@ -4,7 +4,9 @@ Expanding a point in the dual basis, the signs of the coefficients select
 two disjoint index sets (positive and negative).  Each pair of disjoint
 subsets of {1..d} names one sector; the 3^d sectors partition the domain.
 The subset partial order on pairs gives closures and boundaries of
-sectors without any further geometry.
+sectors without any further geometry.  :func:`graded_subsets` is the one
+graded order on subsets of {1..d}, the order in which sector preimages
+and boundary pieces are listed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .core import ReluLayer
 from .errors import DimensionMismatch, EnumerationLimit
-from .tolerances import DEFAULT_REL, MAX_ENUM_DIM
+from .tolerances import DEFAULT_REL, MAX_ENUM_DIM, MAX_SECTOR_DIM
 
 
 def _mask_of(indices, d: int) -> int:
@@ -124,16 +126,13 @@ def classify(layer: ReluLayer, x, zero_tol: float | None = None) -> SectorIndex:
     return SectorIndex.of(layer.d_out, compress(indices, plus[0].tolist()), compress(indices, minus[0].tolist()))
 
 
-def _graded_key(sector: SectorIndex):
-    return (sector.dimension(), sector.plus_mask, sector.minus_mask)
-
-
-def _graded_submasks(mask: int) -> list[int]:
-    """Every submask of ``mask``, ordered by bit count and then by value."""
-    subs = [mask]
-    while subs[-1]:
-        subs.append((subs[-1] - 1) & mask)
-    return sorted(subs, key=lambda sub: (sub.bit_count(), sub))
+def graded_subsets(d: int) -> np.ndarray:
+    """Every subset of {1..d} as a bool row (column i-1 for index i),
+    ordered by size and then by bitmask value."""
+    if d > MAX_ENUM_DIM:
+        raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
+    member = np.arange(1 << d)[:, None] & (1 << np.arange(d)) > 0
+    return member[np.argsort(member.sum(axis=1), kind="stable")]
 
 
 def enumerate_sectors(d: int) -> list[SectorIndex]:
@@ -144,15 +143,15 @@ def enumerate_sectors(d: int) -> list[SectorIndex]:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if d > MAX_ENUM_DIM:
-        raise EnumerationLimit(f"refusing to enumerate 3^{d} sectors (limit d={MAX_ENUM_DIM})")
-    out = [
-        SectorIndex(d, plus, support & ~plus)
-        for support in _graded_submasks((1 << d) - 1)
-        for plus in _graded_submasks(support)
-    ]
-    out.sort(key=_graded_key)
-    return out
+    if d > MAX_SECTOR_DIM:
+        raise EnumerationLimit(f"refusing to enumerate 3^{d} sectors (limit d={MAX_SECTOR_DIM})")
+    # each sector over {1..i} extends to three: i+1 in neither set, in plus, in minus
+    plus = minus = dim = np.zeros(1, dtype=np.int64)
+    for bit in (1 << i for i in range(d)):
+        plus, minus = np.concatenate([plus, plus + bit, plus]), np.concatenate([minus, minus, minus + bit])
+        dim = np.concatenate([dim, dim + 1, dim + 1])
+    order = np.lexsort((minus, plus, dim))
+    return [SectorIndex(d, p, m) for p, m in zip(plus[order].tolist(), minus[order].tolist())]
 
 
 def sector_counts(d: int) -> dict[int, int]:

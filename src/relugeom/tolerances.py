@@ -41,8 +41,11 @@ WITNESS_PATTERN_ULPS = 64
 # Polygon vertices within this distance of a clipping plane count as on it.
 PLANE_SIDE_TOL = 1e-12
 
-# Subset enumerations are refused above this index dimension (3^21 pairings).
+# Subset enumerations are refused above this index dimension (2^20 subsets).
 MAX_ENUM_DIM = 20
+
+# Sector enumerations are refused above this index dimension (3^12 sectors).
+MAX_SECTOR_DIM = 12
 
 # The witness oracle builds and checks one point per index subset, 2^d - 1
 # rows of one array pass; it is refused above this dimension, where reports

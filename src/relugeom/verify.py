@@ -228,9 +228,10 @@ def run_partition(seed: int) -> SuiteResult:
     roundtrip = result.declare("classification_roundtrip", 1e-9)
     smoke = result.declare("boundary_stability_smoke", 1)
 
-    for d in range(1, 11):
-        sectors = pt.enumerate_sectors(d)
-        by_dim = {k: sum(1 for s in sectors if s.dimension() == k) for k in range(d + 1)}
+    sectors_of = {d: pt.enumerate_sectors(d) for d in range(1, 11)}
+    for d, sectors in sectors_of.items():
+        dims = np.bincount([s.dimension() for s in sectors], minlength=d + 1)
+        by_dim = dict(enumerate(dims.tolist()))
         errors = (len(sectors) != 3**d or len(set(sectors)) != 3**d) + (by_dim != pt.sector_counts(d))
         counts.count(errors, {"d": d, "total": len(sectors), "by_dim": by_dim})
     for d, breakdown in {2: {2: 4, 1: 4, 0: 1}, 3: {3: 8, 2: 12, 1: 6, 0: 1}}.items():
@@ -238,7 +239,7 @@ def run_partition(seed: int) -> SuiteResult:
         counts.count(any(expected[k] != v for k, v in breakdown.items()), {"d": d, "counts": expected})
 
     for d in (2, 3, 4):
-        sectors = pt.enumerate_sectors(d)
+        sectors = sectors_of[d]
         rel = np.array([[pt.leq(a, b) for b in sectors] for a in sectors])
         order.count(
             (not np.all(np.diagonal(rel)))
@@ -251,20 +252,22 @@ def run_partition(seed: int) -> SuiteResult:
         d = int(rng.integers(2, 9))
         layer = random_layer(rng, d)
         xs = rng.normal(size=(200, d)) * 3.0
-        for x in xs:
-            sector = pt.classify(layer, x)
+        _, plus, minus, _ = pt.classify_many(layer, xs)
+        residuals = []
+        for x, p, m in zip(xs, plus, minus):
+            # lam, band and reconstruction recomputed here, independent of classify_many
             lam = layer.affine(x)
-            band = 1e-9 * (1 + np.max(np.abs(lam)))
-            signs_ok = set(sector.plus) == {
-                i + 1 for i in range(d) if lam[i] > band
-            } and set(sector.minus) == {i + 1 for i in range(d) if lam[i] < -band}
-            recon = np.abs(layer.apex + lam @ layer.duals - x) / (1.0 + np.max(np.abs(x)))
-            roundtrip.see(recon if signs_ok else 1.0, {"d": d, "x": x.tolist()})
+            band = 1e-9 * (1 + np.abs(lam).max())
+            signs_ok = (p == (lam > band)).all() and (m == (lam < -band)).all()
+            recon = np.abs(layer.apex + lam @ layer.duals - x) / (1.0 + np.abs(x).max())
+            residuals.append(recon.max() if signs_ok else 1.0)
+        worst = int(np.argmax(residuals))  # the first worst point, as one see per point would keep
+        roundtrip.see(residuals[worst], {"d": d, "x": xs[worst].tolist()}, checks=len(xs))
 
     for _ in range(200):
         d = int(rng.integers(2, 7))
         layer = random_layer(rng, d)
-        sectors = pt.enumerate_sectors(d)
+        sectors = sectors_of[d]
         sector = sectors[int(rng.integers(0, len(sectors)))]
         x = pt.sample_sector(layer, sector, 1, rng)[0]
         lam = layer.affine(x)

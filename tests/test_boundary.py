@@ -30,7 +30,6 @@ from relugeom.boundary import (
     sample_boundary_patterns,
 )
 from relugeom.layer import ReluLayer, evaluate
-from relugeom.partition import _graded_submasks
 from relugeom.tolerances import WITNESS_LEVEL_REL, WITNESS_PATTERN_ULPS, scaled
 
 from factories import random_output, random_square_layer
@@ -189,8 +188,8 @@ class TestEnumeratePieces:
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_matches_per_subset_reference(self, d):
-        # the per-subset loop that the array passes replaced: graded
-        # submasks, one index tuple per mask, kept when J meets P
+        # the per-subset loop that the array passes replaced: masks sorted
+        # by (size, value), one index tuple per mask, kept when J meets P
         rng = np.random.default_rng(500 + d)
         layer = random_square_layer(d, seed=500 + d)
         for m in range(d):
@@ -198,7 +197,7 @@ class TestEnumeratePieces:
             boundary = enumerate_pieces(layer, OutputLayer(weights, -1.0))
             t, full = boundary.t, (1 << d) - 1
             expected = []
-            for mask in _graded_submasks(full):
+            for mask in sorted(range(full + 1), key=lambda s: (s.bit_count(), s)):
                 indices = tuple(i + 1 for i in range(d) if mask >> i & 1)
                 if any(t[i - 1] > 0.0 for i in indices):
                     rest = tuple(i + 1 for i in range(d) if not mask >> i & 1)

@@ -199,6 +199,16 @@ class TestPreimageOfSector:
         for j in ([], [2], [1, 3], [1, 2, 3, 4]):
             assert len(preimage_of_sector(layer, j)) == 2 ** (4 - len(j))
 
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_graded_order_for_every_index_set(self, d):
+        layer = ReluLayer.canonical(d)
+        for j_mask in range(2**d):
+            j = [i + 1 for i in range(d) if j_mask >> i & 1]
+            got = preimage_of_sector(layer, j)
+            assert {s.plus_mask for s in got} == {j_mask}
+            complement = [k for k in range(2**d) if not k & j_mask]
+            assert [s.minus_mask for s in got] == sorted(complement, key=lambda s: (s.bit_count(), s))
+
     def test_guard(self):
         layer = ReluLayer.canonical(2)
         with pytest.raises(ValueError):

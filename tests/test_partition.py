@@ -12,11 +12,13 @@ from relugeom.partition import (
     SectorIndex,
     classify_many,
     enumerate_sectors,
+    graded_subsets,
     leq,
     sample_sector,
     sector_counts,
 )
 
+from relugeom.tolerances import MAX_SECTOR_DIM
 from relugeom.verify import random_layer
 
 from factories import random_square_layer
@@ -143,6 +145,20 @@ class TestEnumeration:
             enumerate_sectors(21)
         with pytest.raises(ValueError):
             enumerate_sectors(0)
+
+    def test_sector_limit_is_checked_before_building(self):
+        # 3^(MAX_SECTOR_DIM + 1) sectors would take seconds and hundreds of MB
+        with pytest.raises(EnumerationLimit, match=f"limit d={MAX_SECTOR_DIM}"):
+            enumerate_sectors(MAX_SECTOR_DIM + 1)
+
+
+class TestGradedSubsets:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_rows_follow_size_then_value(self, d):
+        rows = graded_subsets(d)
+        assert rows.dtype == bool and rows.shape == (2**d, d)
+        masks = (rows @ (1 << np.arange(d))).tolist()
+        assert masks == sorted(range(2**d), key=lambda s: (s.bit_count(), s))
 
 
 class TestOrder:
