@@ -577,10 +577,10 @@ def sample_boundary_patterns(
     r = 3 max(max |t_i|, 1), so the draw follows the frame and reaches
     past every intersection value however the layer is conditioned.  Keeps
     the segments whose endpoints evaluate with opposite signs, and bisects
-    each 80 times toward the zero level.  Each located point is labeled by
-    its set of positive row functionals; on a piece's relative interior
-    that label is the piece's index set, so the returned pattern set is a
-    sampled census of the pieces.  Points too close to a pattern
+    each at most 80 times toward the zero level.  Each located point is
+    labeled by its set of positive row functionals; on a piece's relative
+    interior that label is the piece's index set, so the returned pattern
+    set is a sampled census of the pieces.  Points too close to a pattern
     change are discarded as ambiguous.  Degenerate readouts are rejected
     as in :func:`enumerate_pieces`.
     """
@@ -597,10 +597,11 @@ def sample_boundary_patterns(
 
 def _bisect_to_level(layer: ReluLayer, readout: OutputLayer, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Row r of ``lo`` and ``hi`` holds the ends of segment r; of each one whose
-    ends evaluate with opposite signs, the midpoint after 80 bisections toward
-    the zero level.  The level has the bits of ``readout(layer(x))`` without
-    their checks; the offset is tiled and the rows are selected with full-row
-    masks, as a broadcast over a short last axis costs more than the sums.
+    ends evaluate with opposite signs, the midpoint after at most 80
+    bisections toward the zero level.  The level has the bits of
+    ``readout(layer(x))`` without their checks; the offset is tiled and the
+    rows are selected with full-row masks, as a broadcast over a short last
+    axis costs more than the sums.
     """
     matrix, weights, bias = layer.affine.matrix.T, readout.weights, readout.bias
     offset = np.tile(layer.affine.offset, (lo.shape[0], 1))
@@ -620,9 +621,10 @@ def _bisect_to_level(layer: ReluLayer, readout: OutputLayer, lo: np.ndarray, hi:
         f_mid = level(mid)
         toward_hi = (f_lo * f_mid) > 0.0
         rows = np.repeat(toward_hi, lo.shape[1]).reshape(lo.shape)
-        lo = np.where(rows, mid, lo)
-        f_lo = np.where(toward_hi, f_mid, f_lo)
-        hi = np.where(rows, hi, mid)
+        state = np.where(rows, mid, lo), np.where(rows, hi, mid), np.where(toward_hi, f_mid, f_lo)
+        if all(new.tobytes() == old.tobytes() for new, old in zip(state, (lo, hi, f_lo))):
+            break  # a fixed point: every later pass would repeat this one
+        lo, hi, f_lo = state
     return 0.5 * (lo + hi)
 
 

@@ -37,6 +37,7 @@ from .io import (
     parse_layer_spec,
     parse_network_spec,
     piece_records,
+    point_records,
     write_level_csv,
     write_point_csv,
 )
@@ -168,38 +169,14 @@ def cmd_classify(args) -> int:
         raise SchemaError(
             f"point {points[overflowing][0].tolist()} has expansion coefficients beyond the float range"
         )
-    indices = range(1, layer.d_out + 1)
-    rows = [
-        {
-            "point": x,
-            "sector": {"plus": list(compress(indices, p)), "minus": list(compress(indices, m))},
-            "dimension": dimension,
-            "coefficients": lam,
-            "on_boundary_of": list(compress(indices, z)),
-        }
-        for x, lam, p, m, z, dimension in zip(
-            points.tolist(),
-            coefficients.tolist(),
-            plus.tolist(),
-            minus.tolist(),
-            zero.tolist(),
-            np.count_nonzero(plus | minus, axis=1).tolist(),
-        )
-    ]
-    results = {"points": rows, "zero_tolerance": args.tol if args.tol is not None else "relative 1e-9"}
     if args.format == "csv":
-        for row in rows:
-            sys.stdout.write(
-                ",".join(
-                    [
-                        "|".join(str(i) for i in row["sector"]["plus"]),
-                        "|".join(str(i) for i in row["sector"]["minus"]),
-                    ]
-                    + [f"{v:.17g}" for v in row["point"]]
-                )
-                + "\n"
-            )
+        names, row = [str(i) for i in range(1, layer.d_out + 1)], "%s,%s" + ",%.17g" * layer.d_in + "\n"
+        rows = zip(plus.tolist(), minus.tolist(), points.tolist())
+        lines = [row % ("|".join(compress(names, p)), "|".join(compress(names, m)), *x) for p, m, x in rows]
+        sys.stdout.write("".join(lines))
         return EXIT_OK
+    records = functools.partial(point_records, points, coefficients, plus, minus, zero)
+    results = {"points": records, "zero_tolerance": args.tol if args.tol is not None else "relative 1e-9"}
     _emit(_report(args, digest, results, started))
     return EXIT_OK
 

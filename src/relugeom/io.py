@@ -32,6 +32,7 @@ import json
 import math
 import operator
 import sys
+from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -148,7 +149,10 @@ def canonical_json(obj, indent: int = 0) -> str:
     A list stays on one line when its items do and the line is at most 100
     characters; otherwise it puts one item per line.  An item's text
     depends on its indent only when it spans lines, so the items are
-    serialized once, at the deeper indent, for both forms.
+    serialized once, at the deeper indent, for both forms.  Floats are
+    ``%.17g``, integral ones below 1e16 ``%.1f`` and non-finite ones
+    ``null``; a list of exact floats, all finite and none integral, is
+    written by one ``%.17g`` template.
 
     Values of exact type ``float``, ``str`` and ``int`` are written at
     once, and exact ``dict``, ``list`` and ``tuple`` go straight to the
@@ -192,20 +196,63 @@ def canonical_json(obj, indent: int = 0) -> str:
         items = [f"{pad}{_quote(str(k))}: {canonical_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
     kinds = set(map(type, obj))
-    if kinds == {float}:
-        items, numeric = list(map(_format_float, obj)), True
-    elif kinds == {int}:
-        items, numeric = list(map(str, obj)), True
-    elif all(issubclass(kind, _NUMBERS) and kind is not bool for kind in kinds):
-        items, numeric = list(map(_format_number, obj)), True
-    else:
-        items, numeric = [canonical_json(v, indent + 1) for v in obj], False
-    if numeric or not any("\n" in item for item in items):
+    if kinds == {float} and all(map(math.isfinite, obj)) and not any(map(float.is_integer, obj)):
+        return _list_text(", ".join(["%.17g"] * len(obj)) % tuple(obj), indent)
+    if all(issubclass(kind, _NUMBERS) and kind is not bool for kind in kinds):
+        return _list_text(", ".join(map(_format_number, obj)), indent)
+    items = [canonical_json(v, indent + 1) for v in obj]
+    if not any("\n" in item for item in items):
         flat = "[" + ", ".join(items) + "]"
         if len(flat) <= 100:
             return flat
     pad = "  " * (indent + 1)
     return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * indent + "]"
+
+
+def _list_text(text: str, indent: int) -> str:
+    """The :func:`canonical_json` text of a list of numbers joined by ``", "`` in ``text``."""
+    if len(text) <= 98:
+        return f"[{text}]"
+    pad = "  " * (indent + 1)
+    return "[\n" + pad + text.replace(", ", ",\n" + pad) + "\n" + "  " * indent + "]"
+
+
+def _float_rows(tables, indent: int) -> list[list[str]]:
+    """The :func:`canonical_json` text, at ``indent``, of each row of each
+    2-D float array of ``tables`` (equal row counts): all as ``%.17g`` in one
+    pass, then the rows holding an integral or non-finite value rewritten."""
+    widths, table = [t.shape[1] for t in tables], np.column_stack(tables)
+    starts = np.cumsum([0, *widths[:-1]])
+    if table.size >= _ARRAY_MIN_FLOATS:
+        fields = _g17_fields(table.ravel()).reshape(*table.shape, 32)
+        fields[:, starts, 0] = ord("\n")  # each row of each table starts a line
+        text = fields[fields != 0].tobytes().decode()
+    else:
+        template = "".join("\n" + ",".join(["%.17g"] * w) for w in widths)
+        text = "".join(map(template.__mod__, map(tuple, table.tolist())))
+    texts = [_list_text(row, indent) for row in text.replace(",", ", ").split("\n")[1:]]
+    plain = np.logical_and.reduceat(np.isfinite(table) & (table != np.trunc(table)), starts, axis=1)
+    for i in np.flatnonzero(~plain).tolist():
+        texts[i] = canonical_json(tables[i % len(tables)][i // len(tables)].tolist(), indent)
+    return [texts[k :: len(tables)] for k in range(len(tables))]
+
+
+def point_records(points, coefficients, plus, minus, zero, indent: int) -> str:
+    """The :func:`canonical_json` text, at ``indent``, of the classify report's
+    ``{"point", "sector": {"plus", "minus"}, "dimension", "coefficients",
+    "on_boundary_of"}`` object per point, each from one ``%`` template."""
+    slot = lambda _: "%s"  # a callable value whose text is "%s"
+    record = {"point": slot, "sector": {"plus": slot, "minus": slot}, "dimension": slot, "coefficients": slot}
+    template = "  " * (indent + 1) + canonical_json({**record, "on_boundary_of": slot}, indent + 1)
+    names = [str(i) for i in range(1, plus.shape[1] + 1)]
+
+    def index_lists(masks, level):
+        return [_list_text(", ".join(compress(names, mask)), indent + level) for mask in masks.tolist()]
+
+    xs, lams = _float_rows([points, coefficients], indent + 2)
+    dimensions = np.count_nonzero(plus | minus, axis=1).tolist()
+    rows = zip(xs, index_lists(plus, 3), index_lists(minus, 3), dimensions, lams, index_lists(zero, 2))
+    return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n" + "  " * indent + "]"
 
 
 def piece_records(grades, indent: int) -> str:

@@ -32,8 +32,10 @@ def _box_corners(lo: float, hi: float) -> np.ndarray:
 
 def plane_box_polygon(normal, offset: float, lo: float, hi: float) -> np.ndarray:
     """Ordered polygon where the plane normal.x + offset = 0 meets the box."""
-    normal = np.asarray(normal, dtype=float)
-    corners = _box_corners(lo, hi)
+    return _plane_polygon(np.asarray(normal, dtype=float), offset, _box_corners(lo, hi), 1e-9 * (abs(hi - lo) + 1.0))
+
+
+def _plane_polygon(normal: np.ndarray, offset: float, corners: np.ndarray, tol: float) -> np.ndarray:
     values = corners @ normal + offset
     points = [c for c, v in zip(corners, values) if abs(v) <= PLANE_SIDE_TOL]
     for a, b in _BOX_EDGES:
@@ -43,7 +45,7 @@ def plane_box_polygon(normal, offset: float, lo: float, hi: float) -> np.ndarray
             points.append(corners[a] + s * (corners[b] - corners[a]))
     if not points:
         return np.empty((0, 3))
-    points = _dedup(np.asarray(points), 1e-9 * (abs(hi - lo) + 1.0))
+    points = _dedup(np.asarray(points), tol)
     if points.shape[0] < 3:
         return np.empty((0, 3))
     return _order_convex(points, normal)
@@ -62,12 +64,18 @@ def _order_convex(points: np.ndarray, normal: np.ndarray) -> np.ndarray:
     axis = normal / np.linalg.norm(normal)
     seed = np.zeros(3)
     seed[int(np.argmin(np.abs(axis)))] = 1.0
-    u = np.cross(axis, seed)
+    u = _cross(axis, seed)
     u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
+    v = _cross(axis, u)
     rel = points - center
     angles = np.arctan2(rel @ v, rel @ u)
     return points[np.argsort(angles)]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors: its products and differences, without its set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float) -> np.ndarray:
@@ -106,12 +114,13 @@ def piece_polygons(
     a = layer.affine.matrix
     b = layer.affine.offset
     w = norm.weights
+    corners, tol = _box_corners(lo, hi), 1e-9 * (abs(hi - lo) + 1.0)
     polys = []
     for piece in boundary.pieces:
         active = [i - 1 for i in piece.indices]
         plane_normal = a[active].T @ w[active]
         plane_offset = float(w[active] @ b[active] + norm.bias)
-        poly = plane_box_polygon(plane_normal, plane_offset, lo, hi)
+        poly = _plane_polygon(plane_normal, plane_offset, corners, tol)
         for i in piece.indices:
             poly = clip_polygon_halfspace(poly, a[i - 1], float(b[i - 1]))
         for i in piece.recession_indices:

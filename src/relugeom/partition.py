@@ -33,14 +33,7 @@ def _mask_of(indices, d: int) -> int:
 
 
 def _indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)

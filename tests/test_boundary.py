@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -629,6 +630,30 @@ class TestPatternBisection:
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
             crossings += len(got)
         assert crossings >= n_segments  # not vacuous: segments do cross
+
+    def test_stops_at_its_fixed_point(self):
+        """Every instance's bisection leaves its loop before the 80th pass,
+        with the bits of the 80-pass reference."""
+        for seed, (name, layer, output) in enumerate(bisection_instances()):
+            norm, t, _ = bd._readout(layer, output)
+            lo, hi = reference_segments(layer, t, np.random.default_rng(seed), 3000)
+            counted = types.SimpleNamespace(weights=norm.weights.view(CountedMatmul), bias=norm.bias)
+            CountedMatmul.calls = 0
+            got = bd._bisect_to_level(layer, counted, lo, hi)
+            assert got.tobytes() == reference_bisection(layer, norm, lo, hi).tobytes(), name
+            assert len(got) > 0 and CountedMatmul.calls - 2 < 80, name  # two end evaluations, then one per pass
+
+
+class CountedMatmul(np.ndarray):
+    """An array that counts the products it takes part in: as the readout
+    weights, one per level evaluation."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedMatmul.calls += 1
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
 
 class TestCanonicalBoundary:

@@ -1,10 +1,10 @@
 """The array-speed writers of ``relugeom.io`` against their reference versions.
 
 ``reference_canonical_json`` (a list serialized twice, once flat and once
-one item per line), the ``csv.writer`` versions of both CSV writers and
-the boundary report's piece list as one dict per piece are the earlier
-implementations, kept here as the definition of the bytes the library
-must reproduce.
+one item per line), the ``csv.writer`` versions of both CSV writers, the
+boundary report's piece list as one dict per piece and the classify
+report as one dict per point are the earlier implementations, kept here
+as the definition of the bytes the library must reproduce.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relugeom.cli as cli
+import relugeom.io as rio
 from relugeom.boundary import BoundaryGrade
 from relugeom.cli import main
 from relugeom.core import ReluLayer
@@ -276,6 +277,46 @@ class TestCanonicalJsonMatchesTwoPassReference:
             for doc in (obj, {"k": obj}, [obj, [obj]], (obj,)):
                 assert canonical_json(doc, indent) == reference_canonical_json(doc, indent)
 
+    @pytest.mark.parametrize("width", [99, 100, 101, 102])
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_float_lists_at_the_width_limit(self, width, indent):
+        for n in (5, 6, 8):
+            obj = floats_of_width(n, width)
+            assert len("[" + ", ".join(map(reference_format_float, obj)) + "]") == width
+            for doc in (obj, {"k": obj}, [obj, [obj]], (obj,), np.array(obj)):
+                assert canonical_json(doc, indent) == reference_canonical_json(doc, indent)
+
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_float_lists_with_values_off_the_template(self, indent):
+        rng = np.random.default_rng(7)
+        specials = [2.0, -7.0, 0.0, -0.0, 1e16, -1e16, 3e17, 1e15 + 0.5, np.inf, -np.inf, np.nan]
+        for n in (1, 2, 5, 9):
+            for special in specials:
+                obj = (rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, size=n)).tolist()
+                obj[int(rng.integers(n))] = special
+                for doc in (obj, {"k": obj}, [obj, [obj]]):
+                    assert canonical_json(doc, indent) == reference_canonical_json(doc, indent)
+
+    def test_non_integral_lists_never_reach_format_float(self, monkeypatch):
+        obj = floats_of_width(6, 101)
+        expected = canonical_json([obj, {"k": obj}])
+        monkeypatch.setattr(rio, "_format_float", refuse_format_float)
+        assert canonical_json([obj, {"k": obj}]) == expected == reference_canonical_json([obj, {"k": obj}])
+
+
+def floats_of_width(n: int, width: int) -> list[float]:
+    """n finite, non-integral floats whose flat list text has exactly
+    ``width`` characters: items of 3 to 18 characters are 1 + 2^-k, whose
+    ``%.17g`` text has k + 2, and of 19 and 20 are 1/3 and -1/3."""
+    total = width - 2 - 2 * (n - 1)
+    lengths = [total // n + (k < total % n) for k in range(n)]
+    assert 3 <= min(lengths) and max(lengths) <= 20
+    return [{19: 1 / 3, 20: -1 / 3}.get(length, 1 + 0.5 ** (length - 2)) for length in lengths]
+
+
+def refuse_format_float(x):
+    raise AssertionError(f"_format_float called for {x!r}")
+
 
 MIXED_LABELS = ["1", "12", "1-2-3", "1-2-3-4-5-6-7-8-9-10-11-12", "preimage", "3-11"]
 
@@ -501,6 +542,26 @@ def assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, cap
 CLASSIFY_SHAPES = [(d, d) for d in range(1, 13)] + [(2, 4), (3, 6), (5, 8)]  # (d_out, d_in)
 
 
+def binary_layer(rng, d_out, d_in):
+    """A layer A x with A a permutation scaled by powers of two, zero-padded:
+    its coefficients of integral points are integral and keep -0.0."""
+    matrix = np.zeros((d_out, d_in))
+    matrix[np.arange(d_out), rng.permutation(d_out)] = 2.0 ** rng.integers(-1, 2, size=d_out)
+    return ReluLayer.build(matrix, np.zeros(d_out))
+
+
+def off_template_points(rng, d_in):
+    """Points with integral coordinates (5, 0, -1), -0.0 and magnitudes of 1e16 and more, beside ordinary ones."""
+    x = rng.normal(size=(10, d_in))
+    x[0] = np.resize([5.0, 0.0, -1.0], d_in)
+    x[1] = -0.0
+    x[2, 0] = -0.0
+    x[3] = np.resize([1e16, -2e16, 3.5e17, 1e20], d_in)
+    x[4, -1] = -4.5e18
+    x[5, 0] = 7.0
+    return x
+
+
 class TestClassifyReportMatchesPointLoop:
     @pytest.mark.parametrize("d_out, d_in", CLASSIFY_SHAPES)
     def test_face_points(self, d_out, d_in, tmp_path, monkeypatch, capsys):
@@ -512,8 +573,36 @@ class TestClassifyReportMatchesPointLoop:
     @pytest.mark.parametrize("d_out, d_in", [shape for shape in CLASSIFY_SHAPES if shape[0] > 1])
     def test_points_on_the_band(self, d_out, d_in, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(1100 + 16 * d_out + d_in)
-        matrix = np.zeros((d_out, d_in))
-        matrix[np.arange(d_out), rng.permutation(d_out)] = 2.0 ** rng.integers(-1, 2, size=d_out)
-        layer = ReluLayer.build(matrix, np.zeros(d_out))
+        layer = binary_layer(rng, d_out, d_in)
         points = band_points(layer, rng)
         assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("d_out, d_in", [(1, 1), (3, 3), (2, 4), (8, 8), (12, 12), (30, 30)])
+    def test_integral_signed_zero_and_huge_points(self, d_out, d_in, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(1200 + 16 * d_out + d_in)
+        for layer in (random_layer(rng, d_out, d_in), binary_layer(rng, d_out, d_in)):
+            points = off_template_points(rng, d_in)
+            assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("d_out", [2, 5])
+    def test_point_lists_at_the_flat_limit(self, d_out, tmp_path, monkeypatch, capsys):
+        """Points whose flat lists have 99 to 102 characters, in reports below and above the array cutover."""
+        rng = np.random.default_rng(1300 + d_out)
+        layer = random_layer(rng, d_out, 5)
+        rows = [floats_of_width(5, width) for width in (99, 100, 101, 102)]
+        for count in (1, 1 + _ARRAY_MIN_FLOATS // 7):  # 5 + d_out >= 7 floats per point
+            points = np.array([rows[k % 4] for k in range(count)])
+            assert_classify_matches_point_loop(layer, points, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_floats_take_the_template(self, d, tmp_path, monkeypatch, capsys):
+        """With ``_format_float`` refused, a report of non-integral points still serializes, below the array
+        cutover (d = 2) and above it (d = 8): its float lists never reach ``_format_float``."""
+        rng = np.random.default_rng(1400 + d)
+        layer = random_layer(rng, d, d)
+        points = rng.normal(size=(16, d))
+        assert (points.size + len(points) * d >= _ARRAY_MIN_FLOATS) == (d == 8)
+        out, report = run_classify(layer, points, [], tmp_path, monkeypatch, capsys)
+        monkeypatch.setattr(rio, "_format_float", refuse_format_float)
+        text = canonical_json(report["results"], 1)
+        assert '  "results": ' + text in out
