@@ -9,7 +9,7 @@ exits with a fixed code; each error class carries its code as
     1  verification failure (a suite found a counterexample)
     2  schema or argument error
     3  degenerate geometry (rank, bias, direction, empty boundary)
-    4  resource guard (enumeration dimension limit)
+    4  resource guard (enumeration dimension or sample size limit)
 
 Randomized commands take --seed (default 0); identical input and seed
 reproduce identical reports byte for byte, except for the wall_time_ms
@@ -71,6 +71,20 @@ def _report(args, digest: str, results: dict, started: float) -> dict:
 
 
 def _parse_points(values, d: int) -> np.ndarray:
+    """The points of comma-separated texts as an (n, d) array.
+
+    Every coordinate is converted in one pass; when that fails, the
+    per-point loop names the first bad point, with a parse error before a
+    count error before a finiteness error.
+    """
+    try:
+        coords = list(map(float, ",".join(values).split(",")))
+    except ValueError:
+        coords = None
+    if coords is not None and all(text.count(",") == d - 1 for text in values):
+        points = np.array(coords).reshape(len(values), d)
+        if np.isfinite(points).all():
+            return points
     points = []
     for text in values:
         try:
@@ -422,9 +436,44 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_POINT = "--point="
+
+
+def _point_runs(argv):
+    """A ``classify`` argv with each run of ``--point=`` tokens cut to its
+    first token, and every point value in token order; None when the argv
+    does not qualify.
+
+    It qualifies when it starts with ``classify``, holds no ``--`` and no
+    other token starting with ``--p``, so no space form ``--point X`` and
+    no abbreviation such as ``--poi=``.  Then every ``--point=`` token is
+    an option with its explicit argument, and a dropped token follows one
+    of the same action: dropping it changes how no other token parses.
+    Each run keeps its head, so the required check and every error message
+    are those of the full argv, and the full argv's ``args.point`` is the
+    list of values returned.
+    """
+    if not argv or argv[0] != "classify" or "--" in argv:
+        return None
+    kept, values, after_point = [], [], False
+    for token in argv:
+        is_point = token.startswith(_POINT)
+        if is_point:
+            values.append(token[len(_POINT):])
+        elif token.startswith("--p"):
+            return None
+        if not (is_point and after_point):
+            kept.append(token)
+        after_point = is_point
+    return kept, values
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        runs = _point_runs(sys.argv[1:] if argv is None else argv)
+        args = _parser().parse_args(argv if runs is None else runs[0])
+        if runs is not None:
+            args.point = runs[1]
         _check_arguments(args)
         # Looked up now, not bound into the parser, so a replaced cmd_* runs.
         return globals()["cmd_" + args.command.replace("-", "_")](args)

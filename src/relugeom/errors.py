@@ -64,7 +64,7 @@ class EmptyIntersection(GeometryError):
 
 
 class EnumerationLimit(GeometryError):
-    """Combinatorial enumeration refused: the index dimension exceeds the guard."""
+    """A resource guard refused the request: an index dimension or a sample draw exceeds its limit."""
 
     exit_code = 4
 

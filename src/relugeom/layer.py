@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReluLayer
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EnumerationLimit
 from .partition import SectorIndex, graded_subsets
-from .tolerances import ZERO_COMPONENT_TOL, scaled
+from .tolerances import MAX_SAMPLE_FLOATS, ZERO_COMPONENT_TOL, scaled
 
 
 # The functional spelling of ``layer(x)``: T(x) = componentwise max(A x + b, 0).
@@ -86,6 +86,7 @@ class PreimageSet:
 
     def sample(self, n: int, radius: float, *, rng: np.random.Generator) -> np.ndarray:
         """Points of the set; coefficients are Exponential(1) scaled by radius."""
+        refuse_sample_floats(n, n * self.layer.d_in)
         points = np.tile(self.base, (n, 1))
         if self.generator_indices:
             coeffs = rng.exponential(radius, size=(n, len(self.generator_indices)))
@@ -95,6 +96,16 @@ class PreimageSet:
             shifts = rng.normal(0.0, radius, size=(n, free.shape[0]))
             points = points + shifts @ free
         return points
+
+
+def refuse_sample_floats(samples: int, floats: int):
+    """Raise EnumerationLimit before a draw of ``samples`` points (per piece,
+    for a boundary) would hold ``floats`` floats beyond MAX_SAMPLE_FLOATS."""
+    if floats > MAX_SAMPLE_FLOATS:
+        raise EnumerationLimit(
+            f"--samples {samples} would hold {floats} sample coordinates at once "
+            f"(limit {MAX_SAMPLE_FLOATS})"
+        )
 
 
 def preimage_bases(

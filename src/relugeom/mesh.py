@@ -52,11 +52,13 @@ def _plane_polygon(normal: np.ndarray, offset: float, corners: np.ndarray, tol: 
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if all(np.max(np.abs(p - q)) > tol for q in kept):
-            kept.append(p)
-    return np.asarray(kept)
+    """The points, in order, that lie farther than ``tol`` (max norm) from every earlier kept point."""
+    far = (np.abs(points[:, None] - points[None]).max(axis=2) > tol).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(far):
+        if all(row[j] for j in kept):
+            kept.append(i)
+    return points[kept]
 
 
 def _order_convex(points: np.ndarray, normal: np.ndarray) -> np.ndarray:

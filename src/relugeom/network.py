@@ -19,7 +19,7 @@ import numpy as np
 from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
 from .core import AffineMap, ReluLayer, build_dual_frame
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
-from .layer import evaluate, preimage_bases, project_with_frame
+from .layer import evaluate, preimage_bases, project_with_frame, refuse_sample_floats
 from .tolerances import ZERO_COMPONENT_TOL
 
 
@@ -168,8 +168,11 @@ def sample_shallow_boundary(
     called piece by piece on the same generator, and the generator ends in
     the same state.  Each grade (the pieces with equal |J|, consecutive in
     piece order) is drawn by :func:`sample_grade`: two generator calls per
-    piece, then array passes over the grade.
+    piece, then array passes over the grade.  Refused with EnumerationLimit
+    when the points would exceed MAX_SAMPLE_FLOATS floats.
     """
+    n_pieces = boundary.piece_count
+    refuse_sample_floats(samples_per_piece, n_pieces * samples_per_piece * layer.d_in)
     points, residuals = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         for grade in boundary.grades:
@@ -180,7 +183,6 @@ def sample_shallow_boundary(
     residuals = np.concatenate(residuals)
     if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
         raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
-    n_pieces = boundary.piece_count
     return BoundarySampleSet(
         level=level,
         points=points,

@@ -47,6 +47,12 @@ MAX_ENUM_DIM = 20
 # Sector enumerations are refused above this index dimension (3^12 sectors).
 MAX_SECTOR_DIM = 12
 
+# A sample draw is refused when the points it holds at once exceed this
+# many floats (128 MiB): --samples times d for a preimage, times the piece
+# count times d for a boundary.  The largest draw of the tests and the
+# benchmark holds about 2e5.
+MAX_SAMPLE_FLOATS = 2**24
+
 # The witness oracle builds and checks one point per index subset, 2^d - 1
 # rows of one array pass; it is refused above this dimension, where reports
 # carry no oracle block.

@@ -29,8 +29,9 @@ POWER = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), 
 ENTRY = st.one_of(GAUSS, POWER)
 WIDTH = st.integers(1, 3)
 
-# Flag values: valid ones first, then ones the CLI rejects with exit 2.
-COUNTS = ["0", "2", "-1", "x"]
+# Flag values: valid ones first, then ones the CLI rejects (a count too
+# large to draw with exit 4, the rest with exit 2).
+COUNTS = ["0", "2", "1000000000000", "-1", "x"]
 SEEDS = ["0", "7", "-1"]
 REALS = ["0", "1.5", "1e308", "inf", "-1", "nan"]
 BOXES = ["-3,3", "5,-5", "nan,5", "0,inf"]

@@ -1,5 +1,6 @@
 import builtins
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relugeom.cli as cli
 import relugeom.errors as errors_module
@@ -251,6 +254,84 @@ class TestNonFinitePoints:
         body = json.loads(captured.out)
         assert body["error"] == "SchemaError"
         assert "finite" in body["message"]
+
+
+def reference_parse_points(values, d):
+    """The per-point loop ``cli._parse_points`` replaced: the first failing point, parse before count before finiteness."""
+    points = []
+    for text in values:
+        try:
+            coords = [float(v) for v in text.split(",")]
+        except ValueError as exc:
+            raise SchemaError(f"cannot parse point {text!r}: {exc}") from exc
+        if len(coords) != d:
+            raise SchemaError(f"point {text!r} has {len(coords)} coordinates, expected {d}")
+        if not all(map(math.isfinite, coords)):
+            raise SchemaError(f"point {text!r} has a coordinate that is not a finite number")
+        points.append(coords)
+    return np.asarray(points)
+
+
+def parsed(parse, values, d):
+    try:
+        points = parse(values, d)
+    except SchemaError as exc:
+        return "error", str(exc)
+    return points.dtype, points.shape, points.tobytes()
+
+
+# Good points beside a wrong count, unparsable and non-finite texts, and a
+# point with one comma too many next to one with one too few, so that the
+# total coordinate count matches.
+POINT_TEXTS = [
+    "1,2,3", "-0.0,1e-300,2", " 2,1,1", "1_0,2,3", "1,2", "1,2,3,4", "x,1,2", "1,,2", "",
+    "nan,1,2", "1e400,0,0", "1,-inf,0",
+]
+
+
+class TestParsePointsKeepsItsMessages:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(values=st.lists(st.sampled_from(POINT_TEXTS), min_size=1, max_size=6))
+    def test_matches_the_per_point_loop(self, values):
+        assert parsed(cli._parse_points, values, 3) == parsed(reference_parse_points, values, 3)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["1,2,3", "1,2", "x,1,2"],
+            ["1,2,3,4", "1,2"],
+            ["1,2", "1,2,3,4"],
+            ["nan,1,2", "1,2"],
+            ["1e400,0,0", "x,1,2"],
+            ["", "1,2,3"],
+            [" 2,1,1", "1_0,2,3"],
+        ],
+    )
+    def test_mixed_lists(self, values):
+        assert parsed(cli._parse_points, values, 3) == parsed(reference_parse_points, values, 3)
+
+
+class TestHugeSampleCount:
+    """A --samples draw too large to hold is refused before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preimage", "--input", str(GOLDEN_LAYER3), "--point=1,0,0.5"],
+            ["boundary", "--input", str(GOLDEN_NET3)],
+            ["deep-boundary", "--input", str(GOLDEN_NET3.with_name("deep.json"))],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refused_with_exit_4(self, argv, capsys):
+        code = main([*argv, "--samples", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == ""
+        body, end = json.JSONDecoder().raw_decode(captured.out)
+        assert not captured.out[end:].strip()
+        assert body == {"error": "EnumerationLimit", "message": body["message"], "exit_code": 4}
+        assert body["message"].startswith("--samples 1000000000000 ")
 
 
 # One flag value outside its domain each: (command, extra arguments).
