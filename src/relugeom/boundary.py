@@ -142,17 +142,19 @@ def _label_template(g: int) -> str:
 class SamplingOperands:
     """What :func:`sample_piece` reads of one grade, one row per piece.
 
-    ``sign_order`` lists each row's positions in J by sign: the negative
+    The sign order lists a row's positions in J by sign: the negative
     values first, then any zeros, then the positive values, each in
-    ascending position; ``t_signed`` and ``inverse`` hold t and 1 / t in
-    that order.  ``counts`` holds, per row, the number k of negative
-    values, the number q of positive ones and max |t| over the negative
-    ones (0 without).  ``duals`` holds each row's dual vectors a_j*, j in J, and
+    ascending position.  ``unsort`` is its inverse, the place of each
+    position of J; ``t_signed`` and ``inverse`` hold t and 1 / t in that
+    order, of which a call reads 1 / t on the first k places and t on the
+    last q.  ``counts`` holds, per row, the number k of negative values,
+    the number q of positive ones and max |t| over the negative ones (0
+    without).  ``duals`` holds each row's dual vectors a_j*, j in J, and
     ``negated_recession`` minus those of its recession indices.  The
     arrays are read-only.
     """
 
-    sign_order: np.ndarray
+    unsort: np.ndarray
     t_signed: np.ndarray
     inverse: np.ndarray
     counts: tuple[tuple[int, int, float], ...]
@@ -218,15 +220,16 @@ class BoundaryGrade:
         t = self.t
         negative, positive = t < 0.0, t > 0.0
         sign_order = np.argsort(np.where(negative, -1.0, positive), axis=1, kind="stable")
+        unsort = np.argsort(sign_order, axis=1)
         t_signed = t[np.arange(t.shape[0])[:, None], sign_order]
         with np.errstate(divide="ignore"):  # a zero value has no draw
             inverse = 1.0 / t_signed
         t_max = -np.fmin.reduce(t, axis=1, initial=0.0)
         duals, negated_recession = self.layer.duals[self.indices], -self.layer.duals[self.recession]
-        for array in (sign_order, t_signed, inverse, duals, negated_recession):
+        for array in (unsort, t_signed, inverse, duals, negated_recession):
             array.setflags(write=False)
         counts = zip(negative.sum(axis=1).tolist(), positive.sum(axis=1).tolist(), t_max.tolist())
-        return SamplingOperands(sign_order, t_signed, inverse, tuple(counts), duals, negated_recession)
+        return SamplingOperands(unsort, t_signed, inverse, tuple(counts), duals, negated_recession)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,13 +397,18 @@ def sample_piece(
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
 
-    The piece's sign structure (which coordinates of J are negative and
-    which positive, 1 / t and max |t| on the negative ones, t on the
-    positive ones) is read from the :class:`SamplingOperands` of its
-    grade, built once per grade; a piece without a grade gets a one-row
-    grade of its own fields.  Each call makes only the generator calls,
-    the arithmetic on the draws and the point products; an all-positive
-    piece scales its weights in place, and a unit radius skips its multiply.
+    The piece's sign structure and dual vectors are read from the
+    :class:`SamplingOperands` of its grade, built once per grade; a piece
+    without a grade gets a one-row grade of its own fields.  A call makes
+    the generator calls, the arithmetic on the draws, one gather and the
+    point products.  It writes the coefficients in the sign order into
+    one (|J|, n) buffer, zeroed only for a zero value: those of the k
+    negative coordinates into the first rows, the budgeted Dirichlet
+    weights times t into the last q.  The budget is a product with the
+    first k rows transposed, an F-ordered (n, k) operand: the pinned
+    samples were drawn on that layout, and BLAS rounds a C-ordered one
+    differently.  ``unsort`` gathers the C-ordered (n, |J|) coefficients
+    in J order.  A unit radius skips its multiply.
 
     Stream contract, unchanged by the operands: two generator calls.  One
     ``standard_exponential`` call draws the n·k coefficients of the k
@@ -420,27 +428,19 @@ def sample_piece(
         raise EmptyPiece(f"piece {piece.indices} has no points")
     g = grade.t.shape[1]
     draws = rng.standard_exponential(n * (k + q))
-    if q == g:  # every value positive: the sign order is the identity
-        alphas = draws.reshape(n, q)
-        alphas /= np.add.reduce(alphas, axis=1, keepdims=True)
-        alphas *= operands.t_signed[row]
-    else:
-        sign_order, t_signed = operands.sign_order[row], operands.t_signed[row]
-        alphas = np.zeros((n, g))
-        if k:
-            neg = sign_order[:k]
-            alphas[:, neg] = radius * t_max * draws[: n * k].reshape(n, k)
-            budget = 1.0 - alphas[:, neg] @ operands.inverse[row, :k]
-        weights = draws[n * k :].reshape(n, q)
-        weights /= np.add.reduce(weights, axis=1, keepdims=True)
-        if k:
-            weights *= budget[:, None]
-        alphas[:, sign_order[g - q :]] = weights * t_signed[g - q :]
-    points = grade.layer.apex + alphas @ operands.duals[row]
+    coefficients = np.empty((g, n)) if k + q == g else np.zeros((g, n))
+    weights = draws[n * k :].reshape(n, q)
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    if k:
+        tail = np.multiply(draws[: n * k].reshape(n, k), radius * t_max, out=coefficients[:k].T)
+        weights *= (1.0 - tail.dot(operands.inverse[row, :k]))[:, None]
+    np.multiply(weights, operands.t_signed[row, g - q :], out=coefficients[g - q :].T)
+    points = coefficients.T.take(operands.unsort[row], axis=1).dot(operands.duals[row])
+    points += grade.layer.apex
     h = grade.recession.shape[1]
     if h:
         lam = rng.random((n, h)) if radius == 1.0 else radius * rng.random((n, h))
-        points += lam @ operands.negated_recession[row]
+        points += lam.dot(operands.negated_recession[row])
     return points
 
 
@@ -508,11 +508,11 @@ def _budgets(tail: np.ndarray, t_neg: np.ndarray) -> np.ndarray:
     """1 - sum_i alpha_i / t_i over the negative coordinates, (pieces, n).
 
     ``tail`` holds each piece's negative-coordinate coefficients as a
-    contiguous (k, n) array.  :func:`sample_piece` forms the budget as
-    ``alphas[:, neg] @ (1 / t[neg])``, a matrix-vector product on a
-    column-major copy, and BLAS rounds a row-major operand differently in
-    the last bits.  So each piece's (n, k) operand is handed over as the
-    transpose of its contiguous (k, n) array.
+    contiguous (k, n) array.  :func:`sample_piece` forms the budget as a
+    matrix-vector product on the transpose of the first k rows of its
+    (|J|, n) buffer, a column-major operand, and BLAS rounds a row-major
+    operand differently in the last bits.  So each piece's (n, k) operand
+    is handed over as the transpose of its contiguous (k, n) array.
     """
     return 1.0 - (tail.transpose(0, 2, 1) @ (1.0 / t_neg)[:, :, None])[:, :, 0]
 

@@ -99,6 +99,14 @@ def _parse_points(values, d: int) -> np.ndarray:
     return np.asarray(points)
 
 
+def _write(option: str, writer, path: str, *payload):
+    """``writer(path, *payload)``; an unwritable path is a schema error naming the option."""
+    try:
+        writer(path, *payload)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {option} file: {exc}") from exc
+
+
 def _check_arguments(args):
     """Reject numeric flag values outside their domain as schema errors.
 
@@ -238,7 +246,7 @@ def cmd_preimage(args) -> int:
             "tolerance": tolerance,
         }
         if args.csv:
-            write_point_csv(args.csv, ["preimage"] * args.samples, samples)
+            _write("--csv", write_point_csv, args.csv, ["preimage"] * args.samples, samples)
             results["samples"]["csv"] = args.csv
     _emit(_report(args, digest, results, started))
     return EXIT_OK
@@ -290,12 +298,12 @@ def cmd_boundary(args) -> int:
         }
         if args.csv:
             labels = [label for grade in boundary.grades for label in grade.labels() for _ in range(args.samples)]
-            write_point_csv(args.csv, labels, drawn.points, {"residual": residuals})
+            _write("--csv", write_point_csv, args.csv, labels, drawn.points, {"residual": residuals})
             results["samples"]["csv"] = args.csv
     if args.obj:
         lo, hi = args.box
         polys = piece_polygons(layer, boundary, lo, hi)
-        write_obj(args.obj, polys)
+        _write("--obj", write_obj, args.obj, polys)
         results["obj"] = {"path": args.obj, "box": [lo, hi], "pieces_in_box": len(polys)}
     _emit(_report(args, digest, results, started))
     return EXIT_OK
@@ -331,7 +339,7 @@ def cmd_deep_boundary(args) -> int:
         }
         if args.csv:
             path = f"{args.csv}_level{level}.csv"
-            write_level_csv(path, sample_set)
+            _write("--csv", write_level_csv, path, sample_set)
             entry["csv"] = path
         per_level.append(entry)
     results = {"depth": net.depth, "levels": per_level}

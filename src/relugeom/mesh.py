@@ -84,18 +84,18 @@ def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float) -> np.nda
     """Keep the part of a convex polygon with normal.x + offset >= 0."""
     if polygon.shape[0] == 0:
         return polygon
-    normal = np.asarray(normal, dtype=float)
-    values = polygon @ normal + offset
+    # Python floats round each product, quotient and sum as numpy does.
+    values = (polygon @ np.asarray(normal, dtype=float) + offset).tolist()
+    rows = polygon.tolist()
     out = []
-    count = polygon.shape[0]
-    for i in range(count):
-        j = (i + 1) % count
-        vi, vj = values[i], values[j]
+    for i, vi in enumerate(values):
+        j = (i + 1) % len(rows)
+        vj = values[j]
         if vi >= -PLANE_SIDE_TOL:
-            out.append(polygon[i])
+            out.append(rows[i])
         if (vi < -PLANE_SIDE_TOL and vj > PLANE_SIDE_TOL) or (vi > PLANE_SIDE_TOL and vj < -PLANE_SIDE_TOL):
             s = vi / (vi - vj)
-            out.append(polygon[i] + s * (polygon[j] - polygon[i]))
+            out.append([a + s * (b - a) for a, b in zip(rows[i], rows[j])])
     if not out:
         return np.empty((0, 3))
     deduped = _dedup(np.asarray(out), PLANE_SIDE_TOL * 10 + 1e-12)

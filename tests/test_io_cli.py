@@ -138,6 +138,32 @@ class TestExitCodes:
         assert code == 2
         assert body["error"] == "SchemaError"
 
+    @pytest.mark.parametrize(
+        "command, spec, extra, option",
+        [
+            ("boundary", GOLDEN_NET3, ["--samples=2", "--csv"], "--csv"),
+            ("boundary", GOLDEN_NET3, ["--obj"], "--obj"),
+            ("preimage", GOLDEN_LAYER3, ["--point=1,1,1", "--samples=2", "--csv"], "--csv"),
+            ("deep-boundary", GOLDEN_NET3.with_name("deep.json"), ["--csv"], "--csv"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output_path_is_schema_error(self, command, spec, extra, option, target, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out")
+        if target == "directory":
+            path = str(tmp_path / "out")
+            # deep-boundary writes <prefix>_level<k>.csv, one per level
+            for name in ("out", *(f"out_level{k}.csv" for k in range(3))):
+                (tmp_path / name).mkdir()
+        code = main([command, "--input", str(spec), *extra, path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)  # exactly one JSON object
+        assert body == {"error": "SchemaError", "message": body["message"], "exit_code": 2}
+        assert body["message"].startswith(f"cannot write {option} file: ")
+        assert path in body["message"]
+
     def test_singular_matrix_exits_3(self, tmp_path, capsys):
         path = write_spec(tmp_path / "s.json", {"matrix": [[1, 2], [2, 4]], "offset": [0, 0]})
         code, body = run(capsys, ["analyze", "--input", path])

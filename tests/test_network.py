@@ -432,6 +432,31 @@ class TestSamplerStream:
                 assert got == expected
                 assert a.bit_generator.state == b.bit_generator.state
 
+    @pytest.mark.parametrize("radius", [0.0, 0.3])
+    @pytest.mark.parametrize("d", [3, 10, 12])
+    def test_other_sizes_keep_the_three_call_stream(self, d, radius):
+        # verify draws 20 and 1000 points per piece: n = 7 and 1000 hand
+        # BLAS other operand shapes than the census's 4, and d = 10 and 12
+        # longer point products
+        rng = np.random.default_rng(60 + d)
+        layer = random_layer(rng, d)
+        for m in (0, d // 2, d - 1):
+            boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
+            for piece in boundary.pieces[:: max(1, boundary.piece_count // 24)]:
+                for n in (7, 1000):
+                    self.assert_same_stream(piece, n, radius, seed=m)
+
+    def test_wide_span_readout_keeps_the_three_call_stream(self):
+        # |t| spans 1e-3 to 1e3, two of the values negative
+        rng = np.random.default_rng(63)
+        layer = random_layer(rng, 6)
+        t = np.geomspace(1e-3, 1e3, 6) * np.where(rng.permutation(6) < 2, -1.0, 1.0)
+        boundary = enumerate_pieces(layer, OutputLayer(1.0 / t, -1.0))
+        assert boundary.m == 2
+        for piece in boundary.pieces:
+            for n in (1, 4, 20):
+                self.assert_same_stream(piece, n, 1.5, seed=n)
+
     @pytest.mark.parametrize("d", [2, 5, 8])
     def test_shared_canonical_boundary_keeps_the_three_call_stream(self, d):
         # canonical_boundary returns one object per (d, m), so its grades'
@@ -460,7 +485,8 @@ class TestSamplerStream:
 
     def test_not_vacuous_on_swapped_sign_operands(self, monkeypatch):
         # Handing each piece's positive positions to its negative operands
-        # and the other way round must change the bytes.
+        # and the other way round must change the bytes: the sign order,
+        # argsort of unsort, is rolled by k and inverted again.
         rng = np.random.default_rng(54)
         layer = random_layer(rng, 5)
         boundary = enumerate_pieces(layer, signed_readout(rng, 5, 2))
@@ -469,9 +495,12 @@ class TestSamplerStream:
         for grade in boundary.grades:
             operands = grade.operands
             swapped = np.array(
-                [np.roll(order, -k) for order, (k, _, _) in zip(operands.sign_order, operands.counts)]
-            ).reshape(operands.sign_order.shape)
-            monkeypatch.setitem(grade.__dict__, "operands", dataclasses.replace(operands, sign_order=swapped))
+                [
+                    np.argsort(np.roll(np.argsort(unsort), -k))
+                    for unsort, (k, _, _) in zip(operands.unsort, operands.counts)
+                ]
+            ).reshape(operands.unsort.shape)
+            monkeypatch.setitem(grade.__dict__, "operands", dataclasses.replace(operands, unsort=swapped))
         differs = 0
         for piece in boundary.pieces:
             a, b = np.random.default_rng(55), np.random.default_rng(55)
