@@ -16,7 +16,7 @@ canonical boundary with the same m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -95,9 +95,9 @@ def pull_back_hyperplane(affine: AffineMap, layer: OutputLayer) -> OutputLayer:
     return OutputLayer(affine.matrix.T @ layer.weights, layer.weights @ affine.offset + layer.bias)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BoundaryPiece:
-    """One linear piece of the boundary, in parametric form.
+    """One linear piece of the boundary: row ``row`` of ``grade``.
 
     Points are apex + sum_{j in indices} alpha_j a_j* - sum_{i outside}
     lambda_i a_i* with alpha_j > 0 constrained by sum_j alpha_j / t_j = 1
@@ -106,31 +106,42 @@ class BoundaryPiece:
     it unbounded whenever the index set is proper.  The apex and the dual
     vectors a_i* are those of ``layer``.
 
-    The pieces of :attr:`DecisionBoundary.pieces` are built from the
-    grades on first access; each refers to its grade and its row there,
-    where :func:`sample_piece` reads its operands, and its ``t`` is a
-    read-only view of that row.  The reference is not an init field, so a
-    piece built directly or copied by ``dataclasses.replace`` has none and
-    samples from a grade of its own.
+    ``indices``, ``recession_indices``, ``bounded``, ``t`` (a read-only
+    view) and ``layer`` read the grade's row, as :func:`sample_piece` reads
+    the grade's operands.  A piece of other values is a row of a
+    :class:`BoundaryGrade` built from them.
     """
 
-    indices: tuple[int, ...]
-    t: np.ndarray
-    recession_indices: tuple[int, ...]
-    bounded: bool
-    layer: ReluLayer
-    _grade: tuple[BoundaryGrade, int] = field(init=False, repr=False)
+    grade: BoundaryGrade
+    row: int
 
-    def __post_init__(self):
-        t = self.t
-        # the rows of an enumerated grade arrive read-only and skip the call
-        if type(t) is not np.ndarray or t.dtype != float or t.flags.writeable:
-            object.__setattr__(self, "t", read_only_floats(t))
+    def __repr__(self) -> str:
+        return f"BoundaryPiece(indices={self.indices}, row={self.row})"
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return self.grade._rows[0][self.row]
+
+    @property
+    def recession_indices(self) -> tuple[int, ...]:
+        return self.grade._rows[1][self.row]
+
+    @property
+    def bounded(self) -> bool:
+        return self.grade._rows[2][self.row]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.grade.t[self.row]
+
+    @property
+    def layer(self) -> ReluLayer:
+        return self.grade.layer
 
     def label(self) -> str:
         """The index set joined by ``-``, such as ``1-3-4``, as
         :meth:`BoundaryGrade.labels` writes it."""
-        return _label_template(len(self.indices)) % tuple(self.indices)
+        return _label_template(len(self.indices)) % self.indices
 
 
 def _label_template(g: int) -> str:
@@ -168,9 +179,9 @@ class BoundaryGrade:
 
     Row r of ``indices`` is the 0-based index set J of one piece, row r
     of ``recession`` its recession indices and row r of ``t`` the
-    intersection values on J, all read-only; ``layer`` holds the dual
-    frame.  Reports, CSV labels and the seed sampler read these arrays;
-    no piece object is needed for them.
+    intersection values on J, all read-only (a caller's writable array is
+    copied); ``layer`` holds the dual frame.  Reports, CSV labels and the
+    seed sampler read these arrays; piece r is ``BoundaryPiece(grade, r)``.
     """
 
     indices: np.ndarray
@@ -178,19 +189,20 @@ class BoundaryGrade:
     t: np.ndarray
     layer: ReluLayer
 
-    @classmethod
-    def of_piece(cls, piece: BoundaryPiece) -> BoundaryGrade:
-        """The one-row grade of a piece, from the piece's own fields."""
-        indices = np.array(piece.indices, dtype=np.intp).reshape(1, -1) - 1
-        recession = np.array(piece.recession_indices, dtype=np.intp).reshape(1, -1) - 1
-        indices.setflags(write=False)
-        recession.setflags(write=False)
-        return cls(indices, recession, piece.t.reshape(1, -1), piece.layer)
+    def __post_init__(self):
+        for name, dtype in (("indices", np.intp), ("recession", np.intp), ("t", float)):
+            object.__setattr__(self, name, read_only_floats(getattr(self, name), dtype))
 
     @property
     def bounded(self) -> np.ndarray:
         """Per piece, whether J lies inside P = {i : t_i > 0}."""
         return (self.t > 0.0).all(axis=1)
+
+    @cached_property
+    def _rows(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[bool]]:
+        """Per row, J and the recession indices as 1-based tuples and whether the piece is bounded."""
+        one_based = (list(map(tuple, (array + 1).tolist())) for array in (self.indices, self.recession))
+        return (*one_based, self.bounded.tolist())
 
     def labels(self) -> list[str]:
         """Each piece's 1-based index set joined by ``-``, in piece order."""
@@ -198,19 +210,8 @@ class BoundaryGrade:
         return [template % row for row in map(tuple, (self.indices + 1).tolist())]
 
     def pieces(self) -> list[BoundaryPiece]:
-        """One :class:`BoundaryPiece` per row, each referring to its row."""
-        pieces = [
-            BoundaryPiece(j, t_j, r, bounded, self.layer)
-            for j, t_j, r, bounded in zip(
-                map(tuple, (self.indices + 1).tolist()),
-                self.t,
-                map(tuple, (self.recession + 1).tolist()),
-                self.bounded.tolist(),
-            )
-        ]
-        for row, piece in enumerate(pieces):
-            object.__setattr__(piece, "_grade", (self, row))
-        return pieces
+        """One :class:`BoundaryPiece` per row, in piece order."""
+        return [BoundaryPiece(self, row) for row in range(self.t.shape[0])]
 
     @cached_property
     def operands(self) -> SamplingOperands:
@@ -264,9 +265,9 @@ class DecisionBoundary:
     one :class:`BoundaryGrade` per |J| = 1..d in piece order, and
     ``piece_count`` their total row count.  The report, the CSV labels and
     :func:`sample_grade` read the grades alone; ``pieces`` builds one
-    :class:`BoundaryPiece` per row the first time it is read.  Each grade
-    builds the operands that :func:`sample_piece` reads the first time
-    one of its pieces is sampled.
+    :class:`BoundaryPiece`, a (grade, row) pair, per row the first time it
+    is read.  Each grade builds the operands that :func:`sample_piece`
+    reads the first time one of its pieces is sampled.
     """
 
     d: int
@@ -397,9 +398,9 @@ def sample_piece(
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
 
-    The piece's sign structure and dual vectors are read from the
-    :class:`SamplingOperands` of its grade, built once per grade; a piece
-    without a grade gets a one-row grade of its own fields.  A call makes
+    The piece's sign structure and dual vectors are read at its row of
+    the :class:`SamplingOperands` of its grade, built once per grade; a
+    row with no positive value raises EmptyPiece.  A call makes
     the generator calls, the arithmetic on the draws, one gather and the
     point products.  It writes the coefficients in the sign order into
     one (|J|, n) buffer, zeroed only for a zero value: those of the k
@@ -419,9 +420,7 @@ def sample_piece(
     former exponential, gamma(1.0) and uniform(0, radius) calls, and
     :func:`sample_grade` draws the same stream piece by piece.
     """
-    if getattr(piece, "_grade", None) is None:
-        object.__setattr__(piece, "_grade", (BoundaryGrade.of_piece(piece), 0))
-    grade, row = piece._grade
+    grade, row = piece.grade, piece.row
     operands = grade.operands
     k, q, t_max = operands.counts[row]
     if not q:

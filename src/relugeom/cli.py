@@ -8,7 +8,7 @@ exits with a fixed code; each error class carries its code as
     0  success
     1  verification failure (a suite found a counterexample)
     2  schema or argument error
-    3  degenerate geometry (rank, bias, direction, empty boundary)
+    3  degenerate geometry (rank, conditioning, bias, direction, empty boundary)
     4  resource guard (enumeration dimension or sample size limit)
 
 Randomized commands take --seed (default 0); identical input and seed
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .boundary import enumerate_pieces, piece_count_oracle
 from .core import ReluLayer, build_dual_frame
-from .errors import GeometryError, SchemaError
+from .errors import GeometryError, RankDeficient, SchemaError
 from .io import (
     canonical_json,
     load_json,
@@ -125,7 +125,9 @@ def _check_arguments(args):
         raise SchemaError(f"--box must be finite numbers lo < hi, got {lo},{hi}")
 
 
-def _refuse_rounding_beyond(args, tolerance: float, layer: ReluLayer, points, weights, offset):
+def _refuse_rounding_beyond(
+    args, tolerance: float, layer: ReluLayer, points, weights, offset, at_radius_zero=None
+):
     """Refuse a ``--radius`` (with ``--level-tol`` where the command has it,
     since a tolerance of 0 is below any rounding) at which rounding alone
     could carry a stated residual past its stated ``tolerance``.
@@ -135,20 +137,36 @@ def _refuse_rounding_beyond(args, tolerance: float, layer: ReluLayer, points, we
     sample's distance to the target y (the identity and -y).  Evaluating
     one in floats errs by at most about
     (d + 2) eps ((|A| |x| + |b|) @ |weights| + |offset|), d the input
-    dimension; at radius 1 or 2 this is near 1e-14.
+    dimension; at radius 1 or 2 this is near 1e-14.  The bound is convex
+    in x, so over a draw at radius 0 it peaks at the points
+    ``at_radius_zero`` (the vertices apex + t_j a_j*, t_j > 0, of a
+    boundary, the base point of a preimage).  When it already exceeds the
+    tolerance there, no radius helps: the frame is too ill-conditioned
+    for the tolerance, and the refusal is RankDeficient naming
+    ``conditioning``.
     """
     a = layer.affine
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the bound inf or NaN: refused
-        size = (np.abs(points) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(weights) + np.abs(offset)
-        rounding = (layer.d_in + 2) * np.finfo(float).eps * float(np.max(size))
-    if not rounding <= tolerance:
-        flags = f"--radius {args.radius:g}"
-        if "level_tol" in args:
-            flags += f" with --level-tol {args.level_tol:g}"
-        raise SchemaError(
-            f"{flags}: rounding alone can move a sample's residual by up to {rounding:.3g}, "
-            f"beyond the stated tolerance {tolerance:g}"
+
+    def bound(x) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the bound inf or NaN: refused
+            size = (np.abs(x) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(weights) + np.abs(offset)
+            return (layer.d_in + 2) * np.finfo(float).eps * float(np.max(size))
+
+    rounding = bound(points)
+    if rounding <= tolerance:
+        return
+    if at_radius_zero is not None and not (frame := bound(at_radius_zero)) <= tolerance:
+        raise RankDeficient(
+            f"conditioning: at radius 0 rounding alone can move a sample's residual by up to "
+            f"{frame:.3g}, beyond the stated tolerance {tolerance:g}"
         )
+    flags = f"--radius {args.radius:g}"
+    if "level_tol" in args:
+        flags += f" with --level-tol {args.level_tol:g}"
+    raise SchemaError(
+        f"{flags}: rounding alone can move a sample's residual by up to {rounding:.3g}, "
+        f"beyond the stated tolerance {tolerance:g}"
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -239,7 +257,8 @@ def cmd_preimage(args) -> int:
             residual = float(np.max(np.abs(evaluate(layer, samples) - pre.target)))
         if not (np.isfinite(samples).all() and math.isfinite(residual)):
             raise SchemaError(f"--radius {args.radius:g} puts preimage samples beyond the float range")
-        _refuse_rounding_beyond(args, tolerance, layer, samples, np.eye(layer.d_out), -pre.target)
+        identity = np.eye(layer.d_out)
+        _refuse_rounding_beyond(args, tolerance, layer, samples, identity, -pre.target, pre.base[None])
         results["samples"] = {
             "count": args.samples,
             "max_residual": residual,
@@ -287,8 +306,10 @@ def cmd_boundary(args) -> int:
         drawn = sample_shallow_boundary(layer, boundary, 1, args.samples, args.radius, rng)
         readout, scale = boundary.readout, 1.0 + abs(boundary.readout.bias)
         tolerance = 1e-8
+        positive = boundary.t > 0.0
+        vertices = layer.apex + boundary.t[positive, None] * layer.duals[positive]
         _refuse_rounding_beyond(
-            args, tolerance, layer, drawn.points, readout.weights / scale, readout.bias / scale
+            args, tolerance, layer, drawn.points, readout.weights / scale, readout.bias / scale, vertices
         )
         residuals = drawn.residuals / scale
         results["samples"] = {

@@ -41,16 +41,17 @@ def _as_vector(values) -> np.ndarray:
     return v
 
 
-def read_only_floats(values) -> np.ndarray:
-    """``values`` as a float array that nobody can write to.
+def read_only_floats(values, dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float unless an index array
+    asks for an integer type) that nobody can write to.
 
-    A read-only float ndarray is kept as it is; anything else, a caller's
-    writable array included, is copied before it is frozen, so freezing
-    never reaches an array the caller still owns.
+    A read-only ndarray of that dtype is kept as it is; anything else, a
+    caller's writable array included, is copied before it is frozen, so
+    freezing never reaches an array the caller still owns.
     """
-    if type(values) is np.ndarray and values.dtype == float and not values.flags.writeable:
+    if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
         return values
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

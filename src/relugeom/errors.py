@@ -5,7 +5,11 @@ carries the CLI's exit code for it as ``exit_code``: 2 for a schema or
 argument error (the base class's code), 3 for degenerate geometry and 4
 for a resource guard.  A few checks of library arguments that no CLI
 input reaches (index sets in ``partition``, levels in ``network``, the
-clip box in ``mesh``) raise ValueError instead.
+clip box in ``mesh``) raise ValueError instead.  Three GeometryError
+classes are raised only by library calls, never by a CLI input, and keep
+their codes for callers that map errors the CLI's way: InvalidM
+(``canonical_boundary``), EmptyPiece (sampling a hand-built grade row
+with no positive value) and NotContracting (``project_to_row_span``).
 """
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
-from .core import AffineMap, ReluLayer, build_dual_frame
+from .core import AffineMap, ReluLayer, build_dual_frame, read_only_floats
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
 from .layer import evaluate, preimage_bases, project_with_frame, refuse_sample_floats
 from .tolerances import ZERO_COMPONENT_TOL
@@ -142,9 +142,7 @@ class BoundarySampleSet:
         for name, dtype in (
             ("points", float), ("residuals", float), ("parent", np.int64), ("fiber", np.int64)
         ):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only_floats(getattr(self, name), dtype))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -183,13 +181,11 @@ def sample_shallow_boundary(
     residuals = np.concatenate(residuals)
     if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
         raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
-    return BoundarySampleSet(
-        level=level,
-        points=points,
-        residuals=residuals,
-        parent=np.repeat(np.arange(n_pieces), samples_per_piece),
-        fiber=np.tile(np.arange(samples_per_piece), n_pieces),
-    )
+    parent = np.repeat(np.arange(n_pieces), samples_per_piece)
+    fiber = np.tile(np.arange(samples_per_piece), n_pieces)
+    for array in (points, residuals, parent, fiber):
+        array.setflags(write=False)  # fresh arrays: the set keeps them uncopied
+    return BoundarySampleSet(level, points, residuals, parent, fiber)
 
 
 def pull_back_boundary(
@@ -255,14 +251,10 @@ def pull_back_boundary(
 
     residuals = np.abs(np.asarray(evaluate_tail(net, k, points)))
     keep = residuals <= tol
-    return BoundarySampleSet(
-        level=k,
-        points=points[keep],
-        residuals=residuals[keep],
-        parent=inside[owner][keep],
-        fiber=fiber[keep],
-        rejected=int(keep.size - np.count_nonzero(keep)),
-    )
+    kept = points[keep], residuals[keep], inside[owner][keep], fiber[keep]
+    for array in kept:
+        array.setflags(write=False)  # fresh arrays: the set keeps them uncopied
+    return BoundarySampleSet(k, *kept, rejected=int(keep.size - np.count_nonzero(keep)))
 
 
 def trace_boundary(

@@ -24,7 +24,7 @@ from relugeom import (
     sample_piece,
 )
 from relugeom.boundary import (
-    BoundaryPiece,
+    BoundaryGrade,
     CanonicalReduction,
     normalize_output_layer,
     pull_back_hyperplane,
@@ -231,11 +231,16 @@ class TestEnumeratePieces:
 
     def test_constructors_copy_the_callers_arrays(self):
         layer = ReluLayer.canonical(3)
-        t, scale, apex, duals = np.array([1.0, 2.0]), np.array([3.0, 1.0, 2.0]), np.zeros(3), np.eye(3)
-        piece = BoundaryPiece((1, 2), t, (3,), True, layer)
+        t, scale, apex, duals = np.array([[1.0, 2.0]]), np.array([3.0, 1.0, 2.0]), np.zeros(3), np.eye(3)
+        indices, recession = np.array([[0, 1]]), np.array([[2]])
+        grade = BoundaryGrade(indices, recession, t, layer)
         reduction = CanonicalReduction((2, 3, 1), scale, layer.affine)
         frame = ReluLayer(layer.affine, apex, duals, 1.0)
-        for owned, kept in ((t, piece.t), (scale, reduction.scale), (apex, frame.apex), (duals, frame.duals)):
+        kept_by = [(t, grade.t), (indices, grade.indices), (recession, grade.recession), (scale, reduction.scale)]
+        kept_by += [(apex, frame.apex), (duals, frame.duals)]
+        (piece,) = grade.pieces()
+        assert (piece.indices, piece.recession_indices, piece.bounded) == ((1, 2), (3,), True)
+        for owned, kept in kept_by:
             before = owned.copy()
             owned[...] = 7.0  # the caller's array stays writable ...
             assert np.array_equal(kept, before)  # ... and is not the object's
@@ -253,34 +258,25 @@ class TestEnumeratePieces:
             enumerate_pieces(layer, OutputLayer([1.0, 0.0, 1.0], -1.0))
 
     def test_empty_piece_detection(self):
-        piece = BoundaryPiece(
-            indices=(1,),
-            t=np.array([-1.0]),
-            recession_indices=(2,),
-            bounded=False,
-            layer=ReluLayer.canonical(2),
-        )
-        assert not (piece.t > 0).any()
-        with pytest.raises(EmptyPiece):
+        grade = BoundaryGrade(indices=[[0]], recession=[[1]], t=[[-1.0]], layer=ReluLayer.canonical(2))
+        (piece,) = grade.pieces()
+        assert not (piece.t > 0).any() and not piece.bounded
+        with pytest.raises(EmptyPiece, match=r"piece \(1,\) has no points"):
             sample_piece(piece, 5, rng=np.random.default_rng(0))
-        assert not (dataclasses.replace(piece, t=np.array([])).t > 0).any()
-        positive = dataclasses.replace(piece, t=np.array([2.0]))
-        assert (positive.t > 0).any()
+        assert not (dataclasses.replace(grade, indices=np.empty((1, 0)), t=np.empty((1, 0))).t > 0).any()
+        (positive,) = dataclasses.replace(grade, t=[[2.0]]).pieces()
+        assert (positive.t > 0).any() and positive.bounded
         assert sample_piece(positive, 5, rng=np.random.default_rng(0)).shape == (5, 2)
 
 
 def eager_pieces(boundary):
-    """The pieces as enumerate_pieces built them eagerly, one per grade row,
-    bounded exactly when J lies inside P = {i : t_i > 0}."""
-    positive = boundary.t > 0.0
-    pieces = []
-    for grade in boundary.grades:
-        rows = zip(map(tuple, (grade.indices + 1).tolist()), grade.t, map(tuple, (grade.recession + 1).tolist()))
-        for row, (j, t_j, r) in enumerate(rows):
-            piece = BoundaryPiece(j, t_j, r, bool(positive[grade.indices[row]].all()), grade.layer)
-            object.__setattr__(piece, "_grade", (grade, row))
-            pieces.append(piece)
-    return pieces
+    """The pieces built eagerly, one per enumerated row, each the piece of
+    a one-row grade of its own made from copies of the row's arrays."""
+    return [
+        BoundaryGrade(grade.indices[[row]], grade.recession[[row]], grade.t[[row]], grade.layer).pieces()[0]
+        for grade in boundary.grades
+        for row in range(grade.t.shape[0])
+    ]
 
 
 def recording(monkeypatch, module):
@@ -302,26 +298,28 @@ class TestLazyPieces:
             expected = eager_pieces(boundary)
             assert len(boundary.pieces) == len(expected) == boundary.piece_count == 2**d - 2**m
             assert boundary.__dict__["pieces"] is boundary.pieces  # built once
-            for got, want in zip(boundary.pieces, expected):
+            rows = [(grade, row) for grade in boundary.grades for row in range(grade.t.shape[0])]
+            positive = boundary.t > 0.0
+            for got, want, (grade, row) in zip(boundary.pieces, expected, rows):
                 assert (got.indices, got.recession_indices, got.bounded) == (
                     want.indices, want.recession_indices, want.bounded
                 )
+                assert got.bounded == bool(positive[grade.indices[row]].all())
                 assert got.t.tobytes() == want.t.tobytes() and not got.t.flags.writeable
-                (grade, row), (want_grade, want_row) = got._grade, want._grade
-                assert grade is want_grade and row == want_row
+                assert got.grade is grade and got.row == row and want.row == 0
                 assert np.shares_memory(got.t, grade.t[row]) and got.layer is layer
+                assert not np.shares_memory(want.t, grade.t)
+            assert repr(boundary.pieces[-1]) == f"BoundaryPiece(indices={tuple(range(1, d + 1))}, row=0)"
 
     def test_sample_piece_draws_as_from_an_eager_piece(self):
         layer = random_square_layer(5, seed=610)
         output = OutputLayer([1.0, -0.5, 2.0, -1.5, 0.7], -1.0)
-        lazy, eager = enumerate_pieces(layer, output), enumerate_pieces(layer, output)
-        a, b, c = (np.random.default_rng(611) for _ in range(3))
-        for got, want in zip(lazy.pieces, eager_pieces(eager)):
-            alone = dataclasses.replace(want)  # no grade: samples from its own
+        enumerated, copied = enumerate_pieces(layer, output), enumerate_pieces(layer, output)
+        a, b = (np.random.default_rng(611) for _ in range(2))
+        for got, want in zip(enumerated.pieces, eager_pieces(copied)):
             drawn = sample_piece(got, 3, radius=1.5, rng=a).tobytes()
             assert drawn == sample_piece(want, 3, radius=1.5, rng=b).tobytes()
-            assert drawn == sample_piece(alone, 3, radius=1.5, rng=c).tobytes()
-        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_trace_boundary_builds_no_piece(self, monkeypatch):
         seen = recording(monkeypatch, nw)

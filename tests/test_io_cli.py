@@ -535,6 +535,77 @@ class TestRadiusBeyondRounding:
             assert code == 0
 
 
+def conditioned_specs(kappa, d=4, n=10):
+    """``n`` one-layer network specs drawn by ``default_rng(0)``: the square
+    layer U diag(logspace(0, -log10 kappa, d)) V^T, U and V from the QR of
+    standard normal matrices, a standard normal offset and standard normal
+    readout weights with bias -1."""
+    rng, specs = np.random.default_rng(0), []
+    for _ in range(n):
+        u, v = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+        matrix = u @ np.diag(np.logspace(0, -np.log10(kappa), d)) @ v.T
+        layer = {"matrix": matrix.tolist(), "offset": rng.standard_normal(d).tolist()}
+        specs.append({"layers": [layer], "output": {"weights": rng.standard_normal(d).tolist(), "bias": -1.0}})
+    return specs
+
+
+def vertex_rounding(spec):
+    """The rounding bound of a ``boundary`` sample at the vertices apex +
+    t_j a_j*, t_j > 0, from the spec by plain numpy: where a draw at radius
+    0 puts it highest."""
+    layer, output = spec["layers"][0], spec["output"]
+    a, b, w = np.array(layer["matrix"]), np.array(layer["offset"]), np.array(output["weights"])
+    t = 1.0 / w  # -bias / w with bias -1
+    vertices = np.linalg.solve(a, -b) + t[t > 0, None] * np.linalg.inv(a).T[t > 0]
+    size = (np.abs(vertices) @ np.abs(a).T + np.abs(b)) @ np.abs(w / 2.0) + 0.5
+    return (a.shape[1] + 2) * np.finfo(float).eps * size.max()
+
+
+class TestIllConditionedFrame:
+    """A refusal that no radius can lift is blamed on the frame's
+    conditioning (exit 3), not on ``--radius`` (exit 2)."""
+
+    def codes(self, kappa, radius, tmp_path, capsys):
+        bodies = []
+        for spec in conditioned_specs(kappa):
+            path = write_spec(tmp_path / "net.json", spec)
+            code, body = run(capsys, ["boundary", "--input", path, "--samples", "4", "--radius", radius])
+            bodies.append((code, body.get("error"), body.get("message", ""), spec))
+        return bodies
+
+    @pytest.mark.parametrize("radius", ["1e-9", "2"])
+    def test_kappa_1e8_refusals_name_conditioning(self, radius, tmp_path, capsys):
+        bodies = self.codes(1e8, radius, tmp_path, capsys)
+        assert [error for _, error, _, _ in bodies].count("AllNegative") == 1
+        refused = [(code, message, spec) for code, error, message, spec in bodies if error == "RankDeficient"]
+        assert len(refused) == 9
+        for code, message, spec in refused:
+            assert code == 3 and message.startswith("conditioning: ")
+            assert message.endswith("beyond the stated tolerance 1e-08")
+            assert vertex_rounding(spec) > 1e-8
+
+    def test_kappa_1e6_refusals_stay_radius_errors(self, tmp_path, capsys):
+        bodies = self.codes(1e6, "2", tmp_path, capsys)
+        assert sorted(code for code, _, _, _ in bodies) == [0] * 5 + [2] * 4 + [3]
+        for code, error, message, spec in bodies:
+            if code == 2:
+                assert message.startswith("--radius 2: ") and vertex_rounding(spec) < 1e-8
+            if code == 3:
+                assert error == "AllNegative"
+
+    def test_preimage_refusal_at_the_base_point_names_conditioning(self, tmp_path, capsys):
+        layers = [spec["layers"][0] for spec in conditioned_specs(1e8)]
+        argv = ["--point=1,0.5,0,2", "--samples", "4", "--radius"]
+        path = write_spec(tmp_path / "a.json", layers[0])
+        code, body = run(capsys, ["preimage", "--input", path, *argv, "1e-9"])
+        assert (code, body["error"]) == (3, "RankDeficient") and body["message"].startswith("conditioning: ")
+        # here the base point meets the tolerance, so only the radius is refused
+        path = write_spec(tmp_path / "b.json", layers[3])
+        assert run(capsys, ["preimage", "--input", path, *argv, "1e-9"])[0] == 0
+        code, body = run(capsys, ["preimage", "--input", path, *argv, "2"])
+        assert (code, body["error"]) == (2, "SchemaError") and body["message"].startswith("--radius 2: ")
+
+
 # Layers that pass the condition gate but whose dual frame has no float
 # representation: subnormal rows (duals overflow), an apex beyond 1e308,
 # and contracting rows whose Gram matrix underflows to a singular one or

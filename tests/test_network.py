@@ -136,6 +136,21 @@ class TestPullBack:
     def net(self, seed=12):
         return random_net(2, 2, seed=seed)
 
+    def test_sample_set_copies_the_callers_arrays(self):
+        owned = np.zeros((2, 3)), np.zeros(2), np.zeros(2, np.int64), np.zeros(2, np.int64)
+        samples = BoundarySampleSet(1, *owned)
+        kept = samples.points, samples.residuals, samples.parent, samples.fiber
+        for mine, its in zip(owned, kept):
+            assert mine.flags.writeable and not np.shares_memory(mine, its)
+            with pytest.raises(ValueError, match="read-only"):
+                its[...] = 1
+        assert all(not mine.any() for mine in owned)
+        for array in owned:
+            array.setflags(write=False)
+        frozen = BoundarySampleSet(1, *owned)  # read-only arrays of the right dtype are kept
+        kept = frozen.points, frozen.residuals, frozen.parent, frozen.fiber
+        assert all(its is mine for mine, its in zip(owned, kept))
+
     def test_interior_point_pulls_to_affine_preimage(self):
         net = self.net()
         layer = net.layers[0]
@@ -469,7 +484,7 @@ class TestSamplerStream:
     def test_directly_built_piece_with_a_zero_value(self):
         # a zero value gets no draw and a zero coefficient
         layer = random_layer(np.random.default_rng(50), 4)
-        piece = bd.BoundaryPiece((1, 2, 4), np.array([2.0, 0.0, -1.5]), (3,), False, layer)
+        (piece,) = bd.BoundaryGrade([[0, 1, 3]], [[2]], [[2.0, 0.0, -1.5]], layer).pieces()
         points = self.assert_same_stream(piece, 5, 1.5, seed=51)
         assert points.shape == (5, 4)
 
@@ -478,7 +493,8 @@ class TestSamplerStream:
         layer = random_layer(rng, 5)
         boundary = enumerate_pieces(layer, signed_readout(rng, 5, 2))
         for piece in boundary.pieces[::5]:
-            copy = dataclasses.replace(piece, t=piece.t * 1.5)
+            copy = dataclasses.replace(piece, grade=dataclasses.replace(piece.grade, t=piece.grade.t * 1.5))
+            assert copy.t.tobytes() == (piece.t * 1.5).tobytes()
             got = self.assert_same_stream(copy, 4, 2.0, seed=53)
             original = sample_piece(piece, 4, radius=2.0, rng=np.random.default_rng(53))
             assert got.tobytes() != original.tobytes()
@@ -595,6 +611,11 @@ class TestTrace:
             assert len(sample_set) > 0
             residuals = np.abs(np.asarray(evaluate_tail(net, level, sample_set.points)))
             assert residuals.max() < 1e-7
+            arrays = sample_set.points, sample_set.residuals, sample_set.parent, sample_set.fiber
+            assert [array.dtype for array in arrays] == [float, float, np.int64, np.int64]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
 
     def test_depth_one_matches_shallow_sampler(self):
         net = random_net(1, 3, seed=21)
