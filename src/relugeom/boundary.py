@@ -182,6 +182,12 @@ class BoundaryGrade:
     intersection values on J, all read-only (a caller's writable array is
     copied); ``layer`` holds the dual frame.  Reports, CSV labels and the
     seed sampler read these arrays; piece r is ``BoundaryPiece(grade, r)``.
+
+    Raises DimensionMismatch unless ``t`` is (pieces, g), ``indices`` has
+    its shape and ``recession`` has g + h = d_out columns, or when an index
+    a caller hands over is not an integer in 0..d_out - 1.  A read-only
+    intp index array, as :func:`enumerate_pieces` hands over, is kept as
+    it is and pays only the shape comparisons.
     """
 
     indices: np.ndarray
@@ -190,8 +196,16 @@ class BoundaryGrade:
     layer: ReluLayer
 
     def __post_init__(self):
-        for name, dtype in (("indices", np.intp), ("recession", np.intp), ("t", float)):
-            object.__setattr__(self, name, read_only_floats(getattr(self, name), dtype))
+        d = self.layer.d_out
+        for name in ("indices", "recession"):
+            object.__setattr__(self, name, _index_array(getattr(self, name), d, name))
+        object.__setattr__(self, "t", read_only_floats(self.t))
+        t, indices, recession = self.t, self.indices, self.recession
+        if t.ndim != 2 or indices.shape != t.shape or recession.shape != (t.shape[0], d - t.shape[1]):
+            raise DimensionMismatch(
+                f"a grade of t {t.shape} needs indices of that shape and recession of shape "
+                f"(pieces, {d} - g); got indices {indices.shape}, recession {recession.shape}"
+            )
 
     @property
     def bounded(self) -> np.ndarray:
@@ -231,6 +245,18 @@ class BoundaryGrade:
             array.setflags(write=False)
         counts = zip(negative.sum(axis=1).tolist(), positive.sum(axis=1).tolist(), t_max.tolist())
         return SamplingOperands(unsort, t_signed, inverse, tuple(counts), duals, negated_recession)
+
+
+def _index_array(values, d: int, name: str) -> np.ndarray:
+    """``values`` as a read-only intp array: one that already is is kept as it
+    is; any other values must be integers in 0..d - 1."""
+    if type(values) is np.ndarray and values.dtype == np.intp and not values.flags.writeable:
+        return values
+    given = np.asarray(values, dtype=float)
+    bad = given[~((given == np.trunc(given)) & (given >= 0.0) & (given < d))]
+    if bad.size:
+        raise DimensionMismatch(f"{name} must hold integers in 0..{d - 1}, got {float(bad[0])!r}")
+    return read_only_floats(given, np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,62 +595,77 @@ def sample_boundary_patterns(
     rng: np.random.Generator,
     n_segments: int = 4000,
 ) -> set[tuple[int, ...]]:
-    """Activation patterns of boundary points found by segment bisection.
+    """Activation patterns of boundary points found as exact segment roots.
 
     Draws random segments around the apex in dual coordinates: each
     endpoint is apex + lambda @ duals with lambda uniform in [-r, r]^d and
     r = 3 max(max |t_i|, 1), so the draw follows the frame and reaches
     past every intersection value however the layer is conditioned.  Keeps
-    the segments whose endpoints evaluate with opposite signs, and bisects
-    each at most 80 times toward the zero level.  Each located point is
-    labeled by its set of positive row functionals; on a piece's relative
-    interior that label is the piece's index set, so the returned pattern
-    set is a sampled census of the pieces.  Points too close to a pattern
-    change are discarded as ambiguous.  Degenerate readouts are rejected
-    as in :func:`enumerate_pieces`.
+    the segments whose endpoints evaluate with opposite signs and finds
+    the zero of the level on each exactly (:func:`_segment_roots`).  Each
+    located point is labeled by its set of positive row functionals; on a
+    piece's relative interior that label is the piece's index set, so the
+    returned pattern set is a sampled census of the pieces.  Points too
+    close to a pattern change are discarded as ambiguous.  Degenerate
+    readouts are rejected as in :func:`enumerate_pieces`.
     """
     norm, t, _ = _readout(layer, output)
     d = layer.d_out
     radius = 3.0 * max(float(np.max(np.abs(t))), 1.0)
     lo = layer.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ layer.duals
     hi = layer.apex + rng.uniform(-radius, radius, size=(n_segments, d)) @ layer.duals
-    rho = layer.affine(_bisect_to_level(layer, norm, lo, hi))
+    rho = layer.affine(_segment_roots(layer, norm, lo, hi))
     band = scaled(1e-6, float(np.max(np.abs(rho), initial=0.0)))
     clear = rho[np.all(np.abs(rho) > band, axis=1)]
-    return {tuple(int(i) + 1 for i in np.flatnonzero(row)) for row in np.unique(clear > 0.0, axis=0)}
+    codes = np.unique((clear > 0.0) @ (1 << np.arange(d))).tolist()
+    return {tuple(i + 1 for i in range(d) if code >> i & 1) for code in codes}
 
 
-def _bisect_to_level(layer: ReluLayer, readout: OutputLayer, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _segment_roots(layer: ReluLayer, readout: OutputLayer, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Row r of ``lo`` and ``hi`` holds the ends of segment r; of each one whose
-    ends evaluate with opposite signs, the midpoint after at most 80
-    bisections toward the zero level.  The level has the bits of
-    ``readout(layer(x))`` without their checks; the offset is tiled and the
-    rows are selected with full-row masks, as a broadcast over a short last
-    axis costs more than the sums.
+    ends evaluate with opposite signs, a point x on it where the level
+    ``readout(layer(x))`` is zero, to within four times the rounding of one
+    level evaluation at the larger end, eps (|w| . (|A| max(|lo|, |hi|) + |b|) + |c|).
+
+    Along lo + s (hi - lo) each row functional is affine in s, so the level
+    is piecewise linear with kinks at s_i = alpha_i / (alpha_i - alpha'_i)
+    in (0, 1), alpha at lo and alpha' at hi.  Each piece between sorted
+    breakpoints [0, kinks, 1] whose ends lie on opposite sides of zero (0
+    counting as negative, so a zero at a kink is found) holds one root,
+    interpolated linearly.  Of several roots, the interval is halved as
+    80-pass bisection halves it, keeping the half with an odd number.
     """
-    matrix, weights, bias = layer.affine.matrix.T, readout.weights, readout.bias
+    weights, bias = readout.weights, readout.bias
     offset = np.tile(layer.affine.offset, (lo.shape[0], 1))
-
-    def level(points):
-        y = points @ matrix
-        y += offset[: len(y)]
-        f = np.maximum(y, 0.0, out=y) @ weights
-        f += bias
-        return f
-
-    f_lo, f_hi = level(lo), level(hi)
-    crossing = (f_lo * f_hi) < 0.0
-    lo, hi, f_lo = lo[crossing], hi[crossing], f_lo[crossing]
+    alpha = [points @ layer.affine.matrix.T + offset for points in (lo, hi)]
+    f_lo, f_hi = (np.maximum(a, 0.0) @ weights + bias for a in alpha)
+    crossing = np.flatnonzero(f_lo * f_hi < 0.0)
+    # a column per crossing segment: a broadcast over a short last axis costs more than the arithmetic
+    (a_lo, a_hi), f_lo, f_hi = (a.T.take(crossing, axis=1) for a in alpha), f_lo[crossing], f_hi[crossing]
+    del alpha, offset  # the full arrays are not read past the crossing test
+    drop = a_lo - a_hi
+    with np.errstate(divide="ignore", invalid="ignore"):  # no kink where the drop is 0
+        kinks = a_lo / drop
+    d, n = kinks.shape
+    kinks = np.sort(np.where((kinks > 0.0) & (kinks < 1.0), kinks, 1.0), axis=0)  # 1: no kink
+    # functional i at kink k in row i, column (k, segment); a missing kink takes the end's level
+    at_kinks = (weights @ np.maximum(a_lo[:, None] - kinks * drop[:, None], 0.0).reshape(d, -1)).reshape(d, n)
+    level = np.vstack([f_lo, np.where(kinks < 1.0, at_kinks + bias, f_hi), f_hi])
+    s = np.vstack([np.zeros(n), kinks, np.ones(n)])
+    change = np.diff(level > 0.0, axis=0)  # the pieces whose ends differ in sign
+    with np.errstate(divide="ignore", invalid="ignore"):  # computed on every piece, kept on those that change
+        roots = np.where(change, s[:-1] + (s[1:] - s[:-1]) * (level[:-1] / (level[:-1] - level[1:])), np.inf)
+    root, several = roots.min(axis=0), np.flatnonzero(change.sum(axis=0) > 1)
+    r, a, b = roots[:, several], np.zeros(len(several)), np.ones(len(several))
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = level(mid)
-        toward_hi = (f_lo * f_mid) > 0.0
-        rows = np.repeat(toward_hi, lo.shape[1]).reshape(lo.shape)
-        state = np.where(rows, mid, lo), np.where(rows, hi, mid), np.where(toward_hi, f_mid, f_lo)
-        if all(new.tobytes() == old.tobytes() for new, old in zip(state, (lo, hi, f_lo))):
-            break  # a fixed point: every later pass would repeat this one
-        lo, hi, f_lo = state
-    return 0.5 * (lo + hi)
+        if ((r > a) & (r <= b)).sum(axis=0).max(initial=0) < 2:
+            break
+        mid = 0.5 * (a + b)
+        lower = ((r > a) & (r <= mid)).sum(axis=0) % 2 == 1
+        a, b = np.where(lower, a, mid), np.where(lower, mid, b)
+    root[several] = np.where((r > a) & (r <= b), r, np.inf).min(axis=0)
+    lo = lo.take(crossing, axis=0)
+    return lo + root[:, None] * (hi.take(crossing, axis=0) - lo)
 
 
 def canonical_boundary(d: int, m: int) -> DecisionBoundary:

@@ -1,7 +1,7 @@
 """Brute-force oracle suites backing every closed-form result.
 
 Each suite re-derives a family of claims by an independent route (direct
-evaluation, grid enumeration, witness construction, segment bisection)
+evaluation, grid enumeration, witness construction, exact segment roots)
 and compares against the closed-form implementation.  The suites are
 deterministic functions of their seed and are shared between the CLI
 ``verify`` command and the acceptance tests.

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import types
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from relugeom import (
     AllNegative,
     DegenerateBias,
     DegenerateDirection,
+    DimensionMismatch,
     EmptyPiece,
     EnumerationLimit,
     InvalidM,
@@ -263,10 +263,40 @@ class TestEnumeratePieces:
         assert not (piece.t > 0).any() and not piece.bounded
         with pytest.raises(EmptyPiece, match=r"piece \(1,\) has no points"):
             sample_piece(piece, 5, rng=np.random.default_rng(0))
-        assert not (dataclasses.replace(grade, indices=np.empty((1, 0)), t=np.empty((1, 0))).t > 0).any()
+        empty = dataclasses.replace(grade, indices=np.empty((1, 0)), recession=[[0, 1]], t=np.empty((1, 0)))
+        assert not (empty.t > 0).any()
         (positive,) = dataclasses.replace(grade, t=[[2.0]]).pieces()
         assert (positive.t > 0).any() and positive.bounded
         assert sample_piece(positive, 5, rng=np.random.default_rng(0)).shape == (5, 2)
+
+    @pytest.mark.parametrize(
+        "indices, recession, t, match",
+        [
+            ([[1.7]], [[0.2]], [[1.0]], r"indices must hold integers in 0\.\.1, got 1\.7"),  # truncated to [[1]], [[0]] before
+            ([[0, 1]], [[]], [[1.0]], r"t \(1, 1\) needs indices of that shape"),  # failed only in sample_piece before
+            ([[0]], [[1.0, 0.0]], [[1.0]], r"recession of shape \(pieces, 2 - g\)"),  # g + h = 3
+            ([[0]], [[1]], [1.0], r"a grade of t \(1,\)"),  # t is not (pieces, g)
+            ([[0]], [[2]], [[1.0]], r"recession must hold integers in 0\.\.1, got 2\.0"),
+            ([[-1]], [[1]], [[1.0]], r"indices must hold integers in 0\.\.1, got -1\.0"),
+            (np.array([[0]]), np.array([[np.nan]]), [[1.0]], r"recession must hold integers in 0\.\.1, got nan"),
+        ],
+        ids=["non-integral", "indices wider than t", "g + h > d", "t a vector", "above range", "negative", "nan"],
+    )
+    def test_hand_built_grade_validated(self, indices, recession, t, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            BoundaryGrade(indices, recession, t, ReluLayer.canonical(2))
+
+    def test_valid_hand_built_grade_accepted(self):
+        grade = BoundaryGrade(np.array([[1], [0]]), [[0.0], [1.0]], [[2.0], [1.0]], ReluLayer.canonical(2))
+        assert grade.indices.dtype == grade.recession.dtype == np.intp
+        assert [piece.indices for piece in grade.pieces()] == [(2,), (1,)]
+
+    def test_enumerated_grades_keep_their_index_views(self):
+        # read-only intp views are kept, not copied or checked value by value
+        boundary = enumerate_pieces(random_square_layer(3, seed=8), OutputLayer([1.0, -0.5, 2.0], -1.0))
+        for grade in boundary.grades:
+            assert dataclasses.replace(grade).indices is grade.indices
+            assert dataclasses.replace(grade).recession is grade.recession
 
 
 def eager_pieces(boundary):
@@ -607,7 +637,8 @@ def bisection_instances():
 
 
 class TestPatternBisection:
-    """The inlined bisection reproduces the reference loop bit for bit."""
+    """The exact segment roots give the patterns and the generator stream
+    of the 80-pass reference bisection."""
 
     @pytest.mark.parametrize("n_segments", [1, 3000, 4000])
     def test_patterns_and_stream_match_the_reference(self, n_segments):
@@ -618,40 +649,81 @@ class TestPatternBisection:
             assert a.bit_generator.state == b.bit_generator.state, name
 
     @pytest.mark.parametrize("n_segments", [1, 3000, 4000])
-    def test_bisected_points_match_the_reference(self, n_segments):
+    def test_roots_lie_on_their_segments_and_the_level(self, n_segments):
         crossings = 0
         for seed, (name, layer, output) in enumerate(bisection_instances()):
             norm, t, _ = bd._readout(layer, output)
             lo, hi = reference_segments(layer, t, np.random.default_rng(seed), n_segments)
-            got = bd._bisect_to_level(layer, norm, lo, hi)
-            expected = reference_bisection(layer, norm, lo, hi)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
-            crossings += len(got)
+            crossing = norm(layer(lo)) * norm(layer(hi)) < 0.0
+            lo, hi = lo[crossing], hi[crossing]
+            x = bd._segment_roots(layer, norm, lo, hi)
+            assert x.shape == lo.shape, name
+            # x = lo + s (hi - lo) with s in [0, 1], up to the rounding of the coordinates
+            step = hi - lo
+            s = np.einsum("ij,ij->i", x - lo, step) / np.einsum("ij,ij->i", step, step)
+            size = np.maximum(np.abs(lo), np.abs(hi)).max(axis=1)
+            assert (s >= -1e-15).all() and (s <= 1.0 + 1e-15).all(), name
+            assert (np.abs(x - lo - s[:, None] * step).max(axis=1) <= 8 * EPS * size).all(), name
+            assert (np.abs(norm(layer(x))) <= 4 * level_rounding(layer, norm, lo, hi)).all(), name
+            crossings += len(x)
         assert crossings >= n_segments  # not vacuous: segments do cross
 
-    def test_stops_at_its_fixed_point(self):
-        """Every instance's bisection leaves its loop before the 80th pass,
-        with the bits of the 80-pass reference."""
-        for seed, (name, layer, output) in enumerate(bisection_instances()):
-            norm, t, _ = bd._readout(layer, output)
-            lo, hi = reference_segments(layer, t, np.random.default_rng(seed), 3000)
-            counted = types.SimpleNamespace(weights=norm.weights.view(CountedMatmul), bias=norm.bias)
-            CountedMatmul.calls = 0
-            got = bd._bisect_to_level(layer, counted, lo, hi)
-            assert got.tobytes() == reference_bisection(layer, norm, lo, hi).tobytes(), name
-            assert len(got) > 0 and CountedMatmul.calls - 2 < 80, name  # two end evaluations, then one per pass
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_zero_level_at_a_kink_is_found(self, reverse):
+        # max(x1, 0) + max(x2, 0) - 1 along (0.5, -1) -> (1.5, 1) is s - 0.5
+        # up to the kink x2 = 0 at s = 1/2, exactly 0 there, then 3 s - 1.5
+        layer, readout = ReluLayer.canonical(2), OutputLayer([1.0, 1.0], -1.0)
+        lo, hi = np.array([[0.5, -1.0]]), np.array([[1.5, 1.0]])
+        if reverse:
+            lo, hi = hi, lo
+        assert readout(layer([1.0, 0.0])) == 0.0
+        assert bd._segment_roots(layer, readout, lo, hi).tolist() == [[1.0, 0.0]]
+
+    def test_three_roots_take_the_one_bisection_reaches(self):
+        # canonical d = 3, m = 1: max(x1, 0) - 2 max(x2, 0) + 2 max(x3, 0) - 1
+        # along (0.2, -1, -2) + u (1, 1, 1) is -1 up to u = -0.2, u - 0.8 up to
+        # u = 1, 1.2 - u up to u = 2 and u - 2.8 after: zeros at 0.8, 1.2, 2.8
+        layer, readout = ReluLayer.canonical(3), OutputLayer([1.0, -2.0, 2.0], -1.0)
+        start, step = np.array([0.2, -1.0, -2.0]), np.ones(3)
+        reached = set()
+        for u0, u1 in [(-3.0, 3.0), (-3.0, 5.0), (0.0, 3.0), (-1.0, 3.0), (5.0, -3.0), (3.0, 0.0)]:
+            lo, hi = start + u0 * step, start + u1 * step
+            assert readout(layer(lo)) * readout(layer(hi)) < 0.0
+            got, expected = (f(layer, readout, lo[None], hi[None])[0] for f in (bd._segment_roots, reference_bisection))
+            pattern = tuple(np.flatnonzero(layer.affine(got) > 0.0) + 1)
+            assert pattern == tuple(np.flatnonzero(layer.affine(expected) > 0.0) + 1), (u0, u1)
+            reached.add(pattern)
+        assert reached == {(1,), (1, 2, 3)}  # not vacuous: the first root is not always the one
 
 
-class CountedMatmul(np.ndarray):
-    """An array that counts the products it takes part in: as the readout
-    weights, one per level evaluation."""
+EPS = np.finfo(float).eps
 
-    calls = 0
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            CountedMatmul.calls += 1
-        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+def level_rounding(layer, readout, lo, hi):
+    """The rounding of one level evaluation at the larger of each segment's
+    ends: eps (|w| . (|A| max(|lo|, |hi|) + |b|) + |c|)."""
+    size = np.maximum(np.abs(lo), np.abs(hi)) @ np.abs(layer.affine.matrix).T + np.abs(layer.affine.offset)
+    return EPS * (size @ np.abs(readout.weights) + abs(readout.bias))
+
+
+@pytest.mark.slow
+def test_patterns_and_stream_match_the_reference_sweep():
+    """2 130 instances: square and contracting layers at d = 1..5 with every
+    m, 70 each, and the ill-conditioned layer 30 times."""
+    rng = np.random.default_rng(2400)
+    instances = [ILL_CONDITIONED] * 30
+    for d in range(1, 6):
+        for d_in in (d, d + 2):
+            for m in range(d):
+                for _ in range(70):
+                    weights = rng.uniform(0.5, 2.0, d) * np.where(rng.permutation(d) < m, -1.0, 1.0)
+                    instances.append((verify.random_layer(rng, d, d_in), OutputLayer(weights, -float(rng.uniform(0.5, 2.0)))))
+    assert len(instances) >= 2000
+    for seed, (layer, output) in enumerate(instances):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_boundary_patterns(layer, output, a)
+        assert got == reference_boundary_patterns(layer, output, b, 4000), seed
+        assert a.bit_generator.state == b.bit_generator.state, seed
 
 
 class TestCanonicalBoundary:
