@@ -16,6 +16,7 @@ canonical boundary with the same m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -31,10 +32,13 @@ from .errors import (
     EnumerationLimit,
     InvalidM,
     RankDeficient,
+    SchemaError,
 )
+from .layer import refuse_sample_floats
 from .partition import graded_subsets
 from .tolerances import (
     DEGENERATE_DIRECTION_REL,
+    MAX_SAMPLE_FLOATS,
     RCOND_MIN,
     WITNESS_LEVEL_REL,
     WITNESS_MAX_DIM,
@@ -159,16 +163,17 @@ class SamplingOperands:
     position of J; ``t_signed`` and ``inverse`` hold t and 1 / t in that
     order, of which a call reads 1 / t on the first k places and t on the
     last q.  ``counts`` holds, per row, the number k of negative values,
-    the number q of positive ones and max |t| over the negative ones (0
-    without).  ``duals`` holds each row's dual vectors a_j*, j in J, and
-    ``negated_recession`` minus those of its recession indices.  The
-    arrays are read-only.
+    the number q of positive ones, max |t| over the negative ones (0
+    without) and whether the sign order is J order already, as on every
+    piece of a canonical boundary.  ``duals`` holds each row's dual
+    vectors a_j*, j in J, and ``negated_recession`` minus those of its
+    recession indices.  The arrays are read-only.
     """
 
     unsort: np.ndarray
     t_signed: np.ndarray
     inverse: np.ndarray
-    counts: tuple[tuple[int, int, float], ...]
+    counts: tuple[tuple[int, int, float, bool], ...]
     duals: np.ndarray
     negated_recession: np.ndarray
 
@@ -187,7 +192,7 @@ class BoundaryGrade:
     its shape and ``recession`` has g + h = d_out columns, or when an index
     a caller hands over is not an integer in 0..d_out - 1.  A read-only
     intp index array, as :func:`enumerate_pieces` hands over, is kept as
-    it is and pays only the shape comparisons.
+    it is and pays one range reduction besides the shape comparisons.
     """
 
     indices: np.ndarray
@@ -240,18 +245,24 @@ class BoundaryGrade:
         with np.errstate(divide="ignore"):  # a zero value has no draw
             inverse = 1.0 / t_signed
         t_max = -np.fmin.reduce(t, axis=1, initial=0.0)
-        duals, negated_recession = self.layer.duals[self.indices], -self.layer.duals[self.recession]
+        duals = self.layer.duals.take(self.indices, 0)
+        negated_recession = -self.layer.duals.take(self.recession, 0)
         for array in (unsort, t_signed, inverse, duals, negated_recession):
             array.setflags(write=False)
-        counts = zip(negative.sum(axis=1).tolist(), positive.sum(axis=1).tolist(), t_max.tolist())
-        return SamplingOperands(unsort, t_signed, inverse, tuple(counts), duals, negated_recession)
+        # a row is in J order exactly when sorting by sign moves no value
+        in_j_order = np.logical_and.reduce(t_signed == t, axis=1)
+        rows = (np.add.reduce(negative, 1), np.add.reduce(positive, 1), t_max, in_j_order)
+        counts = tuple(zip(*(array.tolist() for array in rows)))
+        return SamplingOperands(unsort, t_signed, inverse, counts, duals, negated_recession)
 
 
 def _index_array(values, d: int, name: str) -> np.ndarray:
-    """``values`` as a read-only intp array: one that already is is kept as it
-    is; any other values must be integers in 0..d - 1."""
+    """``values`` as a read-only intp array of integers in 0..d - 1.  One
+    that already is read-only intp is kept as it is, after one range check:
+    viewed as unsigned, a negative index is larger than any valid one."""
     if type(values) is np.ndarray and values.dtype == np.intp and not values.flags.writeable:
-        return values
+        if not values.size or np.maximum.reduce(values.view(np.uintp), None) < d:
+            return values
     given = np.asarray(values, dtype=float)
     bad = given[~((given == np.trunc(given)) & (given >= 0.0) & (given < d))]
     if bad.size:
@@ -424,18 +435,34 @@ def sample_piece(
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
 
+    Raises SchemaError for a negative ``n`` and for a negative or
+    non-finite radius, and EnumerationLimit when the n points would hold
+    more than MAX_SAMPLE_FLOATS floats; nothing is drawn then.
+
     The piece's sign structure and dual vectors are read at its row of
     the :class:`SamplingOperands` of its grade, built once per grade; a
-    row with no positive value raises EmptyPiece.  A call makes
-    the generator calls, the arithmetic on the draws, one gather and the
-    point products.  It writes the coefficients in the sign order into
-    one (|J|, n) buffer, zeroed only for a zero value: those of the k
-    negative coordinates into the first rows, the budgeted Dirichlet
-    weights times t into the last q.  The budget is a product with the
-    first k rows transposed, an F-ordered (n, k) operand: the pinned
-    samples were drawn on that layout, and BLAS rounds a C-ordered one
-    differently.  ``unsort`` gathers the C-ordered (n, |J|) coefficients
-    in J order.  A unit radius skips its multiply.
+    row with no positive value raises EmptyPiece.  A call makes the two
+    generator calls, one elementwise ufunc call per rounding step (each
+    writing in place or into its final place), the Dirichlet sums and the
+    three products; a row out of J order adds one gather.  The
+    coefficients, in the sign order, go into one C-ordered (|J|, n)
+    buffer, zeroed only for a zero value: those of the k negative
+    coordinates into the first rows, the budgeted Dirichlet weights
+    times t into the last q.  The weights are normalized and budgeted in
+    place, in the draws.
+
+    Elementwise steps round alike on any layout, but the reduction and the
+    products do not, so their operand layouts are fixed: the pinned
+    samples were drawn on them.  The Dirichlet sums reduce the C-ordered
+    (n, q) draws along their rows.  The budget is a BLAS product of the
+    first k rows of the buffer transposed, an F-ordered (n, k) operand,
+    with the values 1 / t as a column: BLAS rounds a C-ordered operand
+    differently.  The point product takes the (|J|, n) coefficients in J
+    order, transposed, against the C-ordered (|J|, d_in) duals, then
+    adds the apex and then the recession sweep.  Where the sign order is
+    J order, as on every canonical piece, the coefficients are the buffer
+    itself; elsewhere ``unsort`` gathers its rows in J order into a copy
+    of the same layout.  A unit radius skips its multiply.
 
     Stream contract, unchanged by the operands: two generator calls.  One
     ``standard_exponential`` call draws the n·k coefficients of the k
@@ -446,26 +473,39 @@ def sample_piece(
     former exponential, gamma(1.0) and uniform(0, radius) calls, and
     :func:`sample_grade` draws the same stream piece by piece.
     """
+    if n < 0:
+        raise SchemaError(f"cannot draw {n} points of a boundary piece")
+    if not 0.0 <= radius < math.inf:
+        raise SchemaError(f"the sampling radius must be a nonnegative finite number, got {radius}")
     grade, row = piece.grade, piece.row
+    apex = grade.layer.apex
+    floats = n * len(apex)
+    if floats > MAX_SAMPLE_FLOATS:
+        refuse_sample_floats(n, floats)
     operands = grade.operands
-    k, q, t_max = operands.counts[row]
+    k, q, t_max, in_j_order = operands.counts[row]
     if not q:
         raise EmptyPiece(f"piece {piece.indices} has no points")
     g = grade.t.shape[1]
     draws = rng.standard_exponential(n * (k + q))
     coefficients = np.empty((g, n)) if k + q == g else np.zeros((g, n))
     weights = draws[n * k :].reshape(n, q)
-    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    np.divide(weights, np.add.reduce(weights, 1, keepdims=True), weights)
     if k:
-        tail = np.multiply(draws[: n * k].reshape(n, k), radius * t_max, out=coefficients[:k].T)
-        weights *= (1.0 - tail.dot(operands.inverse[row, :k]))[:, None]
-    np.multiply(weights, operands.t_signed[row, g - q :], out=coefficients[g - q :].T)
-    points = coefficients.T.take(operands.unsort[row], axis=1).dot(operands.duals[row])
-    points += grade.layer.apex
+        tail = np.multiply(draws[: n * k].reshape(n, k), radius * t_max, coefficients[:k].T)
+        budget = tail.dot(operands.inverse[row, :k, None])
+        np.multiply(weights, np.subtract(1.0, budget, budget), weights)
+    np.multiply(weights, operands.t_signed[row, g - q :], coefficients[g - q :].T)
+    if not in_j_order:
+        coefficients = coefficients.take(operands.unsort[row], 0)
+    points = coefficients.T.dot(operands.duals[row])
+    np.add(points, apex, points)
     h = grade.recession.shape[1]
     if h:
-        lam = rng.random((n, h)) if radius == 1.0 else radius * rng.random((n, h))
-        points += lam.dot(operands.negated_recession[row])
+        lam = rng.random((n, h))
+        if radius != 1.0:
+            np.multiply(lam, radius, lam)
+        np.add(points, lam.dot(operands.negated_recession[row]), points)
     return points
 
 

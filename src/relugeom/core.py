@@ -152,14 +152,22 @@ def evaluate_affine(layer: AffineMap, x) -> np.ndarray:
     """Apply ``A x + b``.
 
     Accepts a single point of length d_in or an array of points with the
-    coordinate axis last.
+    coordinate axis last.  A float64 ndarray is read as it is, without a
+    copy; anything else is converted to float first.  The result is always
+    a new array.  One point or one stack of points takes the product as
+    ``dot``, the cheaper call, which rounds as ``@`` does on up to two
+    axes; more axes keep ``@``, whose per-stack products ``dot`` does not
+    reproduce.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (layer.d_in,):
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
+    if not x.ndim or x.shape[-1] != layer.matrix.shape[1]:
         raise DimensionMismatch(
             f"point has dimension {x.shape[-1] if x.ndim else 0}, layer expects {layer.d_in}"
         )
-    return x @ layer.matrix.T + layer.offset
+    points = x.dot(layer.matrix.T) if x.ndim <= 2 else x @ layer.matrix.T
+    points += layer.offset
+    return points
 
 
 def build_dual_frame(affine: AffineMap) -> ReluLayer:

@@ -18,6 +18,7 @@ from relugeom import (
     EnumerationLimit,
     InvalidM,
     OutputLayer,
+    SchemaError,
     canonical_boundary,
     enumerate_pieces,
     piece_count_oracle,
@@ -31,7 +32,7 @@ from relugeom.boundary import (
     sample_boundary_patterns,
 )
 from relugeom.layer import ReluLayer, evaluate
-from relugeom.tolerances import WITNESS_LEVEL_REL, WITNESS_PATTERN_ULPS, scaled
+from relugeom.tolerances import MAX_SAMPLE_FLOATS, WITNESS_LEVEL_REL, WITNESS_PATTERN_ULPS, scaled
 
 from factories import random_output, random_square_layer
 
@@ -158,6 +159,13 @@ class TestIntersectionValues:
         )
 
 
+def _frozen(values):
+    """``values`` as a read-only intp array, the kind a grade keeps uncopied."""
+    array = np.array(values, dtype=np.intp)
+    array.setflags(write=False)
+    return array
+
+
 class TestEnumeratePieces:
     @pytest.mark.parametrize("m,count,curvature", [(0, 7, "convex"), (1, 6, "saddle"), (2, 4, "saddle")])
     def test_canonical_d3(self, m, count, curvature):
@@ -279,8 +287,13 @@ class TestEnumeratePieces:
             ([[0]], [[2]], [[1.0]], r"recession must hold integers in 0\.\.1, got 2\.0"),
             ([[-1]], [[1]], [[1.0]], r"indices must hold integers in 0\.\.1, got -1\.0"),
             (np.array([[0]]), np.array([[np.nan]]), [[1.0]], r"recession must hold integers in 0\.\.1, got nan"),
+            (_frozen([[5]]), _frozen([[0]]), [[1.0]], r"indices must hold integers in 0\.\.1, got 5\.0"),  # failed only in sample_piece before
+            (_frozen([[0]]), _frozen([[-1]]), [[1.0]], r"recession must hold integers in 0\.\.1, got -1\.0"),
         ],
-        ids=["non-integral", "indices wider than t", "g + h > d", "t a vector", "above range", "negative", "nan"],
+        ids=[
+            "non-integral", "indices wider than t", "g + h > d", "t a vector", "above range", "negative", "nan",
+            "read-only above range", "read-only negative",
+        ],
     )
     def test_hand_built_grade_validated(self, indices, recession, t, match):
         with pytest.raises(DimensionMismatch, match=match):
@@ -292,7 +305,7 @@ class TestEnumeratePieces:
         assert [piece.indices for piece in grade.pieces()] == [(2,), (1,)]
 
     def test_enumerated_grades_keep_their_index_views(self):
-        # read-only intp views are kept, not copied or checked value by value
+        # read-only intp views are kept, not copied: only their range is checked
         boundary = enumerate_pieces(random_square_layer(3, seed=8), OutputLayer([1.0, -0.5, 2.0], -1.0))
         for grade in boundary.grades:
             assert dataclasses.replace(grade).indices is grade.indices
@@ -417,6 +430,44 @@ class TestSamplePiece:
             s = np.linalg.svd(centered, compute_uv=False)
             rank = int(np.sum(s > 1e-9 * s[0]))
             assert rank == 3
+
+    def refused(self, error, match, n, radius):
+        """sample_piece raises ``error`` before it draws anything."""
+        (piece,) = [p for p in canonical_boundary(3, 1).pieces if p.indices == (1, 2)]
+        rng = np.random.default_rng(90)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=match):
+            sample_piece(piece, n, radius=radius, rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_negative_count_refused(self):
+        # ended in numpy's "negative dimensions are not allowed" before
+        self.refused(SchemaError, r"cannot draw -1 points", -1, 1.0)
+
+    def test_negative_radius_refused(self):
+        self.refused(SchemaError, r"radius must be a nonnegative finite number, got -0\.5", 4, -0.5)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_radius_refused(self, radius):
+        # radius = inf returned non-finite points with a RuntimeWarning before
+        self.refused(SchemaError, rf"radius must be a nonnegative finite number, got {radius}", 4, radius)
+
+    def test_draw_beyond_the_float_limit_refused(self):
+        # one point more than MAX_SAMPLE_FLOATS allows at d_in = 3, refused before any allocation
+        n = MAX_SAMPLE_FLOATS // 3 + 1
+        match = rf"--samples {n} would hold {3 * n} sample coordinates at once \(limit {MAX_SAMPLE_FLOATS}\)"
+        self.refused(EnumerationLimit, match, n, 1.0)
+
+    def test_rows_out_of_j_order_are_flagged(self):
+        # t = (1, -1, 2): J = {1, 2} and {1, 2, 3} put the negative value first
+        grades = enumerate_pieces(ReluLayer.canonical(3), OutputLayer([1.0, -1.0, 0.5], -1.0)).grades
+        rows = {
+            piece.indices: (in_j_order, unsort.tolist())
+            for grade in grades
+            for piece, (*_, in_j_order), unsort in zip(grade.pieces(), grade.operands.counts, grade.operands.unsort)
+        }
+        assert rows[(1, 2)] == (False, [1, 0]) and rows[(1, 2, 3)] == (False, [1, 0, 2])
+        assert {key for key, (in_j_order, _) in rows.items() if in_j_order} == {(1,), (3,), (1, 3), (2, 3)}
 
 
 class TestPieceCountOracle:
@@ -797,6 +848,13 @@ class TestCanonicalBoundary:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_canonical_row_is_in_j_order(self, d):
+        # canonical values ascend, so no canonical piece needs the gather
+        for m in range(d):
+            for grade in canonical_boundary(d, m).grades:
+                assert all(in_j_order for *_, in_j_order in grade.operands.counts)
 
 
 class TestCanonicalReduction:

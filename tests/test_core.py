@@ -91,6 +91,60 @@ def test_evaluate_affine_batched():
     np.testing.assert_allclose(out, [[3.0, 2.0], [1.0, -1.0]])
 
 
+def _read_only(values):
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1.5, -2.0],
+        [[1, 2], [3, -4]],
+        np.array([3, -1]),
+        np.array([[0.1, 2.7], [1e30, -3.3]], dtype=np.float32),
+        np.array([[0.25, -1.0], [2.0, 0.5], [1e-300, 7.0]]),
+        np.array([[0.25, 2.0, 1e-300], [-1.0, 0.5, 7.0]]).T,
+        np.linspace(-3.0, 5.0, 24).reshape(3, 4, 2) ** 3,
+        _read_only([0.5, 3.0]),
+        np.empty((0, 2)),
+    ],
+    ids=[
+        "list", "nested int list", "int", "float32", "float64", "float64 transposed", "float64 stacks",
+        "read-only", "no points",
+    ],
+)
+def test_evaluate_affine_input_kinds(x):
+    # every kind of input gives the values and the dtype of the converted
+    # float array, in a new array that the input does not share
+    layer = AffineMap([[2.0, 0.5], [-1.0, 3.0], [0.1, 0.0]], [1.0, -1.0, 0.25])
+    before = np.array(x, copy=True)
+    got = evaluate_affine(layer, x)
+    expected = np.asarray(x, dtype=float) @ layer.matrix.T + layer.offset
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert not np.shares_memory(got, x) and np.array_equal(np.asarray(x), before)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array(2.0), "point has dimension 0, layer expects 2"),
+        (np.float64(2.0), "point has dimension 0, layer expects 2"),
+        (3, "point has dimension 0, layer expects 2"),
+        (np.zeros(3), "point has dimension 3, layer expects 2"),
+        ([[1.0, 2.0, 3.0]], "point has dimension 3, layer expects 2"),
+        (np.zeros((2, 1), dtype=np.float32), "point has dimension 1, layer expects 2"),
+        (np.zeros((4, 0)), "point has dimension 0, layer expects 2"),
+    ],
+    ids=["0-d", "float64 scalar", "int scalar", "too wide", "too wide list", "too narrow float32", "no coordinates"],
+)
+def test_evaluate_affine_dimension_messages(x, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        evaluate_affine(AffineMap(np.eye(2), np.zeros(2)), x)
+
+
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
         AffineMap(np.eye(3), np.zeros(2))

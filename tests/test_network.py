@@ -379,6 +379,33 @@ def three_call_sample_piece(piece, n, radius, rng):
     return points
 
 
+def reference_sample_piece(piece, n, radius, rng, c_ordered_tail=False):
+    """sample_piece as it was before each rounding step wrote in place: the
+    body on which the census samples were pinned.  ``c_ordered_tail`` hands
+    the budget product a C-ordered copy of the negative coefficients."""
+    grade, row = piece.grade, piece.row
+    operands = grade.operands
+    k, q, t_max, _ = operands.counts[row]
+    g = grade.t.shape[1]
+    draws = rng.standard_exponential(n * (k + q))
+    coefficients = np.empty((g, n)) if k + q == g else np.zeros((g, n))
+    weights = draws[n * k :].reshape(n, q)
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    if k:
+        tail = np.multiply(draws[: n * k].reshape(n, k), radius * t_max, out=coefficients[:k].T)
+        if c_ordered_tail:
+            tail = np.ascontiguousarray(tail)
+        weights *= (1.0 - tail.dot(operands.inverse[row, :k]))[:, None]
+    np.multiply(weights, operands.t_signed[row, g - q :], out=coefficients[g - q :].T)
+    points = coefficients.T.take(operands.unsort[row], axis=1).dot(operands.duals[row])
+    points += grade.layer.apex
+    h = grade.recession.shape[1]
+    if h:
+        lam = rng.random((n, h)) if radius == 1.0 else radius * rng.random((n, h))
+        points += lam.dot(operands.negated_recession[row])
+    return points
+
+
 def signed_readout(rng, d, m):
     """Readout with bias -1 and m negative intersection values at random
     indices, so one grade mixes pieces with different numbers of them."""
@@ -502,7 +529,8 @@ class TestSamplerStream:
     def test_not_vacuous_on_swapped_sign_operands(self, monkeypatch):
         # Handing each piece's positive positions to its negative operands
         # and the other way round must change the bytes: the sign order,
-        # argsort of unsort, is rolled by k and inverted again.
+        # argsort of unsort, is rolled by k and inverted again, and every
+        # row is then out of J order.
         rng = np.random.default_rng(54)
         layer = random_layer(rng, 5)
         boundary = enumerate_pieces(layer, signed_readout(rng, 5, 2))
@@ -513,16 +541,70 @@ class TestSamplerStream:
             swapped = np.array(
                 [
                     np.argsort(np.roll(np.argsort(unsort), -k))
-                    for unsort, (k, _, _) in zip(operands.unsort, operands.counts)
+                    for unsort, (k, _, _, _) in zip(operands.unsort, operands.counts)
                 ]
             ).reshape(operands.unsort.shape)
-            monkeypatch.setitem(grade.__dict__, "operands", dataclasses.replace(operands, unsort=swapped))
+            counts = tuple((k, q, t_max, False) for k, q, t_max, _ in operands.counts)
+            monkeypatch.setitem(
+                grade.__dict__, "operands", dataclasses.replace(operands, unsort=swapped, counts=counts)
+            )
         differs = 0
         for piece in boundary.pieces:
             a, b = np.random.default_rng(55), np.random.default_rng(55)
             got = sample_piece(piece, 3, radius=1.5, rng=a)
             differs += got.tobytes() != three_call_sample_piece(piece, 3, 1.5, b).tobytes()
         assert differs > 0
+
+
+CENSUS_DRAWS = [(n, radius) for n in (0, 1, 4, 7) for radius in (0.5, 1.0, 2.0)]
+
+
+def census_boundaries(d):
+    """Per m, the canonical boundary and a random signed one at width d."""
+    rng = np.random.default_rng(70 + d)
+    layer = random_layer(rng, d)
+    return [
+        boundary
+        for m in range(d)
+        for boundary in (bd.canonical_boundary(d, m), enumerate_pieces(layer, signed_readout(rng, d, m)))
+    ]
+
+
+def differing_draws(boundaries, sample, reference):
+    """The (m index, n, radius) draws on which ``sample`` and ``reference``,
+    each drawing every piece in piece order from its own generator of one
+    seed, give other bytes or leave their generators in other states."""
+    differing = []
+    for i, boundary in enumerate(boundaries):
+        for n, radius in CENSUS_DRAWS:
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            for piece in boundary.pieces:
+                got, expected = sample(piece, n, radius, rng=a), reference(piece, n, radius, rng=b)
+                if got.shape != expected.shape or got.tobytes() != expected.tobytes():
+                    break
+            else:
+                if a.bit_generator.state == b.bit_generator.state:
+                    continue
+            differing.append((i, n, radius))
+    return differing
+
+
+class TestSamplePieceReference:
+    """sample_piece keeps the bytes and the stream of the reference body on
+    every piece the census samples, and on the other draws it allows."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_reference_at_census_shapes(self, d):
+        boundaries = census_boundaries(d)
+        assert sum(boundary.piece_count for boundary in boundaries) == 2 * sum(2**d - 2**m for m in range(d))
+        assert differing_draws(boundaries, sample_piece, reference_sample_piece) == []
+
+    def test_not_vacuous_on_a_c_ordered_tail(self):
+        def c_ordered(piece, n, radius, rng):
+            return reference_sample_piece(piece, n, radius, rng, c_ordered_tail=True)
+
+        # 33 of the 144 draws at d = 6 differ in some last bit
+        assert differing_draws(census_boundaries(6), sample_piece, c_ordered) != []
 
 
 SEED_SAMPLER_SHAPES = [(d, d) for d in range(2, 13)] + [(2, 3), (3, 5), (6, 8)]
