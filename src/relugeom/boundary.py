@@ -425,6 +425,12 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     )
 
 
+def refuse_radius(radius: float):
+    """Raise SchemaError unless ``radius`` is a nonnegative finite number."""
+    if not 0.0 <= radius < math.inf:
+        raise SchemaError(f"the sampling radius must be a nonnegative finite number, got {radius}")
+
+
 def sample_piece(
     piece: BoundaryPiece, n: int, radius: float = 1.0, *, rng: np.random.Generator
 ) -> np.ndarray:
@@ -475,8 +481,7 @@ def sample_piece(
     """
     if n < 0:
         raise SchemaError(f"cannot draw {n} points of a boundary piece")
-    if not 0.0 <= radius < math.inf:
-        raise SchemaError(f"the sampling radius must be a nonnegative finite number, got {radius}")
+    refuse_radius(radius)
     grade, row = piece.grade, piece.row
     apex = grade.layer.apex
     floats = n * len(apex)

@@ -1,10 +1,21 @@
 """Clipped mesh export of three-dimensional decision boundaries.
 
-Each boundary piece is a planar convex region: it lies on the hyperplane
-whose normal collects the readout-weighted active rows, cut by one
-halfspace per row functional (nonnegative on the piece's index set,
-nonpositive outside).  Clipping that region to an axis-aligned box yields
-a convex polygon per piece, written to OBJ as a triangle fan.
+Each boundary piece is a planar convex region given in closed form by its
+generators (see :class:`~relugeom.boundary.BoundaryPiece`): the vertices
+apex + t_p a_p* for each p in J with t_p > 0, the rays t_p a_p* + |t_n| a_n*
+for each positive p and negative n in J, and the rays -a_i* for each
+recession index i.  In homogeneous coordinates (x, w) a vertex is (x, 1) and
+a ray (x, 0), so an unbounded piece is a convex polygon of finitely many
+points, taken in angular order around an interior point, and no length is
+needed to cut it.
+
+Clipping to an axis-aligned box is one Sutherland-Hodgman pass per box face
+(Blinn and Newell's homogeneous clipping) on f = +-(bound w - x_k), which is
+nonnegative inside.  A crossing point is the positive combination
+|f_q| p + |f_p| q of the points p and q of an edge.  Every point is kept at
+max norm 1, so the vertices keep their own digits beside a box face of any
+finite size.  The points with w > 0, divided by w, are the vertices of the
+clipped polygon, written to OBJ as a triangle fan.
 """
 
 from __future__ import annotations
@@ -14,64 +25,18 @@ import numpy as np
 from .boundary import DecisionBoundary
 from .errors import DimensionMismatch
 from .layer import ReluLayer
-from .tolerances import PLANE_SIDE_TOL
-
-_BOX_EDGES = [
-    (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
-    (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
-]
 
 
-def _box_corners(lo: float, hi: float) -> np.ndarray:
-    # Corner i has coordinate k equal to hi when bit k of i is set; the
-    # edge list above connects corners differing in exactly one bit.
-    return np.array(
-        [[hi if i & (1 << k) else lo for k in range(3)] for i in range(8)]
-    )
-
-
-def plane_box_polygon(normal, offset: float, lo: float, hi: float) -> np.ndarray:
-    """Ordered polygon where the plane normal.x + offset = 0 meets the box."""
-    return _plane_polygon(np.asarray(normal, dtype=float), offset, _box_corners(lo, hi), 1e-9 * (abs(hi - lo) + 1.0))
-
-
-def _plane_polygon(normal: np.ndarray, offset: float, corners: np.ndarray, tol: float) -> np.ndarray:
-    values = corners @ normal + offset
-    points = [c for c, v in zip(corners, values) if abs(v) <= PLANE_SIDE_TOL]
-    for a, b in _BOX_EDGES:
-        va, vb = values[a], values[b]
-        if va * vb < 0.0:
-            s = va / (va - vb)
-            points.append(corners[a] + s * (corners[b] - corners[a]))
-    if not points:
-        return np.empty((0, 3))
-    points = _dedup(np.asarray(points), tol)
-    if points.shape[0] < 3:
-        return np.empty((0, 3))
-    return _order_convex(points, normal)
-
-
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """The points, in order, that lie farther than ``tol`` (max norm) from every earlier kept point."""
-    far = (np.abs(points[:, None] - points[None]).max(axis=2) > tol).tolist()
-    kept: list[int] = []
-    for i, row in enumerate(far):
-        if all(row[j] for j in kept):
-            kept.append(i)
-    return points[kept]
-
-
-def _order_convex(points: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    center = points.mean(axis=0)
+def _order_convex(points: np.ndarray, center: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """The homogeneous points in ascending angle about ``normal`` around ``center``."""
     axis = normal / np.linalg.norm(normal)
     seed = np.zeros(3)
     seed[int(np.argmin(np.abs(axis)))] = 1.0
     u = _cross(axis, seed)
     u /= np.linalg.norm(u)
     v = _cross(axis, u)
-    rel = points - center
-    angles = np.arctan2(rel @ v, rel @ u)
-    return points[np.argsort(angles)]
+    rel = points[:, :3] - points[:, 3:] * center
+    return points[np.argsort(np.arctan2(rel @ v, rel @ u))]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,28 +45,21 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def clip_polygon_halfspace(polygon: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Keep the part of a convex polygon with normal.x + offset >= 0."""
-    if polygon.shape[0] == 0:
-        return polygon
-    # Python floats round each product, quotient and sum as numpy does.
-    values = (polygon @ np.asarray(normal, dtype=float) + offset).tolist()
-    rows = polygon.tolist()
+def _clip(polygon: list[list[float]], k: int, sign: float, bound: float) -> list[list[float]]:
+    """The part of a homogeneous convex polygon where f = sign * (bound w - x_k) >= 0."""
+    values = [sign * (bound * p[3] - p[k]) for p in polygon]
     out = []
-    for i, vi in enumerate(values):
-        j = (i + 1) % len(rows)
-        vj = values[j]
-        if vi >= -PLANE_SIDE_TOL:
-            out.append(rows[i])
-        if (vi < -PLANE_SIDE_TOL and vj > PLANE_SIDE_TOL) or (vi > PLANE_SIDE_TOL and vj < -PLANE_SIDE_TOL):
-            s = vi / (vi - vj)
-            out.append([a + s * (b - a) for a, b in zip(rows[i], rows[j])])
-    if not out:
-        return np.empty((0, 3))
-    deduped = _dedup(np.asarray(out), PLANE_SIDE_TOL * 10 + 1e-12)
-    if deduped.shape[0] < 3:
-        return np.empty((0, 3))
-    return deduped
+    for p, fp, q, fq in zip(polygon, values, polygon[-1:] + polygon[:-1], values[-1:] + values[:-1]):
+        if (fp > 0.0 > fq) or (fq > 0.0 > fp):
+            # the edge from q to p crosses f = 0; weights at most 1 keep every sum finite
+            top = max(abs(fp), abs(fq))
+            a, b = abs(fq) / top, abs(fp) / top
+            cut = [a * x + b * y for x, y in zip(p, q)]
+            top = max(map(abs, cut))
+            out.append([x / top for x in cut])
+        if fp >= 0.0:
+            out.append(p)
+    return out
 
 
 def piece_polygons(
@@ -112,23 +70,28 @@ def piece_polygons(
         raise DimensionMismatch("mesh export supports three-dimensional layers only")
     if hi <= lo:
         raise ValueError(f"empty box [{lo}, {hi}]")
-    norm = boundary.readout
-    a = layer.affine.matrix
-    b = layer.affine.offset
-    w = norm.weights
-    corners, tol = _box_corners(lo, hi), 1e-9 * (abs(hi - lo) + 1.0)
+    a, w = layer.affine.matrix, boundary.readout.weights
+    # the dual vectors as rays (a_i*, 0) and the apex as the point (apex, 1)
+    duals, apex = np.zeros((3, 4)), np.append(layer.apex, 1.0)
+    duals[:, :3] = layer.duals
     polys = []
-    for piece in boundary.pieces:
-        active = [i - 1 for i in piece.indices]
-        plane_normal = a[active].T @ w[active]
-        plane_offset = float(w[active] @ b[active] + norm.bias)
-        poly = _plane_polygon(plane_normal, plane_offset, corners, tol)
-        for i in piece.indices:
-            poly = clip_polygon_halfspace(poly, a[i - 1], float(b[i - 1]))
-        for i in piece.recession_indices:
-            poly = clip_polygon_halfspace(poly, -a[i - 1], -float(b[i - 1]))
-        if poly.shape[0] >= 3:
-            polys.append((piece.label(), poly))
+    for grade in boundary.grades:
+        for label, t, inside, outside in zip(grade.labels(), grade.t, grade.indices, grade.recession):
+            positive = t > 0.0
+            ends = t[positive, None] * duals[inside[positive]]
+            sweeps = -t[~positive, None] * duals[inside[~positive]]
+            rays = np.concatenate([(ends[:, None] + sweeps).reshape(-1, 4), -duals[outside]])
+            points = np.concatenate([apex + ends, rays])
+            center = (apex + ends.mean(axis=0) + rays.sum(axis=0))[:3]
+            points = _order_convex(points, center, a[inside].T @ w[inside])
+            polygon = (points / np.abs(points).max(axis=1, keepdims=True)).tolist()
+            for k in range(3):
+                polygon = _clip(_clip(polygon, k, 1.0, hi), k, -1.0, lo)
+            vertices = [[min(max(x / p[3], lo), hi) for x in p[:3]] for p in polygon if p[3] > 0.0]
+            # drop each exact repeat of its cyclic predecessor
+            vertices = [v for v, u in zip(vertices, vertices[-1:] + vertices[:-1]) if v != u]
+            if len(vertices) >= 3:
+                polys.append((label, np.array(vertices)))
     return polys
 
 

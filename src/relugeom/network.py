@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
+from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, refuse_radius
+from .boundary import sample_grade
 from .core import AffineMap, ReluLayer, build_dual_frame, read_only_floats
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
 from .layer import evaluate, preimage_bases, project_with_frame, refuse_sample_floats
@@ -159,8 +160,9 @@ def sample_shallow_boundary(
     """Seed sample set: ``samples_per_piece`` points of every piece of the
     boundary that :func:`enumerate_pieces` found for ``layer``, drawn in
     piece order, with residuals |readout(layer(x))| of the normalized
-    readout.  Raises SchemaError when the radius is so large that a point
-    or a residual leaves the float range.
+    readout.  Raises SchemaError, before any draw, for a negative or
+    non-finite radius, and after the draw when the radius is so large that
+    a point or a residual leaves the float range.
 
     Stream contract: the points are exactly those of :func:`sample_piece`
     called piece by piece on the same generator, and the generator ends in
@@ -169,6 +171,7 @@ def sample_shallow_boundary(
     piece, then array passes over the grade.  Refused with EnumerationLimit
     when the points would exceed MAX_SAMPLE_FLOATS floats.
     """
+    refuse_radius(radius)
     n_pieces = boundary.piece_count
     refuse_sample_floats(samples_per_piece, n_pieces * samples_per_piece * layer.d_in)
     points, residuals = [], []

@@ -38,9 +38,6 @@ WITNESS_LEVEL_REL = 1e-7
 # swallowed small active coordinates next to a large one.
 WITNESS_PATTERN_ULPS = 64
 
-# Polygon vertices within this distance of a clipping plane count as on it.
-PLANE_SIDE_TOL = 1e-12
-
 # Subset enumerations are refused above this index dimension (2^20 subsets).
 MAX_ENUM_DIM = 20
 

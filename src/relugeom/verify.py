@@ -415,6 +415,7 @@ def run_canonical(seed: int) -> SuiteResult:
     bijection = result.declare("piece_index_bijection", 1)
     sign_law = result.declare("intersection_sign_law", 1)
     duality = result.declare("pulled_back_normal_duality", 1e-10)
+    piece_by_piece = result.declare("canonical_piece_maps_to_its_actual_piece", 1)
     for _ in range(configs):
         layer = random_layer(rng, d)
         output = random_output_layer(rng, d)
@@ -437,6 +438,25 @@ def run_canonical(seed: int) -> SuiteResult:
             levels = np.abs(output(ly.evaluate(layer, reduction.to_actual(xs)))) / (1.0 + abs(norm.bias))
             peak = float(np.max(levels))
             mapped_on.see(peak, {"m": boundary.m, "piece": list(piece.indices), "residual": peak})
+
+    # Piece by piece, at every d <= 8 and m, drawn after the instances above
+    # so that their properties keep their numbers: at the points of canonical
+    # piece J mapped by to_actual, the positive set of A x + b is sigma(J).
+    for d in range(2, 9):
+        for m in range(d):
+            layer = random_layer(rng, d)
+            signs = np.where(rng.permutation(d) < m, -1.0, 1.0)
+            output = bd.OutputLayer(signs * rng.uniform(0.5, 2.0, d), -rng.uniform(0.5, 2.0))
+            reduction = bd.enumerate_pieces(layer, output).canonical
+            for grade in bd.canonical_boundary(d, m).grades:
+                xs = bd.sample_grade(grade, 3, 1.5, rng)
+                positive = layer.affine(reduction.to_actual(xs.reshape(-1, d))).reshape(xs.shape) > 0.0
+                for piece, rows in zip(grade.pieces(), positive):
+                    mapped = reduction.map_indices(piece.indices)
+                    found = [tuple((np.flatnonzero(row) + 1).tolist()) for row in rows]
+                    wrong = [list(indices) for indices in found if indices != mapped]
+                    example = {"d": d, "m": m, "piece": list(piece.indices), "mapped": list(mapped)}
+                    piece_by_piece.count(len(wrong), wrong and {**example, "positive": wrong[0]}, len(found))
     return result
 
 

@@ -1,51 +1,23 @@
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import relugeom
 from relugeom import DimensionMismatch, OutputLayer, canonical_boundary, enumerate_pieces
+from relugeom.core import build_dual_frame
+from relugeom.io import parse_network_spec
 from relugeom.layer import ReluLayer
-from relugeom.tolerances import PLANE_SIDE_TOL
-from relugeom.mesh import (
-    clip_polygon_halfspace,
-    piece_polygons,
-    plane_box_polygon,
-    write_obj,
-)
+from relugeom.mesh import piece_polygons, write_obj
 
 from factories import random_output, random_square_layer
 
-
-class TestPlaneBoxPolygon:
-    def test_axis_plane_gives_square(self):
-        poly = plane_box_polygon(np.array([1.0, 0.0, 0.0]), 0.0, -1.0, 1.0)
-        assert poly.shape == (4, 3)
-        np.testing.assert_allclose(poly[:, 0], 0.0, atol=1e-12)
-        assert set(map(tuple, np.abs(poly[:, 1:]).round(9))) == {(1.0, 1.0)}
-
-    def test_diagonal_plane(self):
-        poly = plane_box_polygon(np.ones(3), -1.5, 0.0, 1.0)
-        assert poly.shape[0] >= 3
-        np.testing.assert_allclose(poly.sum(axis=1), 1.5, atol=1e-12)
-
-    def test_missing_plane_is_empty(self):
-        poly = plane_box_polygon(np.array([1.0, 0.0, 0.0]), -10.0, -1.0, 1.0)
-        assert poly.shape == (0, 3)
-
-
-class TestClipHalfspace:
-    def test_keeps_positive_side(self):
-        square = np.array(
-            [[0.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]
-        )
-        clipped = clip_polygon_halfspace(square, np.array([0.0, 1.0, 0.0]), 0.0)
-        assert clipped.shape[0] >= 3
-        assert clipped[:, 1].min() >= -1e-12
-
-    def test_fully_outside_is_empty(self):
-        square = np.array(
-            [[0.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]
-        )
-        clipped = clip_polygon_halfspace(square, np.array([0.0, 1.0, 0.0]), -5.0)
-        assert clipped.shape == (0, 3)
+GOLDEN_NET3 = Path(__file__).resolve().parent / "golden" / "net3.json"
 
 
 class TestPiecePolygons:
@@ -107,9 +79,10 @@ def test_write_obj_round_trip(tmp_path):
             assert all(1 <= i <= n_vertices for i in indices)
 
 
-# The mesh pipeline as first written (box corners rebuilt per piece,
-# ``np.cross`` for the in-plane axes), kept as the definition of the OBJ
-# bytes that ``piece_polygons`` must reproduce.
+# The mesh pipeline as first written: the plane of a piece cut by the box,
+# then by one halfspace per row under an absolute side tolerance.  It is
+# right at moderate boxes and kept as the oracle that ``piece_polygons``,
+# built from each piece's generators, must match there.
 REFERENCE_BOX_EDGES = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)]
 
 
@@ -136,7 +109,7 @@ def reference_order_convex(points, normal):
 def reference_plane_box_polygon(normal, offset, lo, hi):
     corners = np.array([[hi if i & (1 << k) else lo for k in range(3)] for i in range(8)])
     values = corners @ normal + offset
-    points = [c for c, v in zip(corners, values) if abs(v) <= PLANE_SIDE_TOL]
+    points = [c for c, v in zip(corners, values) if abs(v) <= 1e-12]
     for a, b in REFERENCE_BOX_EDGES:
         va, vb = values[a], values[b]
         if va * vb < 0.0:
@@ -153,18 +126,19 @@ def reference_plane_box_polygon(normal, offset, lo, hi):
 def reference_clip(polygon, normal, offset):
     if polygon.shape[0] == 0:
         return polygon
+    side = 1e-12  # vertices this close to the clipping plane count as on it
     values = polygon @ normal + offset
     out = []
     for i in range(polygon.shape[0]):
         j = (i + 1) % polygon.shape[0]
         vi, vj = values[i], values[j]
-        if vi >= -PLANE_SIDE_TOL:
+        if vi >= -side:
             out.append(polygon[i])
-        if (vi < -PLANE_SIDE_TOL and vj > PLANE_SIDE_TOL) or (vi > PLANE_SIDE_TOL and vj < -PLANE_SIDE_TOL):
+        if (vi < -side and vj > side) or (vi > side and vj < -side):
             out.append(polygon[i] + vi / (vi - vj) * (polygon[j] - polygon[i]))
     if not out:
         return np.empty((0, 3))
-    deduped = reference_dedup(np.asarray(out), PLANE_SIDE_TOL * 10 + 1e-12)
+    deduped = reference_dedup(np.asarray(out), side * 10 + 1e-12)
     return deduped if deduped.shape[0] >= 3 else np.empty((0, 3))
 
 
@@ -195,22 +169,88 @@ def mesh_instances():
         yield f"random seed={300 + seed}", layer, enumerate_pieces(layer, random_output(3, seed=400 + seed))
 
 
-class TestObjBytesMatchTheReference:
+def same_cycle(got, expected, tol):
+    """Whether ``got`` is ``expected`` in the same cyclic order, within ``tol``,
+    starting at any vertex."""
+    return got.shape == expected.shape and any(
+        np.abs(np.roll(got, shift, axis=0) - expected).max() <= tol for shift in range(len(got))
+    )
+
+
+class TestPolygonsMatchTheReference:
     @pytest.mark.parametrize("lo, hi", BOXES)
-    def test_every_instance(self, lo, hi, tmp_path):
+    def test_every_instance(self, lo, hi):
         for name, layer, boundary in mesh_instances():
-            got, expected = tmp_path / "got.obj", tmp_path / "expected.obj"
-            write_obj(str(got), piece_polygons(layer, boundary, lo, hi))
-            write_obj(str(expected), reference_piece_polygons(layer, boundary, lo, hi))
-            assert got.read_bytes() == expected.read_bytes(), name
+            got = piece_polygons(layer, boundary, lo, hi)
+            expected = reference_piece_polygons(layer, boundary, lo, hi)
+            assert [label for label, _ in got] == [label for label, _ in expected], name
+            for (label, poly), (_, want) in zip(got, expected):
+                assert same_cycle(poly, want, 1e-12 * (hi - lo)), (name, label)
 
     def test_not_vacuous(self):
         counts = [len(piece_polygons(layer, boundary, -5.0, 5.0)) for _, layer, boundary in mesh_instances()]
         assert sum(counts) >= 40 and min(counts) >= 1
 
-    def test_plane_box_polygon_matches_np_cross_ordering(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            normal, offset = rng.normal(size=3), float(rng.normal())
-            got = plane_box_polygon(normal, offset, -1.0, 1.0)
-            assert got.tobytes() == reference_plane_box_polygon(normal, offset, -1.0, 1.0).tobytes()
+    def test_same_cycle_not_vacuous(self):
+        square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        assert same_cycle(np.roll(square, 1, axis=0), square, 0.0)
+        assert not same_cycle(square[::-1], square, 0.1)
+        assert not same_cycle(square + 1e-9, square, 1e-10)
+
+
+NESTED_BOUNDS = [10.0**k for k in (0, 1, 2, 3, 6, 10, 15, 20, 30, 50, 100, 150, 200, 250, 300)]
+
+
+def nested_instances():
+    affines, output = parse_network_spec(json.loads(GOLDEN_NET3.read_text()))
+    layer = build_dual_frame(affines[0])
+    yield "net3.json", layer, enumerate_pieces(layer, output)
+    for m in range(3):
+        yield f"canonical m={m}", ReluLayer.canonical(3), canonical_boundary(3, m)
+    for seed in range(50):
+        layer = random_square_layer(3, seed=600 + seed)
+        yield f"random seed={600 + seed}", layer, enumerate_pieces(layer, random_output(3, seed=700 + seed))
+
+
+def relative_level(layer, readout, x):
+    """|level| over the size of the terms summed into it, per point."""
+    a, b, w, c = layer.affine.matrix, layer.affine.offset, readout.weights, readout.bias
+    rho = x @ a.T + b
+    terms = (np.abs(x) @ np.abs(a).T + np.abs(b)) @ np.abs(w) + abs(c)
+    return np.abs(np.maximum(rho, 0.0) @ w + c) / terms
+
+
+class TestNestedBoxes:
+    """A box that holds a smaller box keeps all of its pieces, at any finite size."""
+
+    def test_no_piece_lost_and_vertices_on_the_level_inside_the_box(self):
+        for name, layer, boundary in nested_instances():
+            kept = set()
+            for bound in NESTED_BOUNDS:
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    polys = piece_polygons(layer, boundary, -bound, bound)
+                labels = {label for label, _ in polys}
+                assert kept <= labels, (name, bound, sorted(kept - labels))
+                kept = labels
+                for label, poly in polys:
+                    assert np.abs(poly).max() <= bound * (1.0 + 1e-13), (name, bound, label)
+                    assert relative_level(layer, boundary.readout, poly).max() <= 1e-12, (name, bound, label)
+            assert kept, name
+
+    def test_net3_keeps_its_seven_pieces(self):
+        _, layer, boundary = next(nested_instances())
+        for bound in NESTED_BOUNDS[3:]:
+            assert len(piece_polygons(layer, boundary, -bound, bound)) == 7, bound
+
+
+@pytest.mark.parametrize("bound", ["1e20", "1e30", "1e300"])
+def test_cli_obj_at_a_huge_box(bound, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(relugeom.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    obj = tmp_path / "mesh.obj"
+    argv = ["boundary", "--input", str(GOLDEN_NET3), "--obj", str(obj), f"--box=-{bound},{bound}"]
+    run = subprocess.run([sys.executable, "-m", "relugeom.cli", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["results"]["obj"]["pieces_in_box"] == 7
+    assert sum(line.startswith("g ") for line in obj.read_text().splitlines()) == 7

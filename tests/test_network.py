@@ -9,6 +9,7 @@ from relugeom import (
     OutputLayer,
     RankDeficient,
     ReluNetwork,
+    SchemaError,
     canonical_structure,
     enumerate_pieces,
     evaluate_canonical,
@@ -735,3 +736,32 @@ class TestTrace:
             assert y.min() >= 0.0
             assert abs(evaluate_tail(net, 2, y)) < 1e-7
 
+
+BAD_RADII = [-2.0, np.inf, np.nan]
+
+
+class TestSeedRadiusRefused:
+    """A negative or non-finite radius is refused before any draw, as by sample_piece.
+
+    At radius -2 the seed sampler returned 24 points whose residuals reached 3.2."""
+
+    readout = OutputLayer(np.array([1.0, -0.5, 2.0]), -1.0)
+
+    @pytest.mark.parametrize("radius", BAD_RADII, ids=["negative", "inf", "nan"])
+    def test_sample_shallow_boundary(self, radius):
+        layer = ReluLayer.canonical(3)
+        boundary = enumerate_pieces(layer, self.readout)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SchemaError, match=f"radius must be a nonnegative finite number, got {radius}"):
+            sample_shallow_boundary(layer, boundary, 1, 4, radius, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("radius", BAD_RADII, ids=["negative", "inf", "nan"])
+    def test_trace_boundary(self, radius):
+        net = ReluNetwork((ReluLayer.canonical(3),), self.readout)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SchemaError, match=f"radius must be a nonnegative finite number, got {radius}"):
+            trace_boundary(net, 4, radius, rng=rng)
+        assert rng.bit_generator.state == state

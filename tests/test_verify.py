@@ -86,6 +86,26 @@ def test_canonical_boundary_replacement_reaches_the_count_figure(monkeypatch):
     assert list(failing(run_count(0))) == ["canonical_d3_counts_7_6_4"]
 
 
+def test_canonical_suite_ties_each_piece_to_sigma_of_it(monkeypatch):
+    # Swapping the last two entries of sigma where both are positive
+    # (m <= d - 2) keeps the family {sigma(J)} and the map onto the zero
+    # level; only the piece-by-piece property sees the wrong correspondence.
+    enumerate_pieces = bd.enumerate_pieces
+
+    def swapped(layer, output):
+        boundary = enumerate_pieces(layer, output)
+        if boundary.m > boundary.d - 2:
+            return boundary
+        sigma = boundary.canonical.sigma
+        canonical = dataclasses.replace(boundary.canonical, sigma=sigma[:-2] + (sigma[-1], sigma[-2]))
+        return dataclasses.replace(boundary, canonical=canonical)
+
+    monkeypatch.setattr(bd, "enumerate_pieces", swapped)
+    failed = failing(run_canonical(0))
+    assert list(failed) == ["canonical_piece_maps_to_its_actual_piece"]
+    assert set(failed["canonical_piece_maps_to_its_actual_piece"]) == {"d", "m", "piece", "mapped", "positive"}
+
+
 def reference_run_image(seed):
     """The image suite as it classified before: one classify call per point."""
     rng = np.random.default_rng(seed)
