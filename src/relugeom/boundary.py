@@ -519,11 +519,22 @@ def sample_grade(grade: BoundaryGrade, n: int, radius: float, rng: np.random.Gen
 
     Each piece makes the two generator calls of :func:`sample_piece`, in
     piece order, into preallocated rows; everything else runs in array
-    passes over the pieces with equal numbers k of negative values, with
-    the per-piece operand layouts, so the points equal those of
-    :func:`sample_piece` on each piece bit for bit.  The point products
-    are stacked, one BLAS call per piece: one plain product over all
-    points would round differently from d = 8 on.  The sign structure
+    passes over the pieces with equal numbers k of negative values, so the
+    points equal those of :func:`sample_piece` on each piece bit for bit.
+
+    Three steps round by their operand layouts, which are therefore those
+    of :func:`sample_piece`: the Dirichlet sums reduce each piece's
+    C-ordered (n, q) weights along their rows (:func:`_weight_sums`), the
+    budget takes each piece's (n, k) tail as the transpose of a C-ordered
+    (k, n) array (:func:`_budgets`), and the point products are stacked,
+    one BLAS call per piece on its C-ordered (n, |J|) coefficients: one
+    plain product over all points would round differently from d = 8 on.
+    Every other step is elementwise and rounds alike on any layout.  So
+    the divide by the sums, the tail scaling and the budget and t
+    multiplies run on C-ordered (pieces, rows, n) arrays, whose long rows
+    hold the n samples; each writes its result into its output buffer,
+    and without negative values straight into the pieces' columns.  The
+    apex and the recession sweep are added in place.  The sign structure
     comes from the grade's ``t`` in the same pass, not from
     :attr:`BoundaryGrade.operands`: the grade is drawn once, so filling
     the per-piece record would cost more than it saves.
@@ -551,27 +562,42 @@ def sample_grade(grade: BoundaryGrade, n: int, radius: float, rng: np.random.Gen
             continue
         start, stop = stop, stop + count
         group, t_k, neg_k = draws[start:stop], t_j[start:stop], negative[start:stop]
-        weights = group[:, n * k :].reshape(count, n, g - k)
-        weights /= np.add.reduce(weights, axis=2, keepdims=True)
+        piece_columns, q = columns[start:stop], g - k
+        weights = group[:, n * k :].reshape(count, n, q)
+        # without negative values the (q, n) rows are the pieces' columns
+        positive = np.empty((count, q, n)) if k else piece_columns
+        np.divide(weights.transpose(0, 2, 1), _weight_sums(weights)[:, None, :], positive)
         if not k:
-            weights *= t_k[:, None, :]
-            columns[start:stop] = weights.transpose(0, 2, 1)
+            positive *= t_k[:, :, None]
             continue
+        pos_k = ~neg_k
         t_neg = t_k[neg_k].reshape(count, k)
         scale = radius * np.maximum.reduce(np.abs(t_neg), axis=1)
-        tail = group[:, : n * k].reshape(count, n, k) * scale[:, None, None]
-        tail = np.ascontiguousarray(tail.transpose(0, 2, 1))
-        weights *= _budgets(tail, t_neg)[:, :, None]
-        weights *= t_k[~neg_k].reshape(count, 1, g - k)
-        piece_columns = columns[start:stop]
+        tail = group[:, : n * k].reshape(count, n, k).transpose(0, 2, 1)
+        tail = np.multiply(tail, scale[:, None, None], np.empty((count, k, n)))
+        positive *= _budgets(tail, t_neg)[:, None, :]
+        positive *= t_k[pos_k].reshape(count, q, 1)
         piece_columns[neg_k] = tail.reshape(count * k, n)
-        piece_columns[~neg_k] = weights.transpose(0, 2, 1).reshape(count * (g - k), n)
-    alphas = np.ascontiguousarray(columns[slot].transpose(0, 2, 1))
-    block = grade.layer.apex + alphas @ grade.layer.duals[grade.indices]
+        piece_columns[pos_k] = positive.reshape(count * q, n)
+    # back in piece order, each piece's columns as a C-ordered (n, g) operand
+    alphas = np.take(columns.transpose(0, 2, 1), slot, 0)
+    block = alphas @ grade.layer.duals[grade.indices]
+    block += grade.layer.apex
     if h:
-        lam = radius * sweeps.reshape(p, n, h)
-        block = block + lam @ -grade.layer.duals[grade.recession]
+        sweeps *= radius
+        block += sweeps.reshape(p, n, h) @ -grade.layer.duals[grade.recession]
     return block
+
+
+def _weight_sums(weights: np.ndarray) -> np.ndarray:
+    """The Dirichlet sums of (pieces, n, q) weights, shape (pieces, n).
+
+    Each piece's weights are a C-ordered (n, q) array, as in
+    :func:`sample_piece`, and each sum is reduced along its row: a
+    reduction over another axis adds the q values in another association
+    and rounds differently in the last bit.
+    """
+    return np.add.reduce(weights, axis=2)
 
 
 def _budgets(tail: np.ndarray, t_neg: np.ndarray) -> np.ndarray:

@@ -160,9 +160,10 @@ def sample_shallow_boundary(
     """Seed sample set: ``samples_per_piece`` points of every piece of the
     boundary that :func:`enumerate_pieces` found for ``layer``, drawn in
     piece order, with residuals |readout(layer(x))| of the normalized
-    readout.  Raises SchemaError, before any draw, for a negative or
-    non-finite radius, and after the draw when the radius is so large that
-    a point or a residual leaves the float range.
+    readout.  Raises DimensionMismatch, before any draw, when the readout
+    does not take the layer's outputs.  Raises SchemaError, before any
+    draw, for a negative or non-finite radius, and after the draw when the
+    radius is so large that a point or a residual leaves the float range.
 
     Stream contract: the points are exactly those of :func:`sample_piece`
     called piece by piece on the same generator, and the generator ends in
@@ -170,18 +171,33 @@ def sample_shallow_boundary(
     piece order) is drawn by :func:`sample_grade`: two generator calls per
     piece, then array passes over the grade.  Refused with EnumerationLimit
     when the points would exceed MAX_SAMPLE_FLOATS floats.
+
+    The residuals are evaluated once, on the points of all grades as one
+    (pieces, n, d_in) stack: the layer's product and the readout's still
+    run stack by stack, on one piece's n points at a time, so the bits are
+    those of a per-piece evaluation, however many pieces are stacked.
+    The ReLU, the bias add and the abs run in place, so besides the
+    points and residuals it keeps, a draw holds one more array of its
+    points' size.
     """
     refuse_radius(radius)
+    if boundary.d != layer.d_out:
+        raise DimensionMismatch(
+            f"layer outputs {layer.d_out}, the boundary's readout expects {boundary.d}"
+        )
     n_pieces = boundary.piece_count
     refuse_sample_floats(samples_per_piece, n_pieces * samples_per_piece * layer.d_in)
-    points, residuals = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        for grade in boundary.grades:
-            block = sample_grade(grade, samples_per_piece, radius, rng)
-            points.append(block.reshape(-1, layer.d_in))
-            residuals.append(np.abs(boundary.readout(evaluate(layer, block))).ravel())
-    points = np.concatenate(points)
-    residuals = np.concatenate(residuals)
+        points = np.concatenate(
+            [sample_grade(grade, samples_per_piece, radius, rng) for grade in boundary.grades]
+        )
+        activations = layer.affine(points)
+        np.maximum(activations, 0.0, out=activations)
+        residuals = activations @ boundary.readout.weights
+        del activations  # freed before the finiteness checks below allocate
+        residuals += boundary.readout.bias
+        np.abs(residuals, residuals)
+    points, residuals = points.reshape(-1, layer.d_in), residuals.ravel()
     if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
         raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
     parent = np.repeat(np.arange(n_pieces), samples_per_piece)

@@ -12,6 +12,7 @@ and boundary pieces are listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from math import comb
 
@@ -121,11 +122,24 @@ def classify(layer: ReluLayer, x, zero_tol: float | None = None) -> SectorIndex:
 
 def graded_subsets(d: int) -> np.ndarray:
     """Every subset of {1..d} as a bool row (column i-1 for index i),
-    ordered by size and then by bitmask value."""
+    ordered by size and then by bitmask value, as a read-only array.
+
+    The array of each d up to MAX_SECTOR_DIM is built once and shared by
+    every call (about 0.1 MB for all of them); a larger d, up to
+    MAX_ENUM_DIM, is built afresh on each call."""
     if d > MAX_ENUM_DIM:
         raise EnumerationLimit(f"refusing 2^{d} subsets (limit d={MAX_ENUM_DIM})")
+    return _shared_graded_subsets(d) if d <= MAX_SECTOR_DIM else _build_graded_subsets(d)
+
+
+def _build_graded_subsets(d: int) -> np.ndarray:
     member = np.arange(1 << d)[:, None] & (1 << np.arange(d)) > 0
-    return member[np.argsort(member.sum(axis=1), kind="stable")]
+    member = member[np.argsort(member.sum(axis=1), kind="stable")]
+    member.setflags(write=False)
+    return member
+
+
+_shared_graded_subsets = cache(_build_graded_subsets)
 
 
 def enumerate_sectors(d: int) -> list[SectorIndex]:

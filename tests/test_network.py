@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from relugeom import (
 )
 import relugeom.boundary as bd
 from relugeom.boundary import sample_piece
-from relugeom.core import build_dual_frame
+from relugeom.core import AffineMap, build_dual_frame
 from relugeom.layer import ReluLayer, evaluate
 from relugeom.layer import preimage_of_point
 from relugeom.network import (
@@ -27,6 +28,7 @@ from relugeom.network import (
     pull_back_boundary,
     sample_shallow_boundary,
 )
+from relugeom.tolerances import MAX_SAMPLE_FLOATS
 from relugeom.verify import random_layer, random_output_layer
 
 from factories import random_net
@@ -673,11 +675,68 @@ class TestBatchedSeedSamplerEquivalence:
         monkeypatch.setattr(bd, "_budgets", row_major)
         assert any(self.differs(layer, boundary, m, draws) for m, boundary in enumerate(boundaries))
 
+    @pytest.mark.parametrize("d_out, d_in", [(3, 3), (4, 4), (5, 5), (6, 6), (4, 6)])
+    def test_matches_per_piece_loop_at_the_trace_draw(self, d_out, d_in):
+        # trace_boundary's default draw, 50 samples at radius 2.0, with a
+        # third of the intersection values negative, as deep traces draw it
+        rng = np.random.default_rng(3000 + 10 * d_out + d_in)
+        layer = random_layer(rng, d_out, d_in)
+        boundary = enumerate_pieces(layer, signed_readout(rng, d_out, d_out // 3))
+        assert not self.differs(layer, boundary, 11, [(50, 2.0)])
+
+    def test_not_vacuous_on_the_weight_sum_association(self, monkeypatch):
+        # the Dirichlet sums added left to right, over (pieces, q, n) rows,
+        # round differently in the last bit; the equivalence must notice.
+        # numpy reduces fewer than 8 contiguous values left to right too, so
+        # only the pieces with q >= 8 positive values (here m = 0) tell
+        def left_to_right(weights):
+            return np.add.reduce(np.ascontiguousarray(weights.transpose(0, 2, 1)), axis=1)
+
+        rng = np.random.default_rng(2008)
+        layer = random_layer(rng, 8)
+        boundaries = [enumerate_pieces(layer, signed_readout(rng, 8, m)) for m in range(8)]
+        draws = [(5, 2.0)]
+        assert not any(self.differs(layer, boundary, m, draws) for m, boundary in enumerate(boundaries))
+        monkeypatch.setattr(bd, "_weight_sums", left_to_right)
+        assert any(self.differs(layer, boundary, m, draws) for m, boundary in enumerate(boundaries))
+
     @pytest.mark.slow
     @pytest.mark.parametrize("d_out, d_in", SEED_SAMPLER_SHAPES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_piece_loop_on_every_draw(self, d_out, d_in, seed):
         self.assert_same(d_out, d_in, seed, SEED_SAMPLER_DRAWS)
+
+
+def test_seed_sampler_refuses_a_readout_of_another_width():
+    layer = ReluLayer.canonical(3)
+    contracting = build_dual_frame(AffineMap(np.eye(2, 3), np.ones(2)))
+    boundary = enumerate_pieces(contracting, OutputLayer([1.0, 2.0], -1.0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch, match="layer outputs 3, the boundary's readout expects 2"):
+        sample_shallow_boundary(layer, boundary, 1, 4, 1.0, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.slow
+def test_seed_draw_at_the_float_limit_holds_one_temporary_of_its_points():
+    # 2048 pieces of 682 points in 12 dimensions: 128 MiB of points, just
+    # under MAX_SAMPLE_FLOATS.  Besides the points and residuals it keeps,
+    # the draw may hold one points-sized array (the layer's activations)
+    # and small ones: a readout not formed in place adds 10 MiB.
+    d, m = 12, 11
+    n = MAX_SAMPLE_FLOATS // ((2**d - 2**m) * d)
+    rng = np.random.default_rng(12)
+    layer = random_layer(rng, d)
+    boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
+    tracemalloc.start()
+    try:
+        samples = sample_shallow_boundary(layer, boundary, 1, n, 2.0, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.points.size == 2048 * 682 * 12 <= MAX_SAMPLE_FLOATS
+    assert peak <= 2 * samples.points.nbytes + samples.residuals.nbytes + 2**20
 
 
 class TestTrace:

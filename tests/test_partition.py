@@ -18,7 +18,7 @@ from relugeom.partition import (
     sector_counts,
 )
 
-from relugeom.tolerances import MAX_SECTOR_DIM
+from relugeom.tolerances import MAX_ENUM_DIM, MAX_SECTOR_DIM
 from relugeom.verify import random_layer
 
 from factories import random_square_layer
@@ -159,6 +159,22 @@ class TestGradedSubsets:
         assert rows.dtype == bool and rows.shape == (2**d, d)
         masks = (rows @ (1 << np.arange(d))).tolist()
         assert masks == sorted(range(2**d), key=lambda s: (s.bit_count(), s))
+
+    def test_one_read_only_array_per_d_up_to_the_sector_limit(self):
+        rows = graded_subsets(MAX_SECTOR_DIM)
+        assert graded_subsets(MAX_SECTOR_DIM) is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = True
+
+    def test_built_afresh_above_the_sector_limit(self):
+        d = MAX_SECTOR_DIM + 1
+        rows = graded_subsets(d)
+        assert graded_subsets(d) is not rows
+        assert not rows.flags.writeable
+
+    def test_limit_checked_before_building(self):
+        with pytest.raises(EnumerationLimit, match=f"limit d={MAX_ENUM_DIM}"):
+            graded_subsets(MAX_ENUM_DIM + 1)
 
 
 class TestOrder:
