@@ -28,7 +28,7 @@ from itertools import compress
 import numpy as np
 
 from . import __version__
-from .boundary import enumerate_pieces, piece_count_oracle
+from .boundary import enumerate_pieces, label_bytes, piece_count_oracle
 from .core import ReluLayer, build_dual_frame
 from .errors import GeometryError, RankDeficient, SchemaError
 from .io import (
@@ -111,13 +111,16 @@ def _check_arguments(args):
     """Reject numeric flag values outside their domain as schema errors.
 
     Counts, seeds, radii and tolerances are nonnegative (NaN is not), the
-    radius is finite and the clip box is a finite interval lo < hi.  The
-    namespace holds only the flags of the chosen command.
+    radius is finite and the clip box is a finite interval lo < hi.
+    ``--csv`` writes the drawn samples, so it needs ``--samples`` of at
+    least 1.  The namespace holds only the flags of the chosen command.
     """
     for flag in ("seed", "samples", "fibers", "radius", "tol", "level_tol"):
         value = getattr(args, flag, None)
         if value is not None and not value >= 0:
             raise SchemaError(f"--{flag.replace('_', '-')} must be a nonnegative number, got {value}")
+    if getattr(args, "csv", None) is not None and getattr(args, "samples", None) == 0:
+        raise SchemaError("--csv writes the drawn samples, so it needs --samples of at least 1")
     if not math.isfinite(getattr(args, "radius", 0.0)):
         raise SchemaError(f"--radius must be finite, got {args.radius}")
     lo, hi = getattr(args, "box", (0.0, 1.0))
@@ -318,7 +321,7 @@ def cmd_boundary(args) -> int:
             "tolerance": tolerance,
         }
         if args.csv:
-            labels = [label for grade in boundary.grades for label in grade.labels() for _ in range(args.samples)]
+            labels = np.repeat(label_bytes(boundary.grades), args.samples, axis=0)
             _write("--csv", write_point_csv, args.csv, labels, drawn.points, {"residual": residuals})
             results["samples"]["csv"] = args.csv
     if args.obj:

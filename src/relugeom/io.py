@@ -23,6 +23,16 @@ and the other fields are numbers.  The bytes are those of Python's
 table in one pass, and ``%`` itself writes small tables and every value
 the formatter cannot decide: non-finite values, nonzero magnitudes
 outside [2^-320, 2^56) and the near ties of its inexact range.
+
+Piece text comes from the grade arrays, never from one Python object per
+piece.  :func:`boundary.piece_rows` lays the pieces out, a bounded number
+per pass, as -1-padded index rows (J, then the recession indices), and
+:func:`boundary.index_text` writes an index row as NUL-padded bytes by
+one lookup in a table of separator-and-decimal texts.  A boundary CSV's
+labels are such rows with ``-`` (:func:`boundary.label_bytes`), repeated
+once per sample, and the report's piece list writes each record as one
+line of fixed slots with ``, `` lists; each block of lines drops its
+NULs in one pass, as the CSV rows do.
 """
 
 from __future__ import annotations
@@ -30,14 +40,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import sys
 from itertools import compress
 from typing import Any
 
 import numpy as np
 
-from .boundary import OutputLayer
+from .boundary import OutputLayer, index_text, piece_rows, text_rows
 from .core import AffineMap
 from .errors import SchemaError
 
@@ -255,26 +264,49 @@ def point_records(points, coefficients, plus, minus, zero, indent: int) -> str:
     return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n" + "  " * indent + "]"
 
 
+_TRUE, _FALSE = (np.frombuffer(text, np.uint8) for text in (b"true\0", b"false"))
+
+
 def piece_records(grades, indent: int) -> str:
     """The :func:`canonical_json` text, at ``indent``, of the list of one
     ``{"J", "bounded", "recession_indices"}`` object per boundary piece,
     with 1-based indices, in piece order.
 
-    Each grade's records come from one ``%`` template applied to its rows.
     The objects always span lines and their index lists never do: at
     MAX_ENUM_DIM = 20 the longest list has 71 characters, within the flat
-    limit of 100.
+    limit of 100.  So each record is ``",\n"`` and the object's text in
+    one line of fixed slots, NUL where unused: the index lists come from
+    :func:`boundary.index_text` of the -1-padded rows of
+    :func:`boundary.piece_rows`, ``true`` or ``false`` is chosen by mask,
+    and each pass of rows drops its NULs at once.
     """
     pad, inner = "  " * (indent + 1), "  " * (indent + 2)
-    records = []
-    for grade in grades:
-        g, h = grade.indices.shape[1], grade.recession.shape[1]
-        head = f'{pad}{{\n{inner}"J": [{", ".join(["%d"] * g)}],\n{inner}"bounded": '
-        tail = f',\n{inner}"recession_indices": [{", ".join(["%d"] * h)}]\n{pad}}}'
-        templates = (head + "false" + tail, head + "true" + tail)
-        rows = (np.column_stack([grade.indices, grade.recession]) + 1).tolist()
-        records += map(operator.mod, map(templates.__getitem__, grade.bounded.tolist()), map(tuple, rows))
-    return "[\n" + ",\n".join(records) + "\n" + "  " * indent + "]"
+    head, middle, tail, end = (
+        np.frombuffer(text.encode(), np.uint8)
+        for text in (f',\n{pad}{{\n{inner}"J": [', f'],\n{inner}"bounded": ',
+                     f',\n{inner}"recession_indices": [', f']\n{pad}}}')
+    )
+    texts = ["[\n"]
+    for index, bounded in piece_rows(grades):
+        lists = index_text(index, index.shape[1] // 2, b", ", 2)
+        flag = np.where(bounded[:, None], _TRUE, _FALSE)
+        text = _joined_rows([head, lists[:, 0], middle, flag, tail, lists[:, 1], end], len(index))
+        texts.append(str(text[2 if len(texts) == 1 else 0 :], "ascii"))  # the first record follows "[\n"
+    texts.append("\n" + "  " * indent + "]")
+    return "".join(texts)
+
+
+def _joined_rows(fields, rows: int) -> np.ndarray:
+    """The bytes of ``rows`` lines, each the concatenation of one row of
+    every field with every NUL dropped.  A field is a (rows, width) uint8
+    array, or a 1-D one that every line repeats."""
+    widths = [field.shape[-1] for field in fields]
+    block = np.empty((rows, sum(widths)), np.uint8)
+    start = 0
+    for field, width in zip(fields, widths):
+        block[:, start : start + width] = field
+        start += width
+    return block[block != 0]
 
 
 # CSV floats formatted per write: the arrays of a larger chunk leave the
@@ -326,7 +358,14 @@ def _scaled(a, ki):
     high, hh, hl, low = (np.take(table, ki) for table in _POW10)
     h = a * high
     ah, al = _split(a)
-    return h, ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * low
+    # l = ((ah hh - h) + ah hl + al hh) + al hl + a low, left to right
+    l = np.multiply(ah, hh, high)
+    l -= h
+    l += np.multiply(ah, hl, ah)
+    l += np.multiply(al, hh, hh)
+    l += np.multiply(al, hl, hl)
+    l += np.multiply(a, low, low)
+    return h, l
 
 
 def _out_of_decade(h, l):
@@ -385,7 +424,7 @@ _CHUNK, _CHUNK_HIGH, _LAST, _FIELDS, _EXPONENT = _g17_tables()
 _ZERO_CODE = len(_FIELDS[0]) - 3
 _FALLBACK_CODE = _ZERO_CODE + 2
 # added to 2 x the last nonzero digit of t1, t3 and t2, t4 (digits 1-4, 9-12, 5-8, 13-16)
-_LAST_OFFSETS = np.array([[0], [16]]), np.array([[8], [24]])
+_LAST_OFFSETS = np.array([[0], [16]], np.int8), np.array([[8], [24]], np.int8)
 
 
 def _g17_fields(x: np.ndarray) -> np.ndarray:
@@ -398,6 +437,9 @@ def _g17_fields(x: np.ndarray) -> np.ndarray:
     on, so (S1 & before) | (S2 & after) | text writes the digits around
     the point; the three come from ``_FIELDS`` by the code of
     (k, significant digits, sign), the exponent from ``_EXPONENT`` by k.
+    S1 and S2 are built word-major, one contiguous row per 8-byte word,
+    so that their word operations and the one-byte shift run on long
+    rows; the fields combine them through a transposed view.
     """
     n = len(x)
     a = np.abs(x)
@@ -412,31 +454,50 @@ def _g17_fields(x: np.ndarray) -> np.ndarray:
         h[edge], l[edge] = _scaled(a[edge], ki[edge])
         fast[edge[_out_of_decade(h[edge], l[edge])]] = False
     r = np.rint(l)
-    near = np.abs(l - r) >= 0.5 - 2.0**-30
+    l -= r
+    near = np.abs(l, l) >= 0.5 - 2.0**-30
     if near.any():
         fast[near & (ki < _EXACT_K_MIN - _G17_K_MIN)] = False
-    d = h.astype(np.int64) + r.astype(np.int64)
+    d = h.astype(np.int64)
+    d += r.astype(np.int64)
     carry = d == 10**17  # 9.99...95 x 10^k rounds up to 10^(k + 1)
     if carry.any():
         d[carry] = 10**16
         ki += carry
-    # D's digits in chunks: t0 (one digit), then (t1, t3) and (t2, t4)
-    upper, lower = np.divmod(d, 10**8)
-    t0, upper = np.divmod(upper, 10**8)
-    high, low = np.divmod(np.stack([upper, lower]), 10**4)
-    s1 = np.zeros((n, 4), np.uint64)
-    s1[:, 0] = np.take(_CHUNK_HIGH, t0)
-    s1[:, 1:3] = (np.take(_CHUNK, high) | np.take(_CHUNK_HIGH, low)).T
-    last = np.maximum(np.take(_LAST, high) + _LAST_OFFSETS[0], np.take(_LAST, low) + _LAST_OFFSETS[1])
+    # D's digits in chunks: t0 (one digit), then (t1, t3) and (t2, t4); a
+    # remainder is a floor divide by a scalar and a multiply-subtract
+    upper = d // 10**8
+    t0 = upper // 10**8
+    halves = np.empty((2, n), np.int64)  # digits 1-8 and 9-16
+    np.subtract(upper, t0 * 10**8, out=halves[0])
+    np.subtract(d, upper * 10**8, out=halves[1])
+    high = halves // 10**4
+    halves -= high * 10**4
+    low = halves
+    # in-range indices: "clip" writes straight into out, "raise" buffers it
+    s1 = np.empty((4, n), np.uint64)
+    np.take(_CHUNK_HIGH, t0, out=s1[0], mode="clip")
+    np.take(_CHUNK, high, out=s1[1:3], mode="clip")
+    s1[1:3] |= np.take(_CHUNK_HIGH, low)
+    s1[3] = 0
+    last = np.take(_LAST, high)
+    last += _LAST_OFFSETS[0]
+    last_low = np.take(_LAST, low)
+    last_low += _LAST_OFFSETS[1]
+    np.maximum(last, last_low, out=last)
     # 34 codes per k: 17 counts of significant digits, two signs
-    code = np.maximum(ki - (_CODE_K_MIN - _G17_K_MIN), 0) * 34 + last.max(axis=0) + np.signbit(x)
+    code = ki - (_CODE_K_MIN - _G17_K_MIN)
+    np.maximum(code, 0, out=code)
+    code *= 34
+    code += np.maximum(last[0], last[1])
+    code += np.signbit(x)
     rest = (~fast).nonzero()[0]
     code[rest] = np.where(x[rest] == 0, _ZERO_CODE + np.signbit(x[rest]), _FALLBACK_CODE)
-    s2 = s1.ravel() << np.uint64(8)
-    s2[1:] |= s1.ravel()[:-1] >> np.uint64(56)
+    s2 = s1 << np.uint64(8)
+    s2[1:] |= s1[:-1] >> np.uint64(56)
     before, after, text = (np.take(table, code, axis=0) for table in _FIELDS)
-    before &= s1
-    after &= s2.reshape(n, 4)
+    before &= s1.T
+    after &= s2.T
     text |= before
     text |= after
     text[:, 3] |= np.take(_EXPONENT, ki)
@@ -454,19 +515,27 @@ def _text_bytes(column) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _csv_rows(labels, table: np.ndarray, last) -> bytes:
+def _is_text_block(labels) -> bool:
+    """Whether labels are (rows, width) uint8 bytes rather than str or int."""
+    return isinstance(labels, np.ndarray) and labels.dtype == np.uint8 and labels.ndim == 2
+
+
+_COMMA, _CRLF = (np.frombuffer(text, np.uint8) for text in (b",", b"\r\n"))
+
+
+def _csv_rows(labels, table: np.ndarray, last) -> np.ndarray:
     """The CSV lines of one chunk, every float from :func:`_g17_fields`.
 
-    Each line is laid out in fixed slots, NUL where unused, and the NULs
-    are dropped in one pass: no field ever holds a NUL.
+    Each line is laid out in fixed slots, NUL where unused, in one
+    preallocated block, and the NULs are dropped in one pass: no field
+    ever holds a NUL.
     """
     rows, cols = table.shape
-    parts = [_text_bytes(labels), _g17_fields(table.ravel()).reshape(rows, 32 * cols)]
+    fields = [labels if _is_text_block(labels) else _text_bytes(labels)]
+    fields.append(_g17_fields(table.ravel()).reshape(rows, 32 * cols))
     if last is not None:
-        parts += [np.full((rows, 1), ord(","), np.uint8), _text_bytes(last)]
-    parts.append(np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (rows, 2)))
-    block = np.concatenate(parts, axis=1).ravel()
-    return block[block != 0].tobytes()
+        fields += [_COMMA, _text_bytes(last)]
+    return _joined_rows([*fields, _CRLF], rows)
 
 
 def _write_csv(path: str, header: list[str], labels, table: np.ndarray, last=None):
@@ -474,8 +543,10 @@ def _write_csv(path: str, header: list[str], labels, table: np.ndarray, last=Non
     ``table[i]`` as ``%.17g`` and, if given, ``last[i]``.
 
     Rows go out about ``_CHUNK_FLOATS`` floats at a time, so no text the
-    size of the file is ever built.  Labels and ``last`` are ASCII str or
-    int.
+    size of the file is ever built.  ``last`` is ASCII str or int, and so
+    are the labels, or they are (rows, width) NUL-padded ASCII bytes, as
+    :func:`boundary.label_bytes` writes them.  Array chunks take label
+    bytes as they are; ``%`` chunks take str labels as they are.
     """
     row_format = "%s" + ",%.17g" * table.shape[1] + ("" if last is None else ",%s") + "\r\n"
     step = max(1, _CHUNK_FLOATS // table.shape[1])
@@ -487,14 +558,19 @@ def _write_csv(path: str, header: list[str], labels, table: np.ndarray, last=Non
             if chunk.size >= _ARRAY_MIN_FLOATS:
                 fh.write(_csv_rows(labels[rows], chunk, chunk_last))
                 continue
-            columns = [labels[rows], *chunk.T.tolist()]
+            chunk_labels = labels[rows]
+            if _is_text_block(chunk_labels):
+                chunk_labels = text_rows(chunk_labels)
+            columns = [chunk_labels, *chunk.T.tolist()]
             if chunk_last is not None:
                 columns.append(np.asarray(chunk_last).tolist())
             fh.write("".join(map(row_format.__mod__, zip(*columns))).encode())
 
 
 def write_point_csv(path: str, labels, points, extra_columns: dict | None = None):
-    """CSV of labeled points; coordinate columns are named x1..xd."""
+    """CSV of labeled points; coordinate columns are named x1..xd.  Labels
+    are str, or (rows, width) NUL-padded ASCII bytes such as
+    :func:`boundary.label_bytes` writes."""
     points = np.asarray(points, dtype=float)
     extra = extra_columns or {}
     header = ["label"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + list(extra)

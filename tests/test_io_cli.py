@@ -164,6 +164,29 @@ class TestExitCodes:
         assert body["message"].startswith(f"cannot write {option} file: ")
         assert path in body["message"]
 
+    @pytest.mark.parametrize(
+        "command, spec, extra",
+        [
+            ("boundary", GOLDEN_NET3, []),
+            ("boundary", GOLDEN_NET3, ["--samples=0"]),
+            ("preimage", GOLDEN_LAYER3, ["--point=1,1,1"]),
+            ("preimage", GOLDEN_LAYER3, ["--point=1,1,1", "--samples=0"]),
+        ],
+    )
+    @pytest.mark.parametrize("directory", ["present", "missing"])
+    def test_csv_without_samples_is_schema_error(self, command, spec, extra, directory, tmp_path, capsys, monkeypatch):
+        # refused before the input is read, whether or not the path could be written
+        monkeypatch.setattr(cli, "load_json", lambda path: pytest.fail("input read"))
+        path = tmp_path / ("missing" if directory == "missing" else "") / "out.csv"
+        code = main([command, "--input", str(spec), *extra, "--csv", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["error"] == "SchemaError"
+        assert "--csv" in body["message"] and "--samples" in body["message"]
+        assert not path.exists()
+
     def test_singular_matrix_exits_3(self, tmp_path, capsys):
         path = write_spec(tmp_path / "s.json", {"matrix": [[1, 2], [2, 4]], "offset": [0, 0]})
         code, body = run(capsys, ["analyze", "--input", path])

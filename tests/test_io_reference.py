@@ -2,7 +2,8 @@
 
 ``reference_canonical_json`` (a list serialized twice, once flat and once
 one item per line), the ``csv.writer`` versions of both CSV writers, the
-boundary report's piece list as one dict per piece and the classify
+boundary report's piece list as one dict per piece and as one ``%``
+record per piece, the piece labels as ``"-".join`` and the classify
 report as one dict per point are the earlier implementations, kept here
 as the definition of the bytes the library must reproduce.
 """
@@ -10,7 +11,9 @@ as the definition of the bytes the library must reproduce.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 import relugeom.cli as cli
 import relugeom.io as rio
-from relugeom.boundary import BoundaryGrade
+from relugeom.boundary import TEXT_ROWS, BoundaryGrade, BoundaryPiece, index_text, label_bytes
 from relugeom.cli import main
 from relugeom.core import ReluLayer
 from relugeom.io import _ARRAY_MIN_FLOATS, _CHUNK_FLOATS, canonical_json, piece_records, write_level_csv, write_point_csv
@@ -341,6 +344,20 @@ class TestCsvChunksAndCutover:
             reference_write_point_csv(tmp_path / "want.csv", names, points, columns)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), rows
 
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    def test_point_csv_with_label_bytes(self, d, tmp_path):
+        # labels as boundary.label_bytes writes them, -1-padded index sets of 1..3
+        # indices, through the array chunks as they are and the % chunks decoded
+        rng = np.random.default_rng(70 + d)
+        for rows in rows_around_chunks(d + 1):
+            index = np.sort(np.argsort(rng.random((rows, 12)), axis=1)[:, :3], axis=1)
+            index[np.arange(3) >= rng.integers(1, 4, size=(rows, 1))] = -1
+            names = ["-".join(str(i + 1) for i in row if i >= 0) for row in index.tolist()]
+            points, columns = hostile_table(rng, rows, d), {"residual": np.abs(hostile_table(rng, rows, 1)[:, 0])}
+            write_point_csv(tmp_path / "got.csv", index_text(index, 12, b"-")[:, 0], points, columns)
+            reference_write_point_csv(tmp_path / "want.csv", names, points, columns)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), rows
+
     @pytest.mark.parametrize("d", [2, 11])
     def test_level_csv(self, d, tmp_path):
         rng = np.random.default_rng(50 + d)
@@ -372,6 +389,21 @@ def reference_piece_dicts(t) -> list[dict]:
 
 def reference_label(indices) -> str:
     return "-".join(str(i) for i in indices)
+
+
+def reference_piece_records(grades, indent: int) -> str:
+    """The piece list as one ``%`` record per piece, each grade's records
+    from one template applied to its rows."""
+    pad, inner = "  " * (indent + 1), "  " * (indent + 2)
+    records = []
+    for grade in grades:
+        g, h = grade.indices.shape[1], grade.recession.shape[1]
+        head = f'{pad}{{\n{inner}"J": [{", ".join(["%d"] * g)}],\n{inner}"bounded": '
+        tail = f',\n{inner}"recession_indices": [{", ".join(["%d"] * h)}]\n{pad}}}'
+        templates = (head + "false" + tail, head + "true" + tail)
+        rows = (np.column_stack([grade.indices, grade.recession]) + 1).tolist()
+        records += map(operator.mod, map(templates.__getitem__, grade.bounded.tolist()), map(tuple, rows))
+    return "[\n" + ",\n".join(records) + "\n" + "  " * indent + "]"
 
 
 def boundary_spec(d_in, d_out, m, seed):
@@ -445,8 +477,112 @@ class TestBoundaryReportMatchesPieceDicts:
         assert any(piece["J"] == longest for piece in dicts)
 
 
+def random_grade(rng, layer, rows: int, g: int) -> BoundaryGrade:
+    """``rows`` random index sets of size g (repeats allowed) with t of mixed signs."""
+    d = layer.d_out
+    order = np.argsort(rng.random((rows, d)), axis=1)
+    inside, outside = np.sort(order[:, :g], axis=1), np.sort(order[:, g:], axis=1)
+    t = rng.choice([-2.0, 0.5, 3.0], size=(rows, g), p=[0.1, 0.45, 0.45])
+    return BoundaryGrade(inside, outside, t, layer)
+
+
+def hand_built_grade_lists():
+    """Grade lists off the enumeration's path: indices 10-19 only, g = d
+    (no recession indices), one-row grades, and grades that a pass of
+    TEXT_ROWS pieces splits, alone and across a grade boundary."""
+    rng = np.random.default_rng(2024)
+    d, small = MAX_ENUM_DIM, ReluLayer.canonical(4)
+    layer = ReluLayer.canonical(d)
+    two_digit = np.arange(9, 19)  # written as 10..19
+    sets = [two_digit[:7], two_digit[3:]]
+    teens = BoundaryGrade(
+        sets,
+        [np.setdiff1d(np.arange(d), j) for j in sets],
+        [[1.0] * 7, [1.0, -1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
+        layer,
+    )
+    full = BoundaryGrade(np.arange(d)[None], np.zeros((1, 0)), -np.ones((1, d)), layer)
+    return {
+        "teens": [teens],
+        "g equals d": [full, teens, full],
+        "one-row grades": [random_grade(rng, layer, 1, g) for g in (1, 5, d - 1)],
+        "d = 4": [random_grade(rng, small, 1, 2), BoundaryGrade([[0, 1, 2, 3]], np.zeros((1, 0)), [[1.0] * 4], small)],
+        "longer than a pass": [random_grade(rng, layer, TEXT_ROWS + 5, 10)],
+        "split across grades": [random_grade(rng, layer, TEXT_ROWS - 3, 3), random_grade(rng, layer, 9, 17), full],
+    }
+
+
+HAND_BUILT = hand_built_grade_lists()
+
+
+class TestPieceRecordsMatchTemplateReference:
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    @pytest.mark.parametrize("indent", range(4))
+    def test_hand_built_grades(self, case, indent):
+        grades = HAND_BUILT[case]
+        assert piece_records(grades, indent) == reference_piece_records(grades, indent)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_labels(self, case):
+        grades = HAND_BUILT[case]
+        want = [reference_label(row) for grade in grades for row in (grade.indices + 1).tolist()]
+        assert [label for grade in grades for label in grade.labels()] == want
+        text = label_bytes(grades)
+        assert [bytes(row).replace(b"\0", b"").decode() for row in text] == want
+        grade = grades[-1]
+        assert BoundaryPiece(grade, grade.t.shape[0] - 1).label() == want[-1]
+
+    @pytest.mark.parametrize("d, m", [(1, 0), (3, 1), (6, 0), (9, 4), (12, 11)])
+    @pytest.mark.parametrize("indent", range(4))
+    def test_enumerated_grades(self, d, m, indent, tmp_path, monkeypatch, capsys):
+        _, _, boundary = run_boundary(boundary_spec(d, d, m, 600 + d), [], tmp_path, monkeypatch, capsys)
+        assert piece_records(boundary.grades, indent) == reference_piece_records(boundary.grades, indent)
+
+    def test_no_grades(self):
+        assert piece_records([], 2) == reference_piece_records([], 2)
+
+    def test_index_text_drops_the_first_separator_of_each_list(self):
+        text = index_text(np.array([[0, 2, 3, -1, 11, -1, -1, -1], [-1] * 8]), 12, b", ", 2)
+        assert [[bytes(part).replace(b"\0", b"") for part in row] for row in text] == [
+            [b"1, 3, 4", b"12"],
+            [b"", b""],
+        ]
+
+    @pytest.mark.slow
+    def test_d18_report(self, tmp_path, monkeypatch, capsys):
+        out, report, boundary = run_boundary(boundary_spec(18, 18, 7, 718), [], tmp_path, monkeypatch, capsys)
+        assert boundary.piece_count == 2**18 - 2**7
+        results = {**report["results"], "pieces": functools.partial(reference_piece_records, boundary.grades)}
+        assert out == canonical_json({**report, "results": results}) + "\n"
+
+
+class TestBoundaryExportBuildsNoObjectPerPiece:
+    """The report and the CSV are written from the grade arrays, as the
+    witness oracle is kept from the enumeration (test_oracle_independence)."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("one Python object per piece")
+
+    def test_csv_export(self, tmp_path, monkeypatch, capsys):
+        grade = BoundaryGrade([[0]], [[1]], [[1.0]], ReluLayer.canonical(2))
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundaryPiece, "__init__", self.refuse)
+            patch.setattr(BoundaryGrade, "_rows", property(self.refuse))
+            patch.setattr(BoundaryGrade, "labels", self.refuse)
+            for built in (grade.pieces, grade.labels, lambda: grade._rows):
+                with pytest.raises(AssertionError, match="one Python object per piece"):
+                    built()
+            csv_path = tmp_path / "out.csv"
+            argv = ["--samples", "2", "--csv", str(csv_path)]
+            out, _, boundary = run_boundary(boundary_spec(8, 8, 3, 908), argv, tmp_path, monkeypatch, capsys)
+        assert json.loads(out)["results"]["piece_count"] == boundary.piece_count == 2**8 - 2**3
+        labels = csv_labels(csv_path)
+        assert labels == [reference_label(row) for grade in boundary.grades for row in (grade.indices + 1).tolist() for _ in range(2)]
+
+
 class TestCsvLabelsArePieceLabels:
-    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("d", range(2, 13))
     def test_every_row(self, d, tmp_path, monkeypatch, capsys):
         for m in sorted({0, d // 2, d - 1}):
             csv_path = tmp_path / "out.csv"
