@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -143,88 +142,6 @@ class BoundaryPiece:
     def layer(self) -> ReluLayer:
         return self.grade.layer
 
-    def label(self) -> str:
-        """The index set joined by ``-``, such as ``1-3-4``, as
-        :meth:`BoundaryGrade.labels` writes it."""
-        return text_rows(_label_text(self.grade.indices[self.row, None], self.grade.layer.d_out))[0]
-
-
-# Pieces per pass of the writers of piece text: the temporaries of one
-# pass stay at a few MB at MAX_ENUM_DIM.
-TEXT_ROWS = 16384
-
-
-@lru_cache(maxsize=None)
-def _index_table(separator: bytes, digits: int) -> np.ndarray:
-    """Row i holds ``separator`` and the decimal of i + 1 for i up to
-    10^digits - 2, NUL-padded to a power of two; the last row is empty, so
-    that index -1 writes nothing.  Read-only."""
-    width = 1 << (len(separator) + digits - 1).bit_length()
-    texts = [separator + b"%d" % v for v in range(1, 10**digits)] + [b""]
-    table = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
-    table.setflags(write=False)
-    return table
-
-
-def index_text(index: np.ndarray, d: int, separator: bytes, lists: int = 1) -> np.ndarray:
-    """The text of an integer array ``index`` of shape (rows, lists * k),
-    values in -1..d - 1, as (rows, lists, k * w) NUL-padded bytes.
-
-    Each row is ``lists`` lists of k 0-based indices, -1 where a list has
-    no more entries.  Each index i is written as ``separator`` and the
-    decimal of i + 1, in a slot of w bytes, and each list drops its first
-    separator: ``[[0, 2, 3, -1]]`` and ``b"-"`` write ``1-3-4``.  One
-    ``take`` from a table built once per separator and digit count.
-    """
-    table = _index_table(separator, len(str(d)))
-    text = table.take(index, axis=0).reshape(len(index), lists, -1)
-    text[:, :, : len(separator)] = 0
-    return text
-
-
-def piece_rows(grades):
-    """The pieces of ``grades`` in piece order, at most TEXT_ROWS at a
-    time: per pass a (rows, 2d) intp array, J in the first d columns and
-    the recession indices in the last d, each padded with -1, and whether
-    each piece is bounded.  d is the grades' output dimension."""
-    d = max((grade.layer.d_out for grade in grades), default=0)
-    starts = [0, *accumulate(grade.t.shape[0] for grade in grades)]
-    for start in range(0, starts[-1], TEXT_ROWS):
-        stop = min(start + TEXT_ROWS, starts[-1])
-        index = np.full((stop - start, 2 * d), -1, np.intp)
-        bounded = np.empty(stop - start, bool)
-        for grade, first, end in zip(grades, starts, starts[1:]):
-            lo, hi = max(first, start), min(end, stop)
-            if lo < hi:
-                rows, own, g = slice(lo - start, hi - start), slice(lo - first, hi - first), grade.t.shape[1]
-                index[rows, :g] = grade.indices[own]
-                index[rows, d : 2 * d - g] = grade.recession[own]
-                np.logical_and.reduce(np.greater(grade.t[own], 0.0), 1, out=bounded[rows])
-        yield index, bounded
-
-
-def _label_text(index: np.ndarray, d: int) -> np.ndarray:
-    """(rows, width) NUL-padded bytes of the label of each row of J, -1-padded."""
-    return index_text(index, d, b"-")[:, 0]
-
-
-def label_bytes(grades) -> np.ndarray:
-    """The labels of :meth:`BoundaryGrade.labels` of every piece of
-    ``grades`` in piece order, as (pieces, width) NUL-padded ASCII bytes."""
-    parts = []
-    for index, _ in piece_rows(grades):
-        d = index.shape[1] // 2
-        parts.append(_label_text(index[:, :d], d))
-    return np.concatenate(parts) if parts else np.zeros((0, 0), np.uint8)
-
-
-def text_rows(text: np.ndarray) -> list[str]:
-    """Each row of (rows, width) NUL-padded ASCII bytes as a str, NULs dropped."""
-    lines = np.empty((text.shape[0], text.shape[1] + 1), np.uint8)
-    lines[:, :-1] = text
-    lines[:, -1] = ord("\n")
-    return lines[lines != 0].tobytes().decode().split("\n")[:-1]
-
 
 @dataclass(frozen=True, eq=False)
 class SamplingOperands:
@@ -295,10 +212,6 @@ class BoundaryGrade:
         """Per row, J and the recession indices as 1-based tuples and whether the piece is bounded."""
         one_based = (list(map(tuple, (array + 1).tolist())) for array in (self.indices, self.recession))
         return (*one_based, self.bounded.tolist())
-
-    def labels(self) -> list[str]:
-        """Each piece's 1-based index set joined by ``-``, in piece order."""
-        return text_rows(_label_text(self.indices, self.layer.d_out))
 
     def pieces(self) -> list[BoundaryPiece]:
         """One :class:`BoundaryPiece` per row, in piece order."""

@@ -23,26 +23,28 @@ import functools
 import math
 import sys
 import time
-from itertools import compress
 
 import numpy as np
 
 from . import __version__
-from .boundary import enumerate_pieces, label_bytes, piece_count_oracle
+from .boundary import enumerate_pieces, piece_count_oracle
 from .core import ReluLayer, build_dual_frame
 from .errors import GeometryError, RankDeficient, SchemaError
 from .io import (
     canonical_json,
+    label_bytes,
     load_json,
     parse_layer_spec,
     parse_network_spec,
     piece_records,
     point_records,
+    sector_csv,
     write_level_csv,
+    write_obj,
     write_point_csv,
 )
 from .layer import evaluate, preimage_of_point
-from .mesh import piece_polygons, write_obj
+from .mesh import piece_polygons
 from .network import ReluNetwork, sample_shallow_boundary, trace_boundary
 from .partition import classify_many, sector_counts
 from .tolerances import RCOND_MIN, WITNESS_MAX_DIM, ZERO_COMPONENT_TOL
@@ -112,13 +114,17 @@ def _check_arguments(args):
 
     Counts, seeds, radii and tolerances are nonnegative (NaN is not), the
     radius is finite and the clip box is a finite interval lo < hi.
-    ``--csv`` writes the drawn samples, so it needs ``--samples`` of at
-    least 1.  The namespace holds only the flags of the chosen command.
+    ``--csv`` and ``--obj`` need a nonempty path, and ``--csv`` writes
+    the drawn samples, so it needs ``--samples`` of at least 1.  The
+    namespace holds only the flags of the chosen command.
     """
     for flag in ("seed", "samples", "fibers", "radius", "tol", "level_tol"):
         value = getattr(args, flag, None)
         if value is not None and not value >= 0:
             raise SchemaError(f"--{flag.replace('_', '-')} must be a nonnegative number, got {value}")
+    for flag in ("csv", "obj"):
+        if getattr(args, flag, None) == "":
+            raise SchemaError(f"--{flag} needs a nonempty path")
     if getattr(args, "csv", None) is not None and getattr(args, "samples", None) == 0:
         raise SchemaError("--csv writes the drawn samples, so it needs --samples of at least 1")
     if not math.isfinite(getattr(args, "radius", 0.0)):
@@ -213,10 +219,7 @@ def cmd_classify(args) -> int:
             f"point {points[overflowing][0].tolist()} has expansion coefficients beyond the float range"
         )
     if args.format == "csv":
-        names, row = [str(i) for i in range(1, layer.d_out + 1)], "%s,%s" + ",%.17g" * layer.d_in + "\n"
-        rows = zip(plus.tolist(), minus.tolist(), points.tolist())
-        lines = [row % ("|".join(compress(names, p)), "|".join(compress(names, m)), *x) for p, m, x in rows]
-        sys.stdout.write("".join(lines))
+        sys.stdout.write(sector_csv(points, plus, minus))
         return EXIT_OK
     records = functools.partial(point_records, points, coefficients, plus, minus, zero)
     results = {"points": records, "zero_tolerance": args.tol if args.tol is not None else "relative 1e-9"}
@@ -267,7 +270,7 @@ def cmd_preimage(args) -> int:
             "max_residual": residual,
             "tolerance": tolerance,
         }
-        if args.csv:
+        if args.csv is not None:
             _write("--csv", write_point_csv, args.csv, ["preimage"] * args.samples, samples)
             results["samples"]["csv"] = args.csv
     _emit(_report(args, digest, results, started))
@@ -320,11 +323,11 @@ def cmd_boundary(args) -> int:
             "max_residual": float(np.max(residuals)),
             "tolerance": tolerance,
         }
-        if args.csv:
+        if args.csv is not None:
             labels = np.repeat(label_bytes(boundary.grades), args.samples, axis=0)
             _write("--csv", write_point_csv, args.csv, labels, drawn.points, {"residual": residuals})
             results["samples"]["csv"] = args.csv
-    if args.obj:
+    if args.obj is not None:
         lo, hi = args.box
         polys = piece_polygons(layer, boundary, lo, hi)
         _write("--obj", write_obj, args.obj, polys)
@@ -361,7 +364,7 @@ def cmd_deep_boundary(args) -> int:
             "max_residual": float(np.max(sample_set.residuals, initial=0.0)),
             "tolerance": args.level_tol,
         }
-        if args.csv:
+        if args.csv is not None:
             path = f"{args.csv}_level{level}.csv"
             _write("--csv", write_level_csv, path, sample_set)
             entry["csv"] = path

@@ -1,4 +1,4 @@
-"""Input schemas, canonical JSON serialization, and CSV export.
+"""Input schemas and every output format: JSON reports, CSV and OBJ files.
 
 Input files are JSON.  A layer spec is an object with a row-major
 ``matrix`` and an ``offset`` whose length equals the row count.  A
@@ -13,7 +13,8 @@ commands take their seed from ``--seed``.
 
 Reports are serialized with fixed 17-significant-digit float formatting
 so identical inputs and seeds reproduce identical bytes (the wall-time
-field is the one documented exception).
+field is the one documented exception).  A boundary report lists one
+``{"J", "bounded", "recession_indices"}`` object per piece, 1-based.
 
 CSV files use one dialect: comma separators, CRLF line ends and no
 quoting, with every float written as ``%.17g``.  No field ever needs
@@ -24,15 +25,15 @@ table in one pass, and ``%`` itself writes small tables and every value
 the formatter cannot decide: non-finite values, nonzero magnitudes
 outside [2^-320, 2^56) and the near ties of its inexact range.
 
-Piece text comes from the grade arrays, never from one Python object per
-piece.  :func:`boundary.piece_rows` lays the pieces out, a bounded number
-per pass, as -1-padded index rows (J, then the recession indices), and
-:func:`boundary.index_text` writes an index row as NUL-padded bytes by
-one lookup in a table of separator-and-decimal texts.  A boundary CSV's
-labels are such rows with ``-`` (:func:`boundary.label_bytes`), repeated
-once per sample, and the report's piece list writes each record as one
-line of fixed slots with ``, `` lists; each block of lines drops its
-NULs in one pass, as the CSV rows do.
+``classify --format csv`` prints no header and one LF-terminated line
+per point: its sector's plus and minus index sets, each joined by ``|``,
+then its coordinates as ``%.17g``.  An OBJ mesh is one comment line,
+then per clipped piece a group ``piece_<label>`` (the CSV label), its
+vertices as ``v`` lines of ``%.17g`` coordinates and a fan of ``f``
+triangles from its first vertex, numbered on across the groups.
+
+Piece text is written from the grade arrays, a bounded number of pieces
+per pass, never from one Python object per piece.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ import hashlib
 import json
 import math
 import sys
-from itertools import compress
+from functools import lru_cache
+from itertools import accumulate, compress
 from typing import Any
 
 import numpy as np
 
-from .boundary import OutputLayer, index_text, piece_rows, text_rows
+from .boundary import OutputLayer
 from .core import AffineMap
 from .errors import SchemaError
 
@@ -264,6 +266,83 @@ def point_records(points, coefficients, plus, minus, zero, indent: int) -> str:
     return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n" + "  " * indent + "]"
 
 
+def sector_csv(points, plus, minus) -> str:
+    """The ``classify --format csv`` lines of ``points`` and the plus and
+    minus masks of their sectors."""
+    names, row = [str(i) for i in range(1, plus.shape[1] + 1)], "%s,%s" + ",%.17g" * points.shape[1] + "\n"
+    rows = zip(plus.tolist(), minus.tolist(), points.tolist())
+    return "".join([row % ("|".join(compress(names, p)), "|".join(compress(names, m)), *x) for p, m, x in rows])
+
+
+# Pieces per pass of the writers of piece text: the temporaries of one
+# pass stay at a few MB at MAX_ENUM_DIM.
+_TEXT_ROWS = 16384
+
+
+@lru_cache(maxsize=None)
+def _index_table(separator: bytes, digits: int) -> np.ndarray:
+    """Row i holds ``separator`` and the decimal of i + 1 for i up to
+    10^digits - 2, NUL-padded to a power of two; the last row is empty, so
+    that index -1 writes nothing.  Read-only."""
+    width = 1 << (len(separator) + digits - 1).bit_length()
+    texts = [separator + b"%d" % v for v in range(1, 10**digits)] + [b""]
+    table = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+    table.setflags(write=False)
+    return table
+
+
+def _index_text(index: np.ndarray, d: int, separator: bytes, lists: int = 1) -> np.ndarray:
+    """The text of an integer array ``index`` of shape (rows, lists * k),
+    values in -1..d - 1, as (rows, lists, k * w) NUL-padded bytes.
+
+    Each row is ``lists`` lists of k 0-based indices, -1 where a list has
+    no more entries.  Each index i is written as ``separator`` and the
+    decimal of i + 1, in a slot of w bytes, and each list drops its first
+    separator: ``[[0, 2, 3, -1]]`` and ``b"-"`` write ``1-3-4``.  One
+    ``take`` from a table built once per separator and digit count.
+    """
+    table = _index_table(separator, len(str(d)))
+    text = table.take(index, axis=0).reshape(len(index), lists, -1)
+    text[:, :, : len(separator)] = 0
+    return text
+
+
+def _piece_rows(grades):
+    """The pieces of ``grades`` in piece order, at most _TEXT_ROWS at a
+    time: per pass a (rows, 2d) intp array, J in the first d columns and
+    the recession indices in the last d, each padded with -1, and whether
+    each piece is bounded.  d is the grades' output dimension."""
+    d = max((grade.layer.d_out for grade in grades), default=0)
+    starts = [0, *accumulate(grade.t.shape[0] for grade in grades)]
+    bounded = np.concatenate([np.zeros(0, bool), *(grade.bounded for grade in grades)])
+    for start in range(0, starts[-1], _TEXT_ROWS):
+        stop = min(start + _TEXT_ROWS, starts[-1])
+        index = np.full((stop - start, 2 * d), -1, np.intp)
+        for grade, first, end in zip(grades, starts, starts[1:]):
+            lo, hi = max(first, start), min(end, stop)
+            if lo < hi:
+                rows, own, g = slice(lo - start, hi - start), slice(lo - first, hi - first), grade.t.shape[1]
+                index[rows, :g] = grade.indices[own]
+                index[rows, d : 2 * d - g] = grade.recession[own]
+        yield index, bounded[start:stop]
+
+
+def label_bytes(grades) -> np.ndarray:
+    """The label of every piece of ``grades`` in piece order, its 1-based
+    index set joined by ``-`` such as ``1-3-4``, as (pieces, width)
+    NUL-padded ASCII bytes."""
+    parts = []
+    for index, _ in _piece_rows(grades):
+        d = index.shape[1] // 2
+        parts.append(_index_text(index[:, :d], d, b"-")[:, 0])
+    return np.concatenate(parts) if parts else np.zeros((0, 0), np.uint8)
+
+
+def text_rows(text: np.ndarray) -> list[str]:
+    """Each row of (rows, width) NUL-padded ASCII bytes as a str, NULs dropped."""
+    return str(_joined_rows([text, _NEWLINE], len(text)), "ascii").split("\n")[:-1]
+
+
 _TRUE, _FALSE = (np.frombuffer(text, np.uint8) for text in (b"true\0", b"false"))
 
 
@@ -276,9 +355,9 @@ def piece_records(grades, indent: int) -> str:
     MAX_ENUM_DIM = 20 the longest list has 71 characters, within the flat
     limit of 100.  So each record is ``",\n"`` and the object's text in
     one line of fixed slots, NUL where unused: the index lists come from
-    :func:`boundary.index_text` of the -1-padded rows of
-    :func:`boundary.piece_rows`, ``true`` or ``false`` is chosen by mask,
-    and each pass of rows drops its NULs at once.
+    :func:`_index_text` of the -1-padded rows of :func:`_piece_rows`,
+    ``true`` or ``false`` is chosen by mask, and each pass of rows drops
+    its NULs at once.
     """
     pad, inner = "  " * (indent + 1), "  " * (indent + 2)
     head, middle, tail, end = (
@@ -287,8 +366,8 @@ def piece_records(grades, indent: int) -> str:
                      f',\n{inner}"recession_indices": [', f']\n{pad}}}')
     )
     texts = ["[\n"]
-    for index, bounded in piece_rows(grades):
-        lists = index_text(index, index.shape[1] // 2, b", ", 2)
+    for index, bounded in _piece_rows(grades):
+        lists = _index_text(index, index.shape[1] // 2, b", ", 2)
         flag = np.where(bounded[:, None], _TRUE, _FALSE)
         text = _joined_rows([head, lists[:, 0], middle, flag, tail, lists[:, 1], end], len(index))
         texts.append(str(text[2 if len(texts) == 1 else 0 :], "ascii"))  # the first record follows "[\n"
@@ -520,7 +599,7 @@ def _is_text_block(labels) -> bool:
     return isinstance(labels, np.ndarray) and labels.dtype == np.uint8 and labels.ndim == 2
 
 
-_COMMA, _CRLF = (np.frombuffer(text, np.uint8) for text in (b",", b"\r\n"))
+_COMMA, _CRLF, _NEWLINE = (np.frombuffer(text, np.uint8) for text in (b",", b"\r\n", b"\n"))
 
 
 def _csv_rows(labels, table: np.ndarray, last) -> np.ndarray:
@@ -545,7 +624,7 @@ def _write_csv(path: str, header: list[str], labels, table: np.ndarray, last=Non
     Rows go out about ``_CHUNK_FLOATS`` floats at a time, so no text the
     size of the file is ever built.  ``last`` is ASCII str or int, and so
     are the labels, or they are (rows, width) NUL-padded ASCII bytes, as
-    :func:`boundary.label_bytes` writes them.  Array chunks take label
+    :func:`label_bytes` writes them.  Array chunks take label
     bytes as they are; ``%`` chunks take str labels as they are.
     """
     row_format = "%s" + ",%.17g" * table.shape[1] + ("" if last is None else ",%s") + "\r\n"
@@ -570,7 +649,7 @@ def _write_csv(path: str, header: list[str], labels, table: np.ndarray, last=Non
 def write_point_csv(path: str, labels, points, extra_columns: dict | None = None):
     """CSV of labeled points; coordinate columns are named x1..xd.  Labels
     are str, or (rows, width) NUL-padded ASCII bytes such as
-    :func:`boundary.label_bytes` writes."""
+    :func:`label_bytes` writes."""
     points = np.asarray(points, dtype=float)
     extra = extra_columns or {}
     header = ["label"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + list(extra)
@@ -584,3 +663,18 @@ def write_level_csv(path: str, sample_set):
     header = ["level"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + ["residual", "fiber"]
     table = np.column_stack([points, sample_set.residuals])
     _write_csv(path, header, [sample_set.level] * len(points), table, sample_set.fiber)
+
+
+def write_obj(path: str, polygons: list[tuple[str, np.ndarray]]):
+    """Write labeled convex polygons as OBJ groups, one triangle fan each."""
+    with open(path, "w") as fh:
+        fh.write("# decision boundary pieces clipped to a box\n")
+        offset = 1
+        for label, poly in polygons:
+            fh.write(f"g piece_{label}\n")
+            for vertex in poly:
+                fh.write("v " + " ".join(f"{c:.17g}" for c in vertex) + "\n")
+            n = poly.shape[0]
+            for i in range(1, n - 1):
+                fh.write(f"f {offset} {offset + i} {offset + i + 1}\n")
+            offset += n

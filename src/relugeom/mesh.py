@@ -15,15 +15,18 @@ nonnegative inside.  A crossing point is the positive combination
 |f_q| p + |f_p| q of the points p and q of an edge.  Every point is kept at
 max norm 1, so the vertices keep their own digits beside a box face of any
 finite size.  The points with w > 0, divided by w, are the vertices of the
-clipped polygon, written to OBJ as a triangle fan.
+clipped polygon, in order; :func:`relugeom.io.write_obj` writes them.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
 from .boundary import DecisionBoundary
 from .errors import DimensionMismatch
+from .io import label_bytes, text_rows
 from .layer import ReluLayer
 
 
@@ -75,36 +78,21 @@ def piece_polygons(
     duals, apex = np.zeros((3, 4)), np.append(layer.apex, 1.0)
     duals[:, :3] = layer.duals
     polys = []
-    for grade in boundary.grades:
-        for label, t, inside, outside in zip(grade.labels(), grade.t, grade.indices, grade.recession):
-            positive = t > 0.0
-            ends = t[positive, None] * duals[inside[positive]]
-            sweeps = -t[~positive, None] * duals[inside[~positive]]
-            rays = np.concatenate([(ends[:, None] + sweeps).reshape(-1, 4), -duals[outside]])
-            points = np.concatenate([apex + ends, rays])
-            center = (apex + ends.mean(axis=0) + rays.sum(axis=0))[:3]
-            points = _order_convex(points, center, a[inside].T @ w[inside])
-            polygon = (points / np.abs(points).max(axis=1, keepdims=True)).tolist()
-            for k in range(3):
-                polygon = _clip(_clip(polygon, k, 1.0, hi), k, -1.0, lo)
-            vertices = [[min(max(x / p[3], lo), hi) for x in p[:3]] for p in polygon if p[3] > 0.0]
-            # drop each exact repeat of its cyclic predecessor
-            vertices = [v for v, u in zip(vertices, vertices[-1:] + vertices[:-1]) if v != u]
-            if len(vertices) >= 3:
-                polys.append((label, np.array(vertices)))
+    rows = chain.from_iterable(zip(grade.t, grade.indices, grade.recession) for grade in boundary.grades)
+    for label, (t, inside, outside) in zip(text_rows(label_bytes(boundary.grades)), rows):
+        positive = t > 0.0
+        ends = t[positive, None] * duals[inside[positive]]
+        sweeps = -t[~positive, None] * duals[inside[~positive]]
+        rays = np.concatenate([(ends[:, None] + sweeps).reshape(-1, 4), -duals[outside]])
+        points = np.concatenate([apex + ends, rays])
+        center = (apex + ends.mean(axis=0) + rays.sum(axis=0))[:3]
+        points = _order_convex(points, center, a[inside].T @ w[inside])
+        polygon = (points / np.abs(points).max(axis=1, keepdims=True)).tolist()
+        for k in range(3):
+            polygon = _clip(_clip(polygon, k, 1.0, hi), k, -1.0, lo)
+        vertices = [[min(max(x / p[3], lo), hi) for x in p[:3]] for p in polygon if p[3] > 0.0]
+        # drop each exact repeat of its cyclic predecessor
+        vertices = [v for v, u in zip(vertices, vertices[-1:] + vertices[:-1]) if v != u]
+        if len(vertices) >= 3:
+            polys.append((label, np.array(vertices)))
     return polys
-
-
-def write_obj(path: str, polygons: list[tuple[str, np.ndarray]]):
-    """Write labeled convex polygons as OBJ groups, one triangle fan each."""
-    with open(path, "w") as fh:
-        fh.write("# decision boundary pieces clipped to a box\n")
-        offset = 1
-        for label, poly in polygons:
-            fh.write(f"g piece_{label}\n")
-            for vertex in poly:
-                fh.write("v " + " ".join(f"{c:.17g}" for c in vertex) + "\n")
-            n = poly.shape[0]
-            for i in range(1, n - 1):
-                fh.write(f"f {offset} {offset + i} {offset + i + 1}\n")
-            offset += n

@@ -279,27 +279,46 @@ def run_partition(seed: int) -> SuiteResult:
     return result
 
 
+def _count_images(prop, layer, canonical, sector, want, rng, case: dict):
+    """Count the images under ``layer`` of 100 points drawn in ``sector``
+    that ``canonical``, the canonical layer, does not put in sector ``want``."""
+    bits = 1 << np.arange(layer.d_out)
+    ys = ly.evaluate(layer, pt.sample_sector(layer, sector, 100, rng))
+    _, plus, minus, _ = pt.classify_many(canonical, ys)
+    wrong = np.flatnonzero((plus @ bits != want.plus_mask) | (minus @ bits != want.minus_mask))
+    counterexample = None
+    if wrong.size:
+        y = ys[wrong[0]]
+        got = pt.classify(canonical, y).to_json()
+        counterexample = {**case, "sector": sector.to_json(), "got": got, "y": y.tolist()}
+    prop.count(wrong.size, counterexample, checks=len(ys))
+
+
 def run_image(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("image", seed)
     forgets = result.declare("image_forgets_minus_set", 1)
+    pulled = result.declare("preimage_of_sector_partitions_the_domain", 1)
     for d in (1, 2, 3, 4):
         canonical = ly.ReluLayer.canonical(d)
-        bits = 1 << np.arange(d)
         for _ in range(3):
             layer = random_layer(rng, d)
             for sector in pt.enumerate_sectors(d):
-                xs = pt.sample_sector(layer, sector, 100, rng)
-                ys = ly.evaluate(layer, xs)
-                want = ly.image_of_sector(layer, sector)
-                _, plus, minus, _ = pt.classify_many(canonical, ys)
-                wrong = np.flatnonzero((plus @ bits != want.plus_mask) | (minus @ bits != want.minus_mask))
-                counterexample = None
-                if wrong.size:
-                    y = ys[wrong[0]]
-                    got = pt.classify(canonical, y).to_json()
-                    counterexample = {"d": d, "sector": sector.to_json(), "got": got, "y": y.tolist()}
-                forgets.count(wrong.size, counterexample, checks=len(ys))
+                _count_images(forgets, layer, canonical, sector, ly.image_of_sector(layer, sector), rng, {"d": d})
+    # Drawn after the loop above, so that its property keeps its numbers:
+    # the sectors listed for the codomain sectors (J, {}) are every domain
+    # sector once, and each maps into its (J, {}).
+    for d in (1, 2, 3, 4):
+        canonical, layer, listed = ly.ReluLayer.canonical(d), random_layer(rng, d), []
+        for j in itertools.chain.from_iterable(itertools.combinations(range(1, d + 1), g) for g in range(d + 1)):
+            image = pt.SectorIndex.of(d, j)
+            for sector in ly.preimage_of_sector(layer, j):
+                listed.append(sector)
+                _count_images(pulled, layer, canonical, sector, image, rng, {"d": d, "J": list(j)})
+        every, seen = pt.enumerate_sectors(d), set(listed)
+        violations = len(seen.symmetric_difference(every)) + len(listed) - len(seen)
+        missing = [s.to_json() for s in every if s not in seen]
+        pulled.count(violations, {"d": d, "listed": len(listed), "missing": missing}, checks=len(every))
     return result
 
 

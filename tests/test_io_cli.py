@@ -187,6 +187,27 @@ class TestExitCodes:
         assert "--csv" in body["message"] and "--samples" in body["message"]
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "command, spec, extra, option",
+        [
+            ("boundary", GOLDEN_NET3, ["--samples=2"], "--csv"),
+            ("boundary", GOLDEN_NET3, ["--samples=2"], "--obj"),
+            ("preimage", GOLDEN_LAYER3, ["--point=1,1,1", "--samples=2"], "--csv"),
+            ("deep-boundary", GOLDEN_NET3.with_name("deep.json"), ["--samples=2"], "--csv"),
+        ],
+    )
+    def test_empty_output_path_is_schema_error(self, command, spec, extra, option, tmp_path, capsys, monkeypatch):
+        # refused before the input is read, so nothing is written and nothing is reported
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_json", lambda path: pytest.fail("input read"))
+        code = main([command, "--input", str(spec), *extra, option, ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body == {"error": "SchemaError", "message": f"{option} needs a nonempty path", "exit_code": 2}
+        assert list(tmp_path.iterdir()) == []
+
     def test_singular_matrix_exits_3(self, tmp_path, capsys):
         path = write_spec(tmp_path / "s.json", {"matrix": [[1, 2], [2, 4]], "offset": [0, 0]})
         code, body = run(capsys, ["analyze", "--input", path])

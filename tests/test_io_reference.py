@@ -24,10 +24,21 @@ from hypothesis import strategies as st
 
 import relugeom.cli as cli
 import relugeom.io as rio
-from relugeom.boundary import TEXT_ROWS, BoundaryGrade, BoundaryPiece, index_text, label_bytes
+from relugeom.boundary import BoundaryGrade, BoundaryPiece
 from relugeom.cli import main
 from relugeom.core import ReluLayer
-from relugeom.io import _ARRAY_MIN_FLOATS, _CHUNK_FLOATS, canonical_json, piece_records, write_level_csv, write_point_csv
+from relugeom.io import (
+    _ARRAY_MIN_FLOATS,
+    _CHUNK_FLOATS,
+    _TEXT_ROWS,
+    _index_text,
+    canonical_json,
+    label_bytes,
+    piece_records,
+    text_rows,
+    write_level_csv,
+    write_point_csv,
+)
 from relugeom.network import BoundarySampleSet
 from relugeom.partition import SectorIndex, classify
 from relugeom.tolerances import MAX_ENUM_DIM
@@ -346,7 +357,7 @@ class TestCsvChunksAndCutover:
 
     @pytest.mark.parametrize("d", [1, 4, 12])
     def test_point_csv_with_label_bytes(self, d, tmp_path):
-        # labels as boundary.label_bytes writes them, -1-padded index sets of 1..3
+        # labels as io.label_bytes writes them, -1-padded index sets of 1..3
         # indices, through the array chunks as they are and the % chunks decoded
         rng = np.random.default_rng(70 + d)
         for rows in rows_around_chunks(d + 1):
@@ -354,7 +365,7 @@ class TestCsvChunksAndCutover:
             index[np.arange(3) >= rng.integers(1, 4, size=(rows, 1))] = -1
             names = ["-".join(str(i + 1) for i in row if i >= 0) for row in index.tolist()]
             points, columns = hostile_table(rng, rows, d), {"residual": np.abs(hostile_table(rng, rows, 1)[:, 0])}
-            write_point_csv(tmp_path / "got.csv", index_text(index, 12, b"-")[:, 0], points, columns)
+            write_point_csv(tmp_path / "got.csv", _index_text(index, 12, b"-")[:, 0], points, columns)
             reference_write_point_csv(tmp_path / "want.csv", names, points, columns)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), rows
 
@@ -489,7 +500,7 @@ def random_grade(rng, layer, rows: int, g: int) -> BoundaryGrade:
 def hand_built_grade_lists():
     """Grade lists off the enumeration's path: indices 10-19 only, g = d
     (no recession indices), one-row grades, and grades that a pass of
-    TEXT_ROWS pieces splits, alone and across a grade boundary."""
+    _TEXT_ROWS pieces splits, alone and across a grade boundary."""
     rng = np.random.default_rng(2024)
     d, small = MAX_ENUM_DIM, ReluLayer.canonical(4)
     layer = ReluLayer.canonical(d)
@@ -507,8 +518,8 @@ def hand_built_grade_lists():
         "g equals d": [full, teens, full],
         "one-row grades": [random_grade(rng, layer, 1, g) for g in (1, 5, d - 1)],
         "d = 4": [random_grade(rng, small, 1, 2), BoundaryGrade([[0, 1, 2, 3]], np.zeros((1, 0)), [[1.0] * 4], small)],
-        "longer than a pass": [random_grade(rng, layer, TEXT_ROWS + 5, 10)],
-        "split across grades": [random_grade(rng, layer, TEXT_ROWS - 3, 3), random_grade(rng, layer, 9, 17), full],
+        "longer than a pass": [random_grade(rng, layer, _TEXT_ROWS + 5, 10)],
+        "split across grades": [random_grade(rng, layer, _TEXT_ROWS - 3, 3), random_grade(rng, layer, 9, 17), full],
     }
 
 
@@ -526,11 +537,9 @@ class TestPieceRecordsMatchTemplateReference:
     def test_hand_built_labels(self, case):
         grades = HAND_BUILT[case]
         want = [reference_label(row) for grade in grades for row in (grade.indices + 1).tolist()]
-        assert [label for grade in grades for label in grade.labels()] == want
         text = label_bytes(grades)
         assert [bytes(row).replace(b"\0", b"").decode() for row in text] == want
-        grade = grades[-1]
-        assert BoundaryPiece(grade, grade.t.shape[0] - 1).label() == want[-1]
+        assert text_rows(text) == want
 
     @pytest.mark.parametrize("d, m", [(1, 0), (3, 1), (6, 0), (9, 4), (12, 11)])
     @pytest.mark.parametrize("indent", range(4))
@@ -542,7 +551,7 @@ class TestPieceRecordsMatchTemplateReference:
         assert piece_records([], 2) == reference_piece_records([], 2)
 
     def test_index_text_drops_the_first_separator_of_each_list(self):
-        text = index_text(np.array([[0, 2, 3, -1, 11, -1, -1, -1], [-1] * 8]), 12, b", ", 2)
+        text = _index_text(np.array([[0, 2, 3, -1, 11, -1, -1, -1], [-1] * 8]), 12, b", ", 2)
         assert [[bytes(part).replace(b"\0", b"") for part in row] for row in text] == [
             [b"1, 3, 4", b"12"],
             [b"", b""],
@@ -569,8 +578,7 @@ class TestBoundaryExportBuildsNoObjectPerPiece:
         with monkeypatch.context() as patch:
             patch.setattr(BoundaryPiece, "__init__", self.refuse)
             patch.setattr(BoundaryGrade, "_rows", property(self.refuse))
-            patch.setattr(BoundaryGrade, "labels", self.refuse)
-            for built in (grade.pieces, grade.labels, lambda: grade._rows):
+            for built in (grade.pieces, lambda: grade._rows):
                 with pytest.raises(AssertionError, match="one Python object per piece"):
                     built()
             csv_path = tmp_path / "out.csv"
@@ -588,9 +596,8 @@ class TestCsvLabelsArePieceLabels:
             csv_path = tmp_path / "out.csv"
             argv = ["--samples", "2", "--csv", str(csv_path)]
             _, _, boundary = run_boundary(boundary_spec(d, d, m, 900 + d), argv, tmp_path, monkeypatch, capsys)
-            labels = [piece.label() for piece in boundary.pieces for _ in range(2)]
+            labels = [reference_label(piece.indices) for piece in boundary.pieces for _ in range(2)]
             assert csv_labels(csv_path) == labels
-            assert labels[::2] == [reference_label(piece.indices) for piece in boundary.pieces]
 
 
 def reference_split_by_zero_band(lam, zero_tol):

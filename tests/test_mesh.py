@@ -11,9 +11,9 @@ import pytest
 import relugeom
 from relugeom import DimensionMismatch, OutputLayer, canonical_boundary, enumerate_pieces
 from relugeom.core import build_dual_frame
-from relugeom.io import parse_network_spec
+from relugeom.io import parse_network_spec, write_obj
 from relugeom.layer import ReluLayer
-from relugeom.mesh import piece_polygons, write_obj
+from relugeom.mesh import piece_polygons
 
 from factories import random_output, random_square_layer
 
@@ -154,7 +154,7 @@ def reference_piece_polygons(layer, boundary, lo, hi):
         for i in piece.recession_indices:
             poly = reference_clip(poly, -a[i - 1], -float(b[i - 1]))
         if poly.shape[0] >= 3:
-            polys.append((piece.label(), poly))
+            polys.append(("-".join(map(str, piece.indices)), poly))
     return polys
 
 

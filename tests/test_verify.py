@@ -145,8 +145,39 @@ def test_image_suite_counts_as_the_per_point_loop(monkeypatch):
     monkeypatch.setattr(ly, "evaluate", moved)
     suite = run_image(0)
     assert not suite.passed
-    assert canonical_json(suite.to_json()) == canonical_json(reference_run_image(0).to_json())
+    (forgets, *_) = suite.properties
+    assert canonical_json(forgets.to_json()) == canonical_json(reference_run_image(0).properties[0].to_json())
     assert failing(suite)["image_forgets_minus_set"]["y"][0] == -1.0
+
+
+def test_image_suite_checks_the_sector_preimages(monkeypatch):
+    # Each list of domain sectors loses its last one, so the sector (J, K)
+    # with K the whole complement of J is listed for no J.
+    preimage_of_sector = ly.preimage_of_sector
+    monkeypatch.setattr(ly, "preimage_of_sector", lambda layer, j: preimage_of_sector(layer, j)[:-1])
+    suite = run_image(0)
+    failed = failing(suite)
+    assert list(failed) == ["preimage_of_sector_partitions_the_domain"]
+    assert failed["preimage_of_sector_partitions_the_domain"] == {
+        "d": 1,
+        "listed": 1,
+        "missing": [{"plus": [], "minus": [1]}, {"plus": [1], "minus": []}],
+    }
+    assert reported(suite)["preimage_of_sector_partitions_the_domain"]["worst_residual"] == 2 + 4 + 8 + 16
+
+
+def test_image_suite_checks_where_the_sector_preimages_map(monkeypatch):
+    # Every listed sector also gets its plus set as minus set: disjoint
+    # masks are kept, so only the empty J survives, and (J, J) is no sector.
+    preimage_of_sector = ly.preimage_of_sector
+
+    def minus_for_plus(layer, j):
+        return [pt.SectorIndex(s.d, s.minus_mask, s.plus_mask) for s in preimage_of_sector(layer, j)]
+
+    monkeypatch.setattr(ly, "preimage_of_sector", minus_for_plus)
+    failed = failing(run_image(0))
+    assert list(failed) == ["preimage_of_sector_partitions_the_domain"]
+    assert set(failed["preimage_of_sector_partitions_the_domain"]) == {"d", "J", "sector", "got", "y"}
 
 
 def test_nan_decomposition_residual_fails(monkeypatch):
