@@ -16,7 +16,6 @@ canonical boundary with the same m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -32,13 +31,11 @@ from .errors import (
     EnumerationLimit,
     InvalidM,
     RankDeficient,
-    SchemaError,
 )
-from .layer import refuse_sample_floats
+from .layer import refuse_draw
 from .partition import graded_subsets
 from .tolerances import (
     DEGENERATE_DIRECTION_REL,
-    MAX_SAMPLE_FLOATS,
     RCOND_MIN,
     WITNESS_LEVEL_REL,
     WITNESS_MAX_DIM,
@@ -280,9 +277,11 @@ class CanonicalReduction:
 class DecisionBoundary:
     """Complete piecewise-linear boundary of a shallow network.
 
-    ``readout`` is the readout normalized to a negative bias; the
-    intersection values ``t`` (t[i-1] puts apex + t_i a_i* on the
-    boundary's hyperplane) and the piece structure refer to it.  ``m``
+    ``layer`` holds the dual frame (the apex and the a_i*) and is the
+    ``layer`` of every grade, so the samplers and the mesh take the
+    boundary alone.  ``readout`` is the readout normalized to a negative
+    bias; the intersection values ``t`` (t[i-1] puts apex + t_i a_i* on
+    the boundary's hyperplane) and the piece structure refer to it.  ``m``
     counts the negative values.  ``grades`` holds the pieces as arrays,
     one :class:`BoundaryGrade` per |J| = 1..d in piece order, and
     ``piece_count`` their total row count.  The report, the CSV labels and
@@ -293,6 +292,7 @@ class DecisionBoundary:
     """
 
     d: int
+    layer: ReluLayer
     readout: OutputLayer
     grades: tuple[BoundaryGrade, ...]
     t: np.ndarray
@@ -396,6 +396,7 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
         raise RankDeficient("canonical change of variables is numerically singular")
     return DecisionBoundary(
         d=d,
+        layer=layer,
         readout=norm,
         grades=tuple(grades),
         t=t,
@@ -410,12 +411,6 @@ def enumerate_pieces(layer: ReluLayer, output: OutputLayer) -> DecisionBoundary:
     )
 
 
-def refuse_radius(radius: float):
-    """Raise SchemaError unless ``radius`` is a nonnegative finite number."""
-    if not 0.0 <= radius < math.inf:
-        raise SchemaError(f"the sampling radius must be a nonnegative finite number, got {radius}")
-
-
 def sample_piece(
     piece: BoundaryPiece, n: int, radius: float = 1.0, *, rng: np.random.Generator
 ) -> np.ndarray:
@@ -426,9 +421,10 @@ def sample_piece(
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
 
-    Raises SchemaError for a negative ``n`` and for a negative or
-    non-finite radius, and EnumerationLimit when the n points would hold
-    more than MAX_SAMPLE_FLOATS floats; nothing is drawn then.
+    Opens with :func:`~relugeom.layer.refuse_draw`: SchemaError for a
+    negative ``n`` and for a negative or non-finite radius, and
+    EnumerationLimit when the n points would hold more than
+    MAX_SAMPLE_FLOATS floats; nothing is drawn then.
 
     The piece's sign structure and dual vectors are read at its row of
     the :class:`SamplingOperands` of its grade, built once per grade; a
@@ -464,14 +460,9 @@ def sample_piece(
     former exponential, gamma(1.0) and uniform(0, radius) calls, and
     :func:`sample_grade` draws the same stream piece by piece.
     """
-    if n < 0:
-        raise SchemaError(f"cannot draw {n} points of a boundary piece")
-    refuse_radius(radius)
     grade, row = piece.grade, piece.row
     apex = grade.layer.apex
-    floats = n * len(apex)
-    if floats > MAX_SAMPLE_FLOATS:
-        refuse_sample_floats(n, floats)
+    refuse_draw(n, radius, n * len(apex))
     operands = grade.operands
     k, q, t_max, in_j_order = operands.counts[row]
     if not q:

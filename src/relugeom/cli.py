@@ -39,6 +39,7 @@ from .io import (
     piece_records,
     point_records,
     sector_csv,
+    verify_lines,
     write_level_csv,
     write_obj,
     write_point_csv,
@@ -309,7 +310,7 @@ def cmd_boundary(args) -> int:
         }
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        drawn = sample_shallow_boundary(layer, boundary, 1, args.samples, args.radius, rng)
+        drawn = sample_shallow_boundary(boundary, 1, args.samples, args.radius, rng)
         readout, scale = boundary.readout, 1.0 + abs(boundary.readout.bias)
         tolerance = 1e-8
         positive = boundary.t > 0.0
@@ -329,7 +330,7 @@ def cmd_boundary(args) -> int:
             results["samples"]["csv"] = args.csv
     if args.obj is not None:
         lo, hi = args.box
-        polys = piece_polygons(layer, boundary, lo, hi)
+        polys = piece_polygons(boundary, lo, hi)
         _write("--obj", write_obj, args.obj, polys)
         results["obj"] = {"path": args.obj, "box": [lo, hi], "pieces_in_box": len(polys)}
     _emit(_report(args, digest, results, started))
@@ -377,12 +378,7 @@ def cmd_deep_boundary(args) -> int:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     suite = run_suite(args.suite, args.seed)
-    for prop in suite.properties:
-        status = "pass" if prop.passed else "FAIL"
-        sys.stderr.write(
-            f"{suite.suite}/{prop.name}: {prop.checks} checks, "
-            f"worst {prop.worst:.3e} (tol {prop.tolerance:.1e}): {status}\n"
-        )
+    sys.stderr.write(verify_lines(suite))
     report = {
         "command": f"verify {args.suite}",
         "seed": args.seed,

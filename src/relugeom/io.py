@@ -32,6 +32,10 @@ then per clipped piece a group ``piece_<label>`` (the CSV label), its
 vertices as ``v`` lines of ``%.17g`` coordinates and a fan of ``f``
 triangles from its first vertex, numbered on across the groups.
 
+``verify`` writes one stderr line per property, ``<suite>/<name>:
+<checks> checks, worst <worst> (tol <tolerance>): pass`` or ``FAIL``,
+with the worst residual as ``%.3e`` and the tolerance as ``%.1e``.
+
 Piece text is written from the grade arrays, a bounded number of pieces
 per pass, never from one Python object per piece.
 """
@@ -663,6 +667,15 @@ def write_level_csv(path: str, sample_set):
     header = ["level"] + [f"x{i}" for i in range(1, points.shape[1] + 1)] + ["residual", "fiber"]
     table = np.column_stack([points, sample_set.residuals])
     _write_csv(path, header, [sample_set.level] * len(points), table, sample_set.fiber)
+
+
+def verify_lines(suite) -> str:
+    """The ``verify`` stderr text of a suite result, one line per property."""
+    return "".join(
+        f"{suite.suite}/{prop.name}: {prop.checks} checks, worst {prop.worst:.3e} "
+        f"(tol {prop.tolerance:.1e}): {'pass' if prop.passed else 'FAIL'}\n"
+        for prop in suite.properties
+    )
 
 
 def write_obj(path: str, polygons: list[tuple[str, np.ndarray]]):

@@ -10,12 +10,13 @@ vectors of y's zero components, with nonnegative coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ReluLayer
-from .errors import DimensionMismatch, EnumerationLimit
+from .errors import DimensionMismatch, EnumerationLimit, SchemaError
 from .partition import SectorIndex, graded_subsets
 from .tolerances import MAX_SAMPLE_FLOATS, ZERO_COMPONENT_TOL, scaled
 
@@ -85,8 +86,9 @@ class PreimageSet:
         return len(self.generator_indices) + (0 if free is None else free.shape[0])
 
     def sample(self, n: int, radius: float, *, rng: np.random.Generator) -> np.ndarray:
-        """Points of the set; coefficients are Exponential(1) scaled by radius."""
-        refuse_sample_floats(n, n * self.layer.d_in)
+        """Points of the set; coefficients are Exponential(1) scaled by radius.
+        Refused by :func:`refuse_draw` before any draw."""
+        refuse_draw(n, radius, n * self.layer.d_in)
         points = np.tile(self.base, (n, 1))
         if self.generator_indices:
             coeffs = rng.exponential(radius, size=(n, len(self.generator_indices)))
@@ -98,9 +100,15 @@ class PreimageSet:
         return points
 
 
-def refuse_sample_floats(samples: int, floats: int):
-    """Raise EnumerationLimit before a draw of ``samples`` points (per piece,
-    for a boundary) would hold ``floats`` floats beyond MAX_SAMPLE_FLOATS."""
+def refuse_draw(samples: int, radius: float, floats: int):
+    """The guard every sampler calls before it draws ``samples`` points (per
+    piece, for a boundary) at ``radius``, holding ``floats`` floats: raise
+    SchemaError for a negative count or a negative or non-finite radius,
+    and EnumerationLimit for more than MAX_SAMPLE_FLOATS floats."""
+    if samples < 0:
+        raise SchemaError(f"cannot draw {samples} points")
+    if not 0.0 <= radius < math.inf:
+        raise SchemaError(f"the sampling radius must be a nonnegative finite number, got {radius}")
     if floats > MAX_SAMPLE_FLOATS:
         raise EnumerationLimit(
             f"--samples {samples} would hold {floats} sample coordinates at once "

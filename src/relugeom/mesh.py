@@ -27,7 +27,6 @@ import numpy as np
 from .boundary import DecisionBoundary
 from .errors import DimensionMismatch
 from .io import label_bytes, text_rows
-from .layer import ReluLayer
 
 
 def _order_convex(points: np.ndarray, center: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -65,10 +64,11 @@ def _clip(polygon: list[list[float]], k: int, sign: float, bound: float) -> list
     return out
 
 
-def piece_polygons(
-    layer: ReluLayer, boundary: DecisionBoundary, lo: float, hi: float
-) -> list[tuple[str, np.ndarray]]:
-    """Clipped polygon for every piece that meets the box (d = 3 only)."""
+def piece_polygons(boundary: DecisionBoundary, lo: float, hi: float) -> list[tuple[str, np.ndarray]]:
+    """Clipped polygon for every piece of the boundary that meets the box,
+    with the apex and the dual vectors of the boundary's own layer
+    (d = 3 only)."""
+    layer = boundary.layer
     if layer.d_in != 3 or layer.d_out != 3:
         raise DimensionMismatch("mesh export supports three-dimensional layers only")
     if hi <= lo:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, refuse_radius
-from .boundary import sample_grade
+from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
 from .core import AffineMap, ReluLayer, build_dual_frame, read_only_floats
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
-from .layer import evaluate, preimage_bases, project_with_frame, refuse_sample_floats
+from .layer import evaluate, preimage_bases, project_with_frame, refuse_draw
 from .tolerances import ZERO_COMPONENT_TOL
 
 
@@ -56,10 +55,6 @@ class ReluNetwork:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    @property
-    def d_in(self) -> int:
-        return self.layers[0].d_in
 
 
 def evaluate_network(net: ReluNetwork, x) -> float | np.ndarray:
@@ -150,7 +145,6 @@ class BoundarySampleSet:
 
 
 def sample_shallow_boundary(
-    layer: ReluLayer,
     boundary: DecisionBoundary,
     level: int,
     samples_per_piece: int,
@@ -158,19 +152,19 @@ def sample_shallow_boundary(
     rng: np.random.Generator,
 ) -> BoundarySampleSet:
     """Seed sample set: ``samples_per_piece`` points of every piece of the
-    boundary that :func:`enumerate_pieces` found for ``layer``, drawn in
-    piece order, with residuals |readout(layer(x))| of the normalized
-    readout.  Raises DimensionMismatch, before any draw, when the readout
-    does not take the layer's outputs.  Raises SchemaError, before any
-    draw, for a negative or non-finite radius, and after the draw when the
-    radius is so large that a point or a residual leaves the float range.
+    boundary, drawn in piece order, with residuals |readout(layer(x))| of
+    the normalized readout and the boundary's own layer.  Opens with
+    :func:`~relugeom.layer.refuse_draw`, which raises before any draw:
+    SchemaError for a negative count or a negative or non-finite radius,
+    EnumerationLimit when the points would exceed MAX_SAMPLE_FLOATS
+    floats.  SchemaError also follows the draw when the radius is so large
+    that a point or a residual leaves the float range.
 
     Stream contract: the points are exactly those of :func:`sample_piece`
     called piece by piece on the same generator, and the generator ends in
     the same state.  Each grade (the pieces with equal |J|, consecutive in
     piece order) is drawn by :func:`sample_grade`: two generator calls per
-    piece, then array passes over the grade.  Refused with EnumerationLimit
-    when the points would exceed MAX_SAMPLE_FLOATS floats.
+    piece, then array passes over the grade.
 
     The residuals are evaluated once, on the points of all grades as one
     (pieces, n, d_in) stack: the layer's product and the readout's still
@@ -180,13 +174,8 @@ def sample_shallow_boundary(
     points and residuals it keeps, a draw holds one more array of its
     points' size.
     """
-    refuse_radius(radius)
-    if boundary.d != layer.d_out:
-        raise DimensionMismatch(
-            f"layer outputs {layer.d_out}, the boundary's readout expects {boundary.d}"
-        )
-    n_pieces = boundary.piece_count
-    refuse_sample_floats(samples_per_piece, n_pieces * samples_per_piece * layer.d_in)
+    layer, n_pieces = boundary.layer, boundary.piece_count
+    refuse_draw(samples_per_piece, radius, n_pieces * samples_per_piece * layer.d_in)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         points = np.concatenate(
             [sample_grade(grade, samples_per_piece, radius, rng) for grade in boundary.grades]
@@ -298,11 +287,9 @@ def trace_boundary(
             "at least one sample per piece"
         )
     n = net.depth
-    last = net.layers[-1]
     levels: dict[int, BoundarySampleSet] = {}
-    current = sample_shallow_boundary(
-        last, enumerate_pieces(last, net.output), n, samples_per_piece, radius, rng
-    )
+    boundary = enumerate_pieces(net.layers[-1], net.output)
+    current = sample_shallow_boundary(boundary, n, samples_per_piece, radius, rng)
     levels[n] = current
     for k in range(n - 1, 0, -1):
         current = pull_back_boundary(net, k, current, rng, max_fibers, tol)

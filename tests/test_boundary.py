@@ -31,6 +31,7 @@ from relugeom.boundary import (
     pull_back_hyperplane,
     sample_boundary_patterns,
 )
+from relugeom.core import AffineMap, build_dual_frame
 from relugeom.layer import ReluLayer, evaluate
 from relugeom.tolerances import MAX_SAMPLE_FLOATS, WITNESS_LEVEL_REL, WITNESS_PATTERN_ULPS, scaled
 
@@ -182,6 +183,14 @@ class TestEnumeratePieces:
             boundary = enumerate_pieces(layer, output)
             assert boundary.piece_count == 2**d - 2**boundary.m
             assert piece_count_oracle(layer, output) == boundary.piece_count
+
+    def test_boundary_carries_its_layer(self):
+        # the samplers and the mesh take the boundary alone and read this layer
+        contracting = build_dual_frame(AffineMap(np.eye(2, 3), np.ones(2)))
+        for layer in (random_square_layer(4, seed=9), contracting):
+            boundary = enumerate_pieces(layer, random_output(layer.d_out, seed=10))
+            assert boundary.layer is layer
+            assert all(grade.layer is layer for grade in boundary.grades)
 
     def test_pieces_nonempty_and_ordered(self):
         boundary = enumerate_pieces(random_square_layer(4, seed=7), random_output(4, seed=8))
@@ -783,6 +792,16 @@ class TestCanonicalBoundary:
         assert boundary.piece_count == 7
         assert boundary.curvature == "convex"
         np.testing.assert_allclose(boundary.t, np.ones(3))
+
+    @pytest.mark.parametrize("d", [1, 3, 9])  # d = 9: above WITNESS_MAX_DIM, built per call
+    def test_layer_is_the_canonical_layer(self, d):
+        for m in range(d):
+            boundary = canonical_boundary(d, m)
+            layer = boundary.layer
+            assert all(grade.layer is layer for grade in boundary.grades)
+            for array in (layer.affine.matrix, layer.duals):
+                assert np.array_equal(array, np.eye(d))
+            assert not layer.affine.offset.any() and not layer.apex.any()
 
     def test_d2_m1_pattern(self):
         boundary = canonical_boundary(2, 1)

@@ -1058,6 +1058,23 @@ class TestVerifyCommand:
         names = {p["property"] for p in body["results"]["properties"]}
         assert "image_forgets_minus_set" in names
 
+    def test_stderr_lines_match_the_report(self, capsys):
+        # one stderr line per property of the same run's JSON report, in its order
+        assert main(["verify", "--suite", "image", "--seed", "0"]) == 0
+        captured = capsys.readouterr()
+        properties = json.loads(captured.out)["results"]["properties"]
+
+        def lines(worst_format):
+            return "".join(
+                f"image/{p['property']}: {p['checks']} checks, worst {p['worst_residual']:{worst_format}} "
+                f"(tol {p['tolerance']:.1e}): {'pass' if p['passed'] else 'FAIL'}\n"
+                for p in properties
+            )
+
+        assert len(properties) == 2
+        assert captured.err == lines(".3e")
+        assert captured.err != lines(".3E")  # not vacuous: the exponent's format is pinned
+
     def test_failing_suite_exits_1_with_counterexample(self, capsys, monkeypatch):
         from relugeom.verify import SuiteResult
 
@@ -1069,9 +1086,11 @@ class TestVerifyCommand:
         import relugeom.cli as cli_module
 
         monkeypatch.setitem(cli_module.SUITES, "image", broken)
-        code, body = run(capsys, ["verify", "--suite", "image"])
+        code = main(["verify", "--suite", "image"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert body["first_counterexample"] == {"witness": [1, 2, 3]}
+        assert json.loads(captured.out)["first_counterexample"] == {"witness": [1, 2, 3]}
+        assert captured.err == "image/forced_failure: 1 checks, worst 2.000e+00 (tol 1.0e+00): FAIL\n"
 
     def test_unknown_suite_rejected(self, capsys):
         code = main(["verify", "--suite", "nope"])

@@ -23,8 +23,7 @@ GOLDEN_NET3 = Path(__file__).resolve().parent / "golden" / "net3.json"
 class TestPiecePolygons:
     def test_canonical_m0_mesh(self):
         boundary = canonical_boundary(3, 0)
-        layer = ReluLayer.canonical(3)
-        polys = piece_polygons(layer, boundary, -4.0, 4.0)
+        polys = piece_polygons(boundary, -4.0, 4.0)
         assert len(polys) == 7
         labels = {label for label, _ in polys}
         assert "1-2-3" in labels
@@ -47,7 +46,7 @@ class TestPiecePolygons:
         layer = ReluLayer.build(a, rng.normal(size=3) * 0.3)
         output = OutputLayer(np.array([1.0, -0.8, 1.4]), -0.9)
         boundary = enumerate_pieces(layer, output)
-        polys = piece_polygons(layer, boundary, -6.0, 6.0)
+        polys = piece_polygons(boundary, -6.0, 6.0)
         assert polys
         for _, poly in polys:
             values = np.maximum(poly @ a.T + layer.affine.offset, 0.0) @ output.weights + output.bias
@@ -56,13 +55,12 @@ class TestPiecePolygons:
     def test_non_3d_rejected(self):
         boundary = canonical_boundary(2, 0)
         with pytest.raises(DimensionMismatch):
-            piece_polygons(ReluLayer.canonical(2), boundary, -1.0, 1.0)
+            piece_polygons(boundary, -1.0, 1.0)
 
 
 def test_write_obj_round_trip(tmp_path):
     boundary = canonical_boundary(3, 1)
-    layer = ReluLayer.canonical(3)
-    polys = piece_polygons(layer, boundary, -3.0, 3.0)
+    polys = piece_polygons(boundary, -3.0, 3.0)
     path = tmp_path / "mesh.obj"
     write_obj(str(path), polys)
     text = path.read_text().splitlines()
@@ -181,14 +179,14 @@ class TestPolygonsMatchTheReference:
     @pytest.mark.parametrize("lo, hi", BOXES)
     def test_every_instance(self, lo, hi):
         for name, layer, boundary in mesh_instances():
-            got = piece_polygons(layer, boundary, lo, hi)
+            got = piece_polygons(boundary, lo, hi)
             expected = reference_piece_polygons(layer, boundary, lo, hi)
             assert [label for label, _ in got] == [label for label, _ in expected], name
             for (label, poly), (_, want) in zip(got, expected):
                 assert same_cycle(poly, want, 1e-12 * (hi - lo)), (name, label)
 
     def test_not_vacuous(self):
-        counts = [len(piece_polygons(layer, boundary, -5.0, 5.0)) for _, layer, boundary in mesh_instances()]
+        counts = [len(piece_polygons(boundary, -5.0, 5.0)) for *_, boundary in mesh_instances()]
         assert sum(counts) >= 40 and min(counts) >= 1
 
     def test_same_cycle_not_vacuous(self):
@@ -229,7 +227,7 @@ class TestNestedBoxes:
             for bound in NESTED_BOUNDS:
                 with warnings.catch_warnings(), np.errstate(all="raise"):
                     warnings.simplefilter("error")
-                    polys = piece_polygons(layer, boundary, -bound, bound)
+                    polys = piece_polygons(boundary, -bound, bound)
                 labels = {label for label, _ in polys}
                 assert kept <= labels, (name, bound, sorted(kept - labels))
                 kept = labels
@@ -239,9 +237,9 @@ class TestNestedBoxes:
             assert kept, name
 
     def test_net3_keeps_its_seven_pieces(self):
-        _, layer, boundary = next(nested_instances())
+        *_, boundary = next(nested_instances())
         for bound in NESTED_BOUNDS[3:]:
-            assert len(piece_polygons(layer, boundary, -bound, bound)) == 7, bound
+            assert len(piece_polygons(boundary, -bound, bound)) == 7, bound
 
 
 @pytest.mark.parametrize("bound", ["1e20", "1e30", "1e300"])

@@ -336,7 +336,7 @@ class TestBatchedPullBackEquivalence:
             net = ReluNetwork(layers, OutputLayer(np.ones(3), -1.0))
             rng = np.random.default_rng(seed)
             boundary = enumerate_pieces(net.layers[1], net.output)
-            samples = sample_shallow_boundary(net.layers[1], boundary, 2, 20, 2.0, rng)
+            samples = sample_shallow_boundary(boundary, 2, 20, 2.0, rng)
             try:
                 self.assert_same(net, samples, seed, tol=tol)
             except EmptyIntersection:
@@ -621,7 +621,7 @@ class TestBatchedSeedSamplerEquivalence:
         """Whether any (samples, radius) draw differs from the per-piece loop."""
         for samples, radius in draws:
             rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_shallow_boundary(layer, boundary, 1, samples, radius, rng)
+            got = sample_shallow_boundary(boundary, 1, samples, radius, rng)
             points, residuals, parent, fiber = reference_seed_samples(
                 layer, boundary, samples, radius, reference_rng
             )
@@ -707,17 +707,6 @@ class TestBatchedSeedSamplerEquivalence:
         self.assert_same(d_out, d_in, seed, SEED_SAMPLER_DRAWS)
 
 
-def test_seed_sampler_refuses_a_readout_of_another_width():
-    layer = ReluLayer.canonical(3)
-    contracting = build_dual_frame(AffineMap(np.eye(2, 3), np.ones(2)))
-    boundary = enumerate_pieces(contracting, OutputLayer([1.0, 2.0], -1.0))
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(DimensionMismatch, match="layer outputs 3, the boundary's readout expects 2"):
-        sample_shallow_boundary(layer, boundary, 1, 4, 1.0, rng)
-    assert rng.bit_generator.state == state
-
-
 @pytest.mark.slow
 def test_seed_draw_at_the_float_limit_holds_one_temporary_of_its_points():
     # 2048 pieces of 682 points in 12 dimensions: 128 MiB of points, just
@@ -731,7 +720,7 @@ def test_seed_draw_at_the_float_limit_holds_one_temporary_of_its_points():
     boundary = enumerate_pieces(layer, signed_readout(rng, d, m))
     tracemalloc.start()
     try:
-        samples = sample_shallow_boundary(layer, boundary, 1, n, 2.0, rng)
+        samples = sample_shallow_boundary(boundary, 1, n, 2.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -764,8 +753,7 @@ class TestTrace:
         levels = trace_boundary(net, samples_per_piece=25, radius=1.5,
                                 rng=np.random.default_rng(22))
         direct = sample_shallow_boundary(
-            net.layers[0], enumerate_pieces(net.layers[0], net.output), 1, 25, 1.5,
-            np.random.default_rng(22),
+            enumerate_pieces(net.layers[0], net.output), 1, 25, 1.5, np.random.default_rng(22)
         )
         np.testing.assert_array_equal(levels[1].points, direct.points)
 
@@ -797,30 +785,53 @@ class TestTrace:
 
 
 BAD_RADII = [-2.0, np.inf, np.nan]
+# (count, radius, message) of draws that every sampler refuses
+BAD_DRAWS = [(-1, 1.0, "cannot draw -1 points")] + [
+    (4, radius, f"radius must be a nonnegative finite number, got {radius}") for radius in BAD_RADII
+]
+BAD_DRAW_IDS = ["negative-count", "negative", "inf", "nan"]
 
 
 class TestSeedRadiusRefused:
-    """A negative or non-finite radius is refused before any draw, as by sample_piece.
+    """A negative count and a negative or non-finite radius are refused by
+    every sampler before any draw, as by sample_piece.
 
-    At radius -2 the seed sampler returned 24 points whose residuals reached 3.2."""
+    At radius -2 the seed sampler returned 24 points whose residuals
+    reached 3.2; ``PreimageSet.sample`` returned NaN points at radius NaN
+    and raised numpy errors for a negative count or radius."""
 
     readout = OutputLayer(np.array([1.0, -0.5, 2.0]), -1.0)
+    # a square layer and a contracting one, each with a target that has zero
+    # components, so the draw sweeps generators (and a complement direction)
+    preimages = {
+        "square": (ReluLayer.canonical(3), [0.0, 1.0, 0.0]),
+        "contracting": (build_dual_frame(AffineMap(np.eye(2, 3), np.ones(2))), [0.0, 1.0]),
+    }
 
-    @pytest.mark.parametrize("radius", BAD_RADII, ids=["negative", "inf", "nan"])
-    def test_sample_shallow_boundary(self, radius):
-        layer = ReluLayer.canonical(3)
-        boundary = enumerate_pieces(layer, self.readout)
+    def assert_refused(self, draw, message):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(SchemaError, match=f"radius must be a nonnegative finite number, got {radius}"):
-            sample_shallow_boundary(layer, boundary, 1, 4, radius, rng)
+        with pytest.raises(SchemaError, match=message):
+            draw(rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n, radius, message", BAD_DRAWS, ids=BAD_DRAW_IDS)
+    def test_sample_shallow_boundary(self, n, radius, message):
+        boundary = enumerate_pieces(ReluLayer.canonical(3), self.readout)
+        self.assert_refused(lambda rng: sample_shallow_boundary(boundary, 1, n, radius, rng), message)
 
     @pytest.mark.parametrize("radius", BAD_RADII, ids=["negative", "inf", "nan"])
     def test_trace_boundary(self, radius):
         net = ReluNetwork((ReluLayer.canonical(3),), self.readout)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(SchemaError, match=f"radius must be a nonnegative finite number, got {radius}"):
-            trace_boundary(net, 4, radius, rng=rng)
-        assert rng.bit_generator.state == state
+        self.assert_refused(
+            lambda rng: trace_boundary(net, 4, radius, rng=rng),
+            f"radius must be a nonnegative finite number, got {radius}",
+        )
+
+    @pytest.mark.parametrize("shape", ["square", "contracting"])
+    @pytest.mark.parametrize("n, radius, message", BAD_DRAWS, ids=BAD_DRAW_IDS)
+    def test_preimage_sample(self, shape, n, radius, message):
+        layer, target = self.preimages[shape]
+        pre = preimage_of_point(layer, np.array(target))
+        assert pre.generator_indices and (shape == "square") == (layer.complement_basis is None)
+        self.assert_refused(lambda rng: pre.sample(n, radius, rng=rng), message)
