@@ -421,10 +421,9 @@ def sample_piece(
     coordinates contribute; recession coefficients are uniform in
     [0, radius].
 
-    Opens with :func:`~relugeom.layer.refuse_draw`: SchemaError for a
-    negative ``n`` and for a negative or non-finite radius, and
-    EnumerationLimit when the n points would hold more than
-    MAX_SAMPLE_FLOATS floats; nothing is drawn then.
+    Refused by :func:`~relugeom.layer.refuse_draw` before the draw.  The
+    draw is returned unchecked, non-finite where the radius overflows it:
+    a post-draw :func:`~relugeom.layer.refuse_overflow` slowed each call.
 
     The piece's sign structure and dual vectors are read at its row of
     the :class:`SamplingOperands` of its grade, built once per grade; a

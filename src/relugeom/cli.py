@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .boundary import enumerate_pieces, piece_count_oracle
-from .core import ReluLayer, build_dual_frame
-from .errors import GeometryError, RankDeficient, SchemaError
+from .core import build_dual_frame
+from .errors import GeometryError, SchemaError
 from .io import (
     canonical_json,
     label_bytes,
@@ -44,11 +44,11 @@ from .io import (
     write_obj,
     write_point_csv,
 )
-from .layer import evaluate, preimage_of_point
+from .layer import evaluate, preimage_of_point, refuse_overflow, refuse_rounding
 from .mesh import piece_polygons
 from .network import ReluNetwork, sample_shallow_boundary, trace_boundary
 from .partition import classify_many, sector_counts
-from .tolerances import RCOND_MIN, WITNESS_MAX_DIM, ZERO_COMPONENT_TOL
+from .tolerances import RCOND_MIN, WITNESS_MAX_DIM, ZERO_COMPONENT_TOL, scaled
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -135,50 +135,6 @@ def _check_arguments(args):
         raise SchemaError(f"--box must be finite numbers lo < hi, got {lo},{hi}")
 
 
-def _refuse_rounding_beyond(
-    args, tolerance: float, layer: ReluLayer, points, weights, offset, at_radius_zero=None
-):
-    """Refuse a ``--radius`` (with ``--level-tol`` where the command has it,
-    since a tolerance of 0 is below any rounding) at which rounding alone
-    could carry a stated residual past its stated ``tolerance``.
-
-    The residuals are |relu(A x + b) @ weights + offset| at ``points``:
-    a boundary readout's value (its weight vector and bias) or a preimage
-    sample's distance to the target y (the identity and -y).  Evaluating
-    one in floats errs by at most about
-    (d + 2) eps ((|A| |x| + |b|) @ |weights| + |offset|), d the input
-    dimension; at radius 1 or 2 this is near 1e-14.  The bound is convex
-    in x, so over a draw at radius 0 it peaks at the points
-    ``at_radius_zero`` (the vertices apex + t_j a_j*, t_j > 0, of a
-    boundary, the base point of a preimage).  When it already exceeds the
-    tolerance there, no radius helps: the frame is too ill-conditioned
-    for the tolerance, and the refusal is RankDeficient naming
-    ``conditioning``.
-    """
-    a = layer.affine
-
-    def bound(x) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the bound inf or NaN: refused
-            size = (np.abs(x) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(weights) + np.abs(offset)
-            return (layer.d_in + 2) * np.finfo(float).eps * float(np.max(size))
-
-    rounding = bound(points)
-    if rounding <= tolerance:
-        return
-    if at_radius_zero is not None and not (frame := bound(at_radius_zero)) <= tolerance:
-        raise RankDeficient(
-            f"conditioning: at radius 0 rounding alone can move a sample's residual by up to "
-            f"{frame:.3g}, beyond the stated tolerance {tolerance:g}"
-        )
-    flags = f"--radius {args.radius:g}"
-    if "level_tol" in args:
-        flags += f" with --level-tol {args.level_tol:g}"
-    raise SchemaError(
-        f"{flags}: rounding alone can move a sample's residual by up to {rounding:.3g}, "
-        f"beyond the stated tolerance {tolerance:g}"
-    )
-
-
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     spec, digest = load_json(args.input)
@@ -241,7 +197,7 @@ def cmd_preimage(args) -> int:
         return EXIT_OK
     if not np.isfinite(pre.base).all():
         raise SchemaError(f"point {y.tolist()} has a preimage base point beyond the float range")
-    tolerance = 1e-8 * (1.0 + float(np.max(np.abs(pre.target))))
+    tolerance = float(scaled(1e-8, np.max(np.abs(pre.target))))
     (swept,) = ((pre.target > tolerance) & (pre.target <= args.tol)).nonzero()
     if swept.size:
         raise SchemaError(
@@ -262,10 +218,9 @@ def cmd_preimage(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             samples = pre.sample(args.samples, radius=args.radius, rng=rng)
             residual = float(np.max(np.abs(evaluate(layer, samples) - pre.target)))
-        if not (np.isfinite(samples).all() and math.isfinite(residual)):
-            raise SchemaError(f"--radius {args.radius:g} puts preimage samples beyond the float range")
-        identity = np.eye(layer.d_out)
-        _refuse_rounding_beyond(args, tolerance, layer, samples, identity, -pre.target, pre.base[None])
+        refuse_overflow(args.radius, "preimage", residual)
+        flags = f"--radius {args.radius:g}"
+        refuse_rounding(layer, samples, np.eye(layer.d_out), -pre.target, tolerance, flags, pre.base[None])
         results["samples"] = {
             "count": args.samples,
             "max_residual": residual,
@@ -312,12 +267,11 @@ def cmd_boundary(args) -> int:
         rng = np.random.default_rng(args.seed)
         drawn = sample_shallow_boundary(boundary, 1, args.samples, args.radius, rng)
         readout, scale = boundary.readout, 1.0 + abs(boundary.readout.bias)
-        tolerance = 1e-8
+        tolerance, flags = 1e-8, f"--radius {args.radius:g}"
         positive = boundary.t > 0.0
         vertices = layer.apex + boundary.t[positive, None] * layer.duals[positive]
-        _refuse_rounding_beyond(
-            args, tolerance, layer, drawn.points, readout.weights / scale, readout.bias / scale, vertices
-        )
+        weights, bias = readout.weights / scale, readout.bias / scale
+        refuse_rounding(layer, drawn.points, weights, bias, tolerance, flags, vertices)
         residuals = drawn.residuals / scale
         results["samples"] = {
             "per_piece": args.samples,
@@ -341,8 +295,7 @@ def cmd_deep_boundary(args) -> int:
     started = time.monotonic()
     spec, digest = load_json(args.input)
     affines, output = parse_network_spec(spec)
-    layers = tuple(build_dual_frame(a) for a in affines)
-    net = ReluNetwork(layers, output)
+    net = ReluNetwork(tuple(build_dual_frame(a) for a in affines), output)
     rng = np.random.default_rng(args.seed)
     levels = trace_boundary(
         net,
@@ -351,10 +304,6 @@ def cmd_deep_boundary(args) -> int:
         rng=rng,
         max_fibers=args.fibers,
         tol=args.level_tol,
-    )
-    # Pulled-back levels keep only points within --level-tol; the seed level is drawn unfiltered.
-    _refuse_rounding_beyond(
-        args, args.level_tol, layers[-1], levels[net.depth].points, output.weights, output.bias
     )
     per_level = []
     for level in sorted(levels, reverse=True):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReluLayer
-from .errors import DimensionMismatch, EnumerationLimit, SchemaError
+from .errors import DimensionMismatch, EnumerationLimit, RankDeficient, SchemaError
 from .partition import SectorIndex, graded_subsets
 from .tolerances import MAX_SAMPLE_FLOATS, ZERO_COMPONENT_TOL, scaled
 
@@ -87,16 +87,18 @@ class PreimageSet:
 
     def sample(self, n: int, radius: float, *, rng: np.random.Generator) -> np.ndarray:
         """Points of the set; coefficients are Exponential(1) scaled by radius.
-        Refused by :func:`refuse_draw` before any draw."""
+        Refused by :func:`refuse_draw` before the draw, :func:`refuse_overflow` after it."""
         refuse_draw(n, radius, n * self.layer.d_in)
         points = np.tile(self.base, (n, 1))
-        if self.generator_indices:
-            coeffs = rng.exponential(radius, size=(n, len(self.generator_indices)))
-            points = points + coeffs @ self.generators
-        free = self.layer.complement_basis
-        if free is not None and free.size:
-            shifts = rng.normal(0.0, radius, size=(n, free.shape[0]))
-            points = points + shifts @ free
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            if self.generator_indices:
+                coeffs = rng.exponential(radius, size=(n, len(self.generator_indices)))
+                points = points + coeffs @ self.generators
+            free = self.layer.complement_basis
+            if free is not None and free.size:
+                shifts = rng.normal(0.0, radius, size=(n, free.shape[0]))
+                points = points + shifts @ free
+        refuse_overflow(radius, "preimage", points)
         return points
 
 
@@ -114,6 +116,51 @@ def refuse_draw(samples: int, radius: float, floats: int):
             f"--samples {samples} would hold {floats} sample coordinates at once "
             f"(limit {MAX_SAMPLE_FLOATS})"
         )
+
+
+def refuse_overflow(radius: float, what: str, *arrays):
+    """The post-draw twin of :func:`refuse_draw`: raise SchemaError when one of
+    the ``arrays`` (points, residuals) of a draw at ``radius`` is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SchemaError(f"--radius {radius:g} puts {what} samples beyond the float range")
+
+
+def refuse_rounding(layer: ReluLayer, points, weights, offset, tolerance, flags: str, at_radius_zero=None):
+    """Refuse a draw, named by its ``flags`` (``--radius 2``), at which rounding
+    alone could carry a stated residual past its stated ``tolerance``.
+
+    The residuals are |relu(A x + b) @ weights + offset| at ``points``:
+    a boundary readout's value (its weight vector and bias) or a preimage
+    sample's distance to the target y (the identity and -y).  Evaluating
+    one in floats errs by at most about
+    (d + 2) eps ((|A| |x| + |b|) @ |weights| + |offset|), d the input
+    dimension; at radius 1 or 2 this is near 1e-14.  The bound is convex
+    in x, so over a draw at radius 0 it peaks at the points
+    ``at_radius_zero`` (the vertices apex + t_j a_j*, t_j > 0, of a
+    boundary, the base point of a preimage).  When it already exceeds the
+    tolerance there, no radius helps: the frame is too ill-conditioned
+    for the tolerance, and the refusal is RankDeficient naming
+    ``conditioning``.  Otherwise it is SchemaError naming ``flags``.
+    """
+    a = layer.affine
+
+    def bound(x) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the bound inf or NaN: refused
+            size = (np.abs(x) @ np.abs(a.matrix).T + np.abs(a.offset)) @ np.abs(weights) + np.abs(offset)
+            return (layer.d_in + 2) * np.finfo(float).eps * float(np.max(size))
+
+    rounding = bound(points)
+    if rounding <= tolerance:
+        return
+    if at_radius_zero is not None and not (frame := bound(at_radius_zero)) <= tolerance:
+        raise RankDeficient(
+            f"conditioning: at radius 0 rounding alone can move a sample's residual by up to "
+            f"{frame:.3g}, beyond the stated tolerance {tolerance:g}"
+        )
+    raise SchemaError(
+        f"{flags}: rounding alone can move a sample's residual by up to {rounding:.3g}, "
+        f"beyond the stated tolerance {tolerance:g}"
+    )
 
 
 def preimage_bases(

@@ -19,7 +19,7 @@ import numpy as np
 from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
 from .core import AffineMap, ReluLayer, build_dual_frame, read_only_floats
 from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
-from .layer import evaluate, preimage_bases, project_with_frame, refuse_draw
+from .layer import evaluate, preimage_bases, project_with_frame, refuse_draw, refuse_overflow, refuse_rounding
 from .tolerances import ZERO_COMPONENT_TOL
 
 
@@ -153,12 +153,9 @@ def sample_shallow_boundary(
 ) -> BoundarySampleSet:
     """Seed sample set: ``samples_per_piece`` points of every piece of the
     boundary, drawn in piece order, with residuals |readout(layer(x))| of
-    the normalized readout and the boundary's own layer.  Opens with
-    :func:`~relugeom.layer.refuse_draw`, which raises before any draw:
-    SchemaError for a negative count or a negative or non-finite radius,
-    EnumerationLimit when the points would exceed MAX_SAMPLE_FLOATS
-    floats.  SchemaError also follows the draw when the radius is so large
-    that a point or a residual leaves the float range.
+    the normalized readout and the boundary's own layer.  Refused by
+    :func:`~relugeom.layer.refuse_draw` before the draw and by
+    :func:`~relugeom.layer.refuse_overflow` after it.
 
     Stream contract: the points are exactly those of :func:`sample_piece`
     called piece by piece on the same generator, and the generator ends in
@@ -187,8 +184,7 @@ def sample_shallow_boundary(
         residuals += boundary.readout.bias
         np.abs(residuals, residuals)
     points, residuals = points.reshape(-1, layer.d_in), residuals.ravel()
-    if not (np.isfinite(points).all() and np.isfinite(residuals).all()):
-        raise SchemaError(f"--radius {radius:g} puts boundary samples beyond the float range")
+    refuse_overflow(radius, "boundary", points, residuals)
     parent = np.repeat(np.arange(n_pieces), samples_per_piece)
     fiber = np.tile(np.arange(samples_per_piece), n_pieces)
     for array in (points, residuals, parent, fiber):
@@ -279,7 +275,9 @@ def trace_boundary(
     Level N is seeded from the exact shallow enumeration of the last layer
     plus readout; every earlier level is produced by pull-back.  Returns
     one verified sample set per level, keyed by level.  Raises SchemaError
-    when ``samples_per_piece`` is below 1, since no point would be drawn.
+    when ``samples_per_piece`` is below 1, since no point would be drawn,
+    and, before any pull-back, when the unfiltered seed level could miss
+    ``tol`` by rounding alone (:func:`~relugeom.layer.refuse_rounding`).
     """
     if samples_per_piece < 1:
         raise SchemaError(
@@ -290,6 +288,8 @@ def trace_boundary(
     levels: dict[int, BoundarySampleSet] = {}
     boundary = enumerate_pieces(net.layers[-1], net.output)
     current = sample_shallow_boundary(boundary, n, samples_per_piece, radius, rng)
+    flags = f"--radius {radius:g} with --level-tol {tol:g}"
+    refuse_rounding(net.layers[-1], current.points, net.output.weights, net.output.bias, tol, flags)
     levels[n] = current
     for k in range(n - 1, 0, -1):
         current = pull_back_boundary(net, k, current, rng, max_fibers, tol)

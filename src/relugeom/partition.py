@@ -182,8 +182,12 @@ def sample_sector(layer: ReluLayer, sector: SectorIndex, n: int, rng: np.random.
     """Points in the (relative) interior of a sector.
 
     Coefficients are drawn bounded away from zero so the samples classify
-    stably: |coefficient| = 0.1 + Exponential(1) on the support.
+    stably: |coefficient| = 0.1 + Exponential(1) on the support.  Opens
+    with :func:`~relugeom.layer.refuse_draw` at the coefficient scale 1.
     """
+    from .layer import refuse_draw  # imported here: layer imports this module
+
+    refuse_draw(n, 1.0, n * layer.d_in)
     if sector.d != layer.d_out:
         raise DimensionMismatch(
             f"sector indexes {sector.d} hyperplanes, frame has {layer.d_out}"

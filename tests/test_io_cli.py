@@ -556,6 +556,26 @@ class TestRadiusBeyondRounding:
         assert body["message"].startswith(f"--radius {radius} with --level-tol 0: ")
         assert "beyond the stated tolerance 0" in body["message"]
 
+    @pytest.mark.parametrize("seed, depth", [(0, 4), (1, 3), (4, 4), (6, 3)])
+    def test_level_tol_zero_refused_before_any_pull_back(self, seed, depth, tmp_path, capsys):
+        # Width-3 nets near the identity, each traced at the default
+        # --level-tol.  At seeds 0 and 4 the zero tolerance empties a
+        # pull-back (exit 3), so the refusal must come before any pull-back.
+        rng = np.random.default_rng(seed)
+        layers = [
+            {"matrix": (np.eye(3) + 0.2 * rng.standard_normal((3, 3))).tolist(),
+             "offset": (0.3 * rng.standard_normal(3)).tolist()}
+            for _ in range(int(rng.integers(3, 5)))
+        ]
+        assert len(layers) == depth
+        spec = {"layers": layers, "output": {"weights": [1, -0.5, 0.8], "bias": -0.7}}
+        path = write_spec(tmp_path / "deep.json", spec)
+        assert run(capsys, ["deep-boundary", "--input", path])[0] == 0
+        code, body = run(capsys, ["deep-boundary", "--input", path, "--level-tol", "0"])
+        assert code == 2
+        assert body["error"] == "SchemaError"
+        assert body["message"].startswith("--radius 2 with --level-tol 0: ")
+
     @pytest.mark.parametrize("layer", [identity_layer_spec(2), GENERAL_LAYER], ids=["identity", "general"])
     @pytest.mark.parametrize("radius", RADII)
     def test_stated_tolerance_met_whenever_accepted(self, layer, radius, tmp_path, capsys):

@@ -28,6 +28,7 @@ from relugeom.network import (
     pull_back_boundary,
     sample_shallow_boundary,
 )
+from relugeom.partition import SectorIndex, sample_sector
 from relugeom.tolerances import MAX_SAMPLE_FLOATS
 from relugeom.verify import random_layer, random_output_layer
 
@@ -835,3 +836,42 @@ class TestSeedRadiusRefused:
         pre = preimage_of_point(layer, np.array(target))
         assert pre.generator_indices and (shape == "square") == (layer.complement_basis is None)
         self.assert_refused(lambda rng: pre.sample(n, radius, rng=rng), message)
+
+    def test_sample_sector_negative_count(self):
+        layer = ReluLayer.canonical(3)
+        self.assert_refused(
+            lambda rng: sample_sector(layer, SectorIndex.of(3, [1], [2]), -1, rng), "cannot draw -1 points"
+        )
+
+    # At the finite radius 1e308 every Exponential(1) or Normal draw above
+    # about 1.8 scales past the float range: refused after the draw, where
+    # the preimage sampler returned NaN points.
+    @pytest.mark.parametrize("shape", ["square", "contracting"])
+    def test_preimage_sample_overflow(self, shape):
+        layer, target = self.preimages[shape]
+        pre = preimage_of_point(layer, np.array(target))
+        with pytest.raises(SchemaError, match=r"^--radius 1e\+308 puts preimage samples beyond the float range$"):
+            pre.sample(64, 1e308, rng=np.random.default_rng(0))
+
+    def test_sample_shallow_boundary_overflow(self):
+        boundary = enumerate_pieces(ReluLayer.canonical(3), self.readout)
+        with pytest.raises(SchemaError, match=r"^--radius 1e\+308 puts boundary samples beyond the float range$"):
+            sample_shallow_boundary(boundary, 1, 64, 1e308, np.random.default_rng(0))
+
+    def test_trace_boundary_tol_below_rounding(self):
+        # The seed level is drawn unfiltered, and its residuals carry
+        # rounding, so tol 0 is refused right after the seed draw, before a
+        # pull-back could raise EmptyIntersection or draw fibers (along the
+        # complement of the contracting first layer, at every parent).
+        contracting = build_dual_frame(AffineMap(np.eye(2, 3), np.zeros(2)))
+        net = ReluNetwork((contracting, ReluLayer.canonical(2)), OutputLayer(np.array([1.0, 0.8]), -1.0))
+        seed_boundary = enumerate_pieces(net.layers[-1], net.output)
+        after_seed = np.random.default_rng(0)
+        sample_shallow_boundary(seed_boundary, 2, 4, 2.0, after_seed)
+        rng = np.random.default_rng(0)
+        with pytest.raises(SchemaError, match=r"^--radius 2 with --level-tol 0: .* beyond the stated tolerance 0$"):
+            trace_boundary(net, 4, rng=rng, tol=0.0)
+        assert rng.bit_generator.state == after_seed.bit_generator.state
+        traced = np.random.default_rng(0)
+        trace_boundary(net, 4, rng=traced)  # the pull-back draws fibers: the check above is not vacuous
+        assert traced.bit_generator.state != after_seed.bit_generator.state
