@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Commands: analyze, classify, preimage, boundary, deep-boundary, verify.
-Every command reads a JSON spec, writes a JSON run report to stdout, and
-exits with a fixed code; each error class carries its code as
-``exit_code``:
+The five spec commands map the JSON spec read from ``--input`` to their
+``results``, and ``main`` writes them to stdout in one report envelope:
+``command``, ``input_digest``, ``version``, ``seed`` where the command
+takes ``--seed``, ``results`` and ``wall_time_ms``.  ``classify --format
+csv`` writes CSV lines instead, and ``verify``, which reads no spec,
+writes its own report.  Every command exits with a fixed code; each
+error class carries its code as ``exit_code``:
 
     0  success
     1  verification failure (a suite found a counterexample)
@@ -57,20 +61,6 @@ EXIT_VERIFY = 1
 
 def _emit(report: dict):
     sys.stdout.write(canonical_json(report) + "\n")
-
-
-def _report(args, digest: str, results: dict, started: float) -> dict:
-    """The report envelope; it carries the seed exactly when the command takes ``--seed``."""
-    out = {
-        "command": args.command,
-        "input_digest": digest,
-        "version": __version__,
-    }
-    if "seed" in args:
-        out["seed"] = args.seed
-    out["results"] = results
-    out["wall_time_ms"] = (time.monotonic() - started) * 1000.0
-    return out
 
 
 def _parse_points(values, d: int) -> np.ndarray:
@@ -135,9 +125,7 @@ def _check_arguments(args):
         raise SchemaError(f"--box must be finite numbers lo < hi, got {lo},{hi}")
 
 
-def cmd_analyze(args) -> int:
-    started = time.monotonic()
-    spec, digest = load_json(args.input)
+def cmd_analyze(args, spec) -> dict:
     affine, name = parse_layer_spec(spec)
     layer = build_dual_frame(affine)
     counts = sector_counts(layer.d_out)
@@ -158,13 +146,10 @@ def cmd_analyze(args) -> int:
     if layer.is_contracting:
         results["row_span_basis"] = layer.row_span_basis
         results["complement_basis"] = layer.complement_basis
-    _emit(_report(args, digest, results, started))
-    return EXIT_OK
+    return results
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
-    spec, digest = load_json(args.input)
+def cmd_classify(args, spec) -> dict | None:
     affine, _ = parse_layer_spec(spec)
     layer = build_dual_frame(affine)
     points = _parse_points(args.point, affine.d_in)
@@ -177,24 +162,19 @@ def cmd_classify(args) -> int:
         )
     if args.format == "csv":
         sys.stdout.write(sector_csv(points, plus, minus))
-        return EXIT_OK
+        return None
     records = functools.partial(point_records, points, coefficients, plus, minus, zero)
-    results = {"points": records, "zero_tolerance": args.tol if args.tol is not None else "relative 1e-9"}
-    _emit(_report(args, digest, results, started))
-    return EXIT_OK
+    return {"points": records, "zero_tolerance": args.tol if args.tol is not None else "relative 1e-9"}
 
 
-def cmd_preimage(args) -> int:
-    started = time.monotonic()
-    spec, digest = load_json(args.input)
+def cmd_preimage(args, spec) -> dict:
     affine, _ = parse_layer_spec(spec)
     layer = build_dual_frame(affine)
     (y,) = _parse_points([args.point], layer.d_out)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         pre = preimage_of_point(layer, y, zero_tol=args.tol)
     if pre is None:
-        _emit(_report(args, digest, {"empty": True, "target": y}, started))
-        return EXIT_OK
+        return {"empty": True, "target": y}
     if not np.isfinite(pre.base).all():
         raise SchemaError(f"point {y.tolist()} has a preimage base point beyond the float range")
     tolerance = float(scaled(1e-8, np.max(np.abs(pre.target))))
@@ -229,13 +209,10 @@ def cmd_preimage(args) -> int:
         if args.csv is not None:
             _write("--csv", write_point_csv, args.csv, ["preimage"] * args.samples, samples)
             results["samples"]["csv"] = args.csv
-    _emit(_report(args, digest, results, started))
-    return EXIT_OK
+    return results
 
 
-def cmd_boundary(args) -> int:
-    started = time.monotonic()
-    spec, digest = load_json(args.input)
+def cmd_boundary(args, spec) -> dict:
     affines, output = parse_network_spec(spec)
     if len(affines) != 1:
         raise SchemaError("this command needs a network spec with exactly one layer")
@@ -287,13 +264,10 @@ def cmd_boundary(args) -> int:
         polys = piece_polygons(boundary, lo, hi)
         _write("--obj", write_obj, args.obj, polys)
         results["obj"] = {"path": args.obj, "box": [lo, hi], "pieces_in_box": len(polys)}
-    _emit(_report(args, digest, results, started))
-    return EXIT_OK
+    return results
 
 
-def cmd_deep_boundary(args) -> int:
-    started = time.monotonic()
-    spec, digest = load_json(args.input)
+def cmd_deep_boundary(args, spec) -> dict:
     affines, output = parse_network_spec(spec)
     net = ReluNetwork(tuple(build_dual_frame(a) for a in affines), output)
     rng = np.random.default_rng(args.seed)
@@ -319,9 +293,7 @@ def cmd_deep_boundary(args) -> int:
             _write("--csv", write_level_csv, path, sample_set)
             entry["csv"] = path
         per_level.append(entry)
-    results = {"depth": net.depth, "levels": per_level}
-    _emit(_report(args, digest, results, started))
-    return EXIT_OK
+    return {"depth": net.depth, "levels": per_level}
 
 
 def cmd_verify(args) -> int:
@@ -456,7 +428,23 @@ def main(argv=None) -> int:
             args.point = runs[1]
         _check_arguments(args)
         # Looked up now, not bound into the parser, so a replaced cmd_* runs.
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        if "input" not in args:  # verify reads no spec and writes its own report
+            return command(args)
+        started = time.monotonic()
+        spec, digest = load_json(args.input)
+        results = command(args, spec)
+        if results is not None:  # None: classify --format csv wrote its own lines
+            seed = {"seed": args.seed} if "seed" in args else {}
+            _emit({
+                "command": args.command,
+                "input_digest": digest,
+                "version": __version__,
+                **seed,
+                "results": results,
+                "wall_time_ms": (time.monotonic() - started) * 1000.0,
+            })
+        return EXIT_OK
     except GeometryError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code})
         return exc.exit_code

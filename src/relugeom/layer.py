@@ -6,6 +6,8 @@ the negative dual-expansion coefficients, then apply the affine map.
 Running the factorization backwards gives closed-form preimages: the
 preimage of a codomain point y is an affine base point swept by the dual
 vectors of y's zero components, with nonnegative coefficients.
+The frame samplers :func:`sample_sector` and :meth:`PreimageSet.sample`
+live here too, beside :func:`refuse_draw`, the guard every sampler opens with.
 """
 
 from __future__ import annotations
@@ -100,6 +102,24 @@ class PreimageSet:
                 points = points + shifts @ free
         refuse_overflow(radius, "preimage", points)
         return points
+
+
+def sample_sector(layer: ReluLayer, sector: SectorIndex, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Points in the (relative) interior of a sector.
+
+    Coefficients are drawn bounded away from zero so the samples classify
+    stably: |coefficient| = 0.1 + Exponential(1) on the support.  Opens
+    with :func:`refuse_draw` at the coefficient scale 1.
+    """
+    refuse_draw(n, 1.0, n * layer.d_in)
+    if sector.d != layer.d_out:
+        raise DimensionMismatch(f"sector indexes {sector.d} hyperplanes, frame has {layer.d_out}")
+    lam = np.zeros((n, layer.d_out))
+    for i in sector.plus:
+        lam[:, i - 1] = 0.1 + rng.exponential(1.0, size=n)
+    for i in sector.minus:
+        lam[:, i - 1] = -(0.1 + rng.exponential(1.0, size=n))
+    return layer.apex + lam @ layer.duals
 
 
 def refuse_draw(samples: int, radius: float, floats: int):
@@ -225,8 +245,8 @@ def preimage_of_sector(layer: ReluLayer, j) -> list[SectorIndex]:
     return [SectorIndex(d, j_mask, k) for k in masks[masks & j_mask == 0].tolist()]
 
 
-def membership_mask(layer: ReluLayer, pre: PreimageSet, points, tol: float | None = None) -> np.ndarray:
-    """Vectorized membership test for a batch of points.
+def membership_mask(pre: PreimageSet, points, tol: float | None = None) -> np.ndarray:
+    """Vectorized membership test for a batch of points, under ``pre.layer``.
 
     Solves for the parametric coefficients: r = A(x - base) must vanish on
     the positive components of the target and be <= 0 (coefficient >= 0)
@@ -236,9 +256,9 @@ def membership_mask(layer: ReluLayer, pre: PreimageSet, points, tol: float | Non
     points = np.asarray(points, dtype=float)
     if tol is None:
         tol = scaled(1e-9, float(np.max(np.abs(pre.target), initial=0.0)))
-    r = layer.affine(points) - pre.target
+    r = pre.layer.affine(points) - pre.target
     zeros = [i - 1 for i in pre.generator_indices]
-    plus = [i for i in range(layer.d_out) if (i + 1) not in pre.generator_indices]
+    plus = [i for i in range(pre.layer.d_out) if (i + 1) not in pre.generator_indices]
     ok = np.ones(r.shape[:-1], dtype=bool)
     if zeros:
         ok &= np.all(r[..., zeros] <= tol, axis=-1)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .boundary import DecisionBoundary, OutputLayer, enumerate_pieces, pull_back_hyperplane, sample_grade
 from .core import AffineMap, ReluLayer, build_dual_frame, read_only_floats
-from .errors import DimensionMismatch, EmptyIntersection, RankDeficient, SchemaError
+from .errors import DimensionMismatch, EmptyIntersection, EnumerationLimit, RankDeficient, SchemaError
 from .layer import evaluate, preimage_bases, project_with_frame, refuse_draw, refuse_overflow, refuse_rounding
-from .tolerances import ZERO_COMPONENT_TOL
+from .tolerances import MAX_SAMPLE_FLOATS, ZERO_COMPONENT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +213,9 @@ def pull_back_boundary(
     counts are computed for all kept samples at once; coefficients and
     sweeps are drawn parent by parent in parent order.  Every emitted
     point is verified against the level-k zero condition: its suffix
-    value from layer k is at most ``tol`` in magnitude.
+    value from layer k is at most ``tol`` in magnitude.  Fiber points that
+    would hold more than MAX_SAMPLE_FLOATS floats are refused with
+    EnumerationLimit before anything is allocated or drawn.
     """
     if samples.level != k + 1:
         raise ValueError(f"expected samples at level {k + 1}, got {samples.level}")
@@ -239,14 +241,23 @@ def pull_back_boundary(
         raise EmptyIntersection(message)
     _, bases, zero = preimage_bases(layer, samples.points[inside])
     free = 0 if layer.complement_basis is None else layer.complement_basis.shape[0]
-    n_fibers = np.minimum(4.0 ** (zero.sum(axis=1) + free), max_fibers).astype(np.int64)
-    counts = np.maximum(n_fibers, 1)
+    # a cap above the limit refuses as max_fibers does, and absorbs a huge max_fibers or an inf power
+    with np.errstate(over="ignore"):
+        budgets = np.minimum(4.0 ** (zero.sum(axis=1) + free), min(max_fibers, MAX_SAMPLE_FLOATS + 1))
+    counts = np.maximum(budgets, 1.0)  # the base point counts as fiber 0
+    floats = float(counts.sum()) * layer.d_in  # in floats: no int64 overflow
+    if floats > MAX_SAMPLE_FLOATS:
+        raise EnumerationLimit(
+            f"--fibers {max_fibers} would hold {floats:g} level-{k} fiber coordinates at once "
+            f"(limit {MAX_SAMPLE_FLOATS})"
+        )
+    counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(inside.size), counts)
     fiber = np.arange(owner.size) - starts[owner]
     points = bases[owner]
-    for i in np.flatnonzero(n_fibers > 1).tolist():
-        n, pattern = int(n_fibers[i]), zero[i]
+    for i in np.flatnonzero(counts > 1).tolist():
+        n, pattern = int(counts[i]), zero[i]
         extra = rng.exponential(1.0, size=(n - 1, int(pattern.sum()))) @ -layer.duals[pattern]
         if free:
             shifts = rng.normal(0.0, 1.0, size=(n - 1, free))

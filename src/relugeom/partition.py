@@ -6,7 +6,8 @@ subsets of {1..d} names one sector; the 3^d sectors partition the domain.
 The subset partial order on pairs gives closures and boundaries of
 sectors without any further geometry.  :func:`graded_subsets` is the one
 graded order on subsets of {1..d}, the order in which sector preimages
-and boundary pieces are listed.
+and boundary pieces are listed.  Points inside a sector are drawn by
+:func:`relugeom.layer.sample_sector`, beside the guard it opens with.
 """
 
 from __future__ import annotations
@@ -176,25 +177,3 @@ def leq(a: SectorIndex, b: SectorIndex) -> bool:
     if a.d != b.d:
         raise DimensionMismatch(f"sectors have different dimensions {a.d} and {b.d}")
     return (a.plus_mask & ~b.plus_mask) == 0 and (a.minus_mask & ~b.minus_mask) == 0
-
-
-def sample_sector(layer: ReluLayer, sector: SectorIndex, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Points in the (relative) interior of a sector.
-
-    Coefficients are drawn bounded away from zero so the samples classify
-    stably: |coefficient| = 0.1 + Exponential(1) on the support.  Opens
-    with :func:`~relugeom.layer.refuse_draw` at the coefficient scale 1.
-    """
-    from .layer import refuse_draw  # imported here: layer imports this module
-
-    refuse_draw(n, 1.0, n * layer.d_in)
-    if sector.d != layer.d_out:
-        raise DimensionMismatch(
-            f"sector indexes {sector.d} hyperplanes, frame has {layer.d_out}"
-        )
-    lam = np.zeros((n, layer.d_out))
-    for i in sector.plus:
-        lam[:, i - 1] = 0.1 + rng.exponential(1.0, size=n)
-    for i in sector.minus:
-        lam[:, i - 1] = -(0.1 + rng.exponential(1.0, size=n))
-    return layer.apex + lam @ layer.duals

@@ -269,7 +269,7 @@ def run_partition(seed: int) -> SuiteResult:
         layer = random_layer(rng, d)
         sectors = sectors_of[d]
         sector = sectors[int(rng.integers(0, len(sectors)))]
-        x = pt.sample_sector(layer, sector, 1, rng)[0]
+        x = ly.sample_sector(layer, sector, 1, rng)[0]
         lam = layer.affine(x)
         zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(lam))))
         lam_perturbed = lam + zero_tol / 2.0
@@ -283,7 +283,7 @@ def _count_images(prop, layer, canonical, sector, want, rng, case: dict):
     """Count the images under ``layer`` of 100 points drawn in ``sector``
     that ``canonical``, the canonical layer, does not put in sector ``want``."""
     bits = 1 << np.arange(layer.d_out)
-    ys = ly.evaluate(layer, pt.sample_sector(layer, sector, 100, rng))
+    ys = ly.evaluate(layer, ly.sample_sector(layer, sector, 100, rng))
     _, plus, minus, _ = pt.classify_many(canonical, ys)
     wrong = np.flatnonzero((plus @ bits != want.plus_mask) | (minus @ bits != want.minus_mask))
     counterexample = None
@@ -369,7 +369,7 @@ def run_preimage(seed: int) -> SuiteResult:
                 continue
             found += 1
             pre = ly.preimage_of_point(layer, y)
-            oracle = ly.membership_mask(layer, pre, grid, tol=direct_tol)
+            oracle = ly.membership_mask(pre, grid, tol=direct_tol)
             direct = np.max(np.abs(images - y), axis=1) <= direct_tol
             disagree = np.flatnonzero(oracle != direct)
             membership.count(

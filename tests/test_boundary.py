@@ -321,6 +321,30 @@ class TestEnumeratePieces:
             assert dataclasses.replace(grade).recession is grade.recession
 
 
+class TestCanonicalInverse:
+    """The canonical reduction read backwards: points of an actual piece J,
+    mapped back through ``to_actual``, have as their positive coordinates
+    the canonical piece that ``map_indices`` sends to J.  The forward
+    direction is the ``canonical`` suite's piece-by-piece check."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_actual_piece_maps_back_to_its_canonical_piece(self, d):
+        rng = np.random.default_rng(60 + d)
+        for m in range(d):
+            signs = np.where(rng.permutation(d) < m, -1.0, 1.0)
+            output = OutputLayer(signs * rng.uniform(0.5, 2.0, d), -rng.uniform(0.5, 2.0))
+            boundary = enumerate_pieces(random_square_layer(d, seed=10 * d + m), output)
+            assert boundary.m == m
+            reduction = boundary.canonical
+            for piece in boundary.pieces:
+                xs = sample_piece(piece, 4, radius=1.5, rng=rng)
+                u = np.linalg.solve(reduction.to_actual.matrix, (xs - reduction.to_actual.offset).T).T
+                # a band well above the solve's rounding, well below the drawn coordinates
+                positive = u > 1e-9 * (1.0 + np.abs(u).max(axis=1, keepdims=True))
+                for row in positive:
+                    assert reduction.map_indices(np.flatnonzero(row) + 1) == piece.indices
+
+
 def eager_pieces(boundary):
     """The pieces built eagerly, one per enumerated row, each the piece of
     a one-row grade of its own made from copies of the row's arrays."""

@@ -1017,9 +1017,10 @@ class TestParserReuse:
         main(self.ARGVS[0])
         capsys.readouterr()
         calls = []
-        monkeypatch.setattr(cli, "cmd_boundary", lambda args: calls.append(args.samples) or 7)
-        assert main(self.ARGVS[0]) == 7
+        monkeypatch.setattr(cli, "cmd_boundary", lambda args, spec: calls.append(args.samples) or {"stub": 7})
+        assert main(self.ARGVS[0]) == 0
         assert calls == [2]
+        assert json.loads(capsys.readouterr().out)["results"] == {"stub": 7}
 
 
 class TestDeepBoundaryCommand:
@@ -1068,6 +1069,26 @@ class TestDeepBoundaryCommand:
         deep_res = deep_body["results"]["levels"][0]["max_residual"]
         shallow_res = shallow_body["results"]["samples"]["max_residual"]
         assert deep_res == pytest.approx(shallow_res, abs=1e-12)
+
+    def test_fiber_points_beyond_the_float_limit_refused(self, tmp_path, capsys):
+        # 20 inputs into 2 units: every level-1 point sweeps at least 18 free
+        # directions.  At --fibers 1e7 the pull-back would hold about 1e10
+        # floats; at 1e400 the budget could not even be made a float.
+        rng = np.random.default_rng(1)
+        a1, b1 = rng.normal(size=(2, 20)), rng.normal(size=2)
+        a2, b2 = np.eye(2) + 0.2 * rng.normal(size=(2, 2)), 0.3 * rng.normal(size=2)
+        spec = {
+            "layers": [{"matrix": a.tolist(), "offset": b.tolist()} for a, b in ((a1, b1), (a2, b2))],
+            "output": {"weights": [1.0, -0.5], "bias": -0.7},
+        }
+        argv = ["deep-boundary", "--input", write_spec(tmp_path / "wide.json", spec), "--samples", "50", "--fibers"]
+        assert run(capsys, [*argv, "16"])[0] == 0
+        for fibers in (10**7, 10**400):
+            code, body = run(capsys, [*argv, str(fibers)])
+            assert code == 4
+            assert body["error"] == "EnumerationLimit"
+            assert body["message"].startswith(f"--fibers {fibers} would hold ")
+            assert "level-1 fiber coordinates" in body["message"]
 
 
 class TestVerifyCommand:

@@ -11,8 +11,9 @@ from relugeom.layer import (
     preimage_bases,
     preimage_of_sector,
     project_with_frame,
+    sample_sector,
 )
-from relugeom.partition import SectorIndex, sample_sector
+from relugeom.partition import SectorIndex
 
 from factories import random_square_layer
 
@@ -261,15 +262,15 @@ class TestMembershipOracle:
         return layer, preimage_of_point(layer, y)
 
     def test_base_is_member(self):
-        layer, pre = self.layer_and_pre()
-        assert membership_mask(layer, pre, pre.base)
+        _, pre = self.layer_and_pre()
+        assert membership_mask(pre, pre.base)
 
     def test_sweep_direction_stays_member(self):
         layer, pre = self.layer_and_pre()
         assert pre.generator_indices
         i = pre.generator_indices[0]
         x = pre.base - 2.0 * layer.duals[i - 1]
-        assert membership_mask(layer, pre, x)
+        assert membership_mask(pre, x)
         np.testing.assert_allclose(
             evaluate(layer, x), evaluate(layer, pre.base), atol=1e-9
         )
@@ -278,7 +279,7 @@ class TestMembershipOracle:
         layer, pre = self.layer_and_pre()
         i = pre.generator_indices[0]
         x = pre.base + layer.duals[i - 1]
-        assert not membership_mask(layer, pre, x)
+        assert not membership_mask(pre, x)
 
     def test_oracle_agrees_with_direct_check_on_grid(self):
         layer = random_square_layer(2, seed=31)
@@ -292,14 +293,14 @@ class TestMembershipOracle:
             if np.any((y > 0) & (y < 1e-4)):
                 continue
             pre = preimage_of_point(layer, y)
-            oracle = membership_mask(layer, pre, grid, tol=1e-6)
+            oracle = membership_mask(pre, grid, tol=1e-6)
             direct = np.abs(images - y).max(axis=1) <= 1e-6
             assert np.array_equal(oracle, direct)
 
     def test_dimension_check(self):
-        layer, pre = self.layer_and_pre()
+        _, pre = self.layer_and_pre()
         with pytest.raises(DimensionMismatch):
-            membership_mask(layer, pre, np.zeros(4))
+            membership_mask(pre, np.zeros(4))
 
 
 class TestContractingLayer:
@@ -326,6 +327,6 @@ class TestContractingLayer:
         # one sweep generator (the zero component) plus two free directions
         assert pre.dimension() == 3
         shifted = pre.base + 1.3 * layer.complement_basis[0]
-        assert membership_mask(layer, pre, shifted)
+        assert membership_mask(pre, shifted)
         samples = pre.sample(100, radius=1.0, rng=np.random.default_rng(35))
         assert np.abs(evaluate(layer, samples) - y).max() < 1e-9

@@ -7,6 +7,7 @@ import pytest
 from relugeom import (
     DimensionMismatch,
     EmptyIntersection,
+    EnumerationLimit,
     OutputLayer,
     RankDeficient,
     ReluNetwork,
@@ -21,14 +22,14 @@ import relugeom.boundary as bd
 from relugeom.boundary import sample_piece
 from relugeom.core import AffineMap, build_dual_frame
 from relugeom.layer import ReluLayer, evaluate
-from relugeom.layer import preimage_of_point
+from relugeom.layer import preimage_of_point, sample_sector
 from relugeom.network import (
     BoundarySampleSet,
     evaluate_tail,
     pull_back_boundary,
     sample_shallow_boundary,
 )
-from relugeom.partition import SectorIndex, sample_sector
+from relugeom.partition import SectorIndex
 from relugeom.tolerances import MAX_SAMPLE_FLOATS
 from relugeom.verify import random_layer, random_output_layer
 
@@ -783,6 +784,29 @@ class TestTrace:
             y = evaluate(net.layers[0], x)
             assert y.min() >= 0.0
             assert abs(evaluate_tail(net, 2, y)) < 1e-7
+
+
+def wide_input_net(width):
+    """``width`` inputs into 2 units, then 2 into 2: every level-1 point
+    sweeps at least ``width`` - 2 free directions."""
+    rng = np.random.default_rng(1)
+    first = ReluLayer.build(rng.normal(size=(2, width)), rng.normal(size=2))
+    second = ReluLayer.build(np.eye(2) + 0.2 * rng.normal(size=(2, 2)), 0.3 * rng.normal(size=2))
+    return ReluNetwork((first, second), OutputLayer(np.array([1.0, -0.5]), -0.7))
+
+
+def test_pull_back_fiber_points_beyond_the_float_limit_refused():
+    # 10**7 fibers per point of 20 inputs would hold about 1e10 floats.
+    net = wide_input_net(20)
+    with pytest.raises(EnumerationLimit, match=r"^--fibers 10000000 would hold 1\.06e\+10 level-1 fiber coordinates"):
+        trace_boundary(net, 50, rng=np.random.default_rng(0), max_fibers=10**7)
+    assert len(trace_boundary(net, 50, rng=np.random.default_rng(0))[1]) > 0  # the default budget traces
+
+
+def test_pull_back_fiber_budget_beyond_the_float_range_capped_without_warning():
+    # 4.0 ** 598 overflows to inf; the default budget of 16 fibers caps it.
+    levels = trace_boundary(wide_input_net(600), 5, rng=np.random.default_rng(0))
+    assert len(levels[1]) > 0
 
 
 BAD_RADII = [-2.0, np.inf, np.nan]

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from relugeom import DimensionMismatch, EnumerationLimit, classify
 from relugeom.core import AffineMap, build_dual_frame
+from relugeom.layer import sample_sector
 from relugeom.partition import (
     SectorIndex,
     classify_many,
     enumerate_sectors,
     graded_subsets,
     leq,
-    sample_sector,
     sector_counts,
 )
 

@@ -65,7 +65,7 @@ def main_parse(argv):
 
     def parse():
         with mock.patch.object(cli, "_check_arguments", seen.append), \
-                mock.patch.object(cli, "cmd_classify", lambda args: 0), contextlib.redirect_stdout(out):
+                mock.patch.object(cli, "cmd_classify", lambda args, spec: None), contextlib.redirect_stdout(out):
             cli.main(argv)
         if seen:
             return "args", vars(seen[0])

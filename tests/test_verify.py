@@ -116,7 +116,7 @@ def reference_run_image(seed):
         for _ in range(3):
             layer = random_layer(rng, d)
             for sector in pt.enumerate_sectors(d):
-                xs = pt.sample_sector(layer, sector, 100, rng)
+                xs = ly.sample_sector(layer, sector, 100, rng)
                 ys = ly.evaluate(layer, xs)
                 predicted = ly.image_of_sector(layer, sector)
                 for y in ys:
